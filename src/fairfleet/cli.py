@@ -60,7 +60,6 @@ DEFAULTS: dict = {
     "solver.seed": 0,
     "solver.exact_task_limit": 10,
     "solver.exact_vehicle_limit": 3,
-    "solver.parallel": False,
 }
 
 # Keys the scenario generator writes into config.json beyond the
@@ -144,7 +143,6 @@ def _solver_config(cfg: dict) -> SolverConfig:
         seed=int(cfg["solver.seed"]),
         exact_task_limit=int(cfg["solver.exact_task_limit"]),
         exact_vehicle_limit=int(cfg["solver.exact_vehicle_limit"]),
-        parallel=bool(cfg["solver.parallel"]),
     )
 
 

@@ -314,6 +314,7 @@ class Scheduler:
         self.history = History.zeros(len(self.roster), discount=cfg.discount)
         self.idle: dict[str, int] = {c: 0 for c in self.roster}
         self.rounds: list[RoundResult] = []
+        self.last_cancelled: tuple[str, ...] = ()
 
     def observe(self, customers: Sequence[str]) -> None:
         """Admit new customers with zero history."""

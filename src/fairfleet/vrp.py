@@ -10,6 +10,11 @@ throughput allocation.  Three entry points:
 * heuristic_vrp   -- warm-start seeding, cheapest insertion by marginal
                      weighted gain per second, then 2-opt / relocate /
                      swap local search; never worse than its best seed.
+                     Each solve fills a travel table once; every move is
+                     screened from a few table lookups and decided on the
+                     exact path cost whenever the screen lies within
+                     _GUARD of a threshold, so results match evaluating
+                     every move exactly.
 * greedy_alpha_heuristic -- fairness-guided construction by greatest
                      return-on-investment, then a final packing pass.
 
@@ -63,7 +68,6 @@ class SolverConfig:
     seed: int = 0
     exact_task_limit: int = 10
     exact_vehicle_limit: int = 3
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in ("exact", "heuristic", "auto"):
@@ -143,17 +147,6 @@ def schedule_value(req: SolverRequest, schedule: Schedule) -> tuple[float, float
         value += _contribution(req, t, cindex)
         count += _count_increment(t, req.ride_counts_as)
     return value, count
-
-
-def _schedule_feasible(req: SolverRequest, schedule: Schedule) -> bool:
-    by_vehicle = {v.vehicle_id: v for v in req.vehicles}
-    for p in schedule.paths:
-        v = by_vehicle.get(p.vehicle_id)
-        if v is None:
-            return False
-        if path_violation(p.tasks, v, req.travel, req.budget, req.round_start):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -347,29 +340,36 @@ def exact_vrp(
 # Insertion + local-search heuristic
 # ---------------------------------------------------------------------------
 
+# A screened move delta (a few travel-table lookups) differs from the
+# exact difference of two path costs only by rounding, many orders of
+# magnitude below this many seconds.  A trial whose screened value lies
+# more than _GUARD beyond a decision threshold is decided on the screen;
+# every other trial is decided on its exact cost.
+_GUARD = 1e-6
+
 
 class _PathState:
-    """Mutable task sequence for one vehicle during heuristic search."""
+    """Mutable task sequence for one vehicle during heuristic search.
 
-    __slots__ = ("vehicle", "tasks", "cost")
+    `seq` holds the tasks' rows in `table`, the vehicle's travel-seconds
+    table, and `home` the row of its start location; `cost` is the exact
+    cost of the sequence.
+    """
 
-    def __init__(self, vehicle: Vehicle, tasks: list[Task], travel: TravelModel):
+    __slots__ = ("vehicle", "table", "home", "tasks", "seq", "cost")
+
+    def __init__(self, vehicle: Vehicle, table: list, home: int):
         self.vehicle = vehicle
-        self.tasks = tasks
-        self.cost = self._compute_cost(travel)
+        self.table = table
+        self.home = home
+        self.tasks: list[Task] = []
+        self.seq: list[int] = []
+        self.cost = 0.0
 
-    def _compute_cost(self, travel: TravelModel) -> float:
-        cost = 0.0
-        loc = self.vehicle.start_location
-        for t in self.tasks:
-            cost += travel_time(loc, t.location, travel, self.vehicle) + t.service_time
-            loc = t.location
-        if self.vehicle.return_home and self.tasks:
-            cost += travel_time(loc, self.vehicle.start_location, travel, self.vehicle)
-        return cost
-
-    def refresh(self, travel: TravelModel) -> None:
-        self.cost = self._compute_cost(travel)
+    @property
+    def tail(self) -> Optional[int]:
+        """Row the path ends at after its last task, if it must return."""
+        return self.home if self.vehicle.return_home else None
 
 
 class _Heuristic:
@@ -385,11 +385,174 @@ class _Heuristic:
         # A dropoff is represented by its pair; only pickups and plain
         # tasks are direct insertion candidates.
         self.by_id = {t.task_id: t for t in req.tasks}
+        # Travel table: rows 0..n-1 are the tasks, then one row per
+        # vehicle start.  Every entry comes from `travel_time`, computed
+        # once per distinct point pair and per distinct vehicle speed
+        # (the matrix model ignores speed).
+        self.row = {t.task_id: i for i, t in enumerate(req.tasks)}
+        self.svc = [t.service_time for t in req.tasks]
+        self.contrib = [_contribution(req, t, self.cindex) for t in req.tasks]
+        self.count = [_count_increment(t, req.ride_counts_as) for t in req.tasks]
+        points = [t.location for t in req.tasks] + [v.start_location for v in req.vehicles]
+        distinct = list(dict.fromkeys(points))
+        where = {p: k for k, p in enumerate(distinct)}
+        col = [where[p] for p in points]
+        self.home = {v.vehicle_id: len(req.tasks) + k for k, v in enumerate(req.vehicles)}
+        self.tables: dict[str, list[list[float]]] = {}
+        by_key: dict = {}
+        for v in req.vehicles:
+            key = v.speed if req.travel.variant == "euclidean" else None
+            if key not in by_key:
+                small = [
+                    [travel_time(a, b, req.travel, v) for b in distinct]
+                    for a in distinct
+                ]
+                wide = [[r[c] for c in col] for r in small]
+                by_key[key] = [wide[c] for c in col]
+            self.tables[v.vehicle_id] = by_key[key]
+
+    # -- path states --------------------------------------------------------
+
+    def _state(self, vehicle: Vehicle, tasks: list[Task]) -> _PathState:
+        state = _PathState(vehicle, self.tables[vehicle.vehicle_id], self.home[vehicle.vehicle_id])
+        self._assign(state, tasks)
+        return state
+
+    def _assign(
+        self,
+        state: _PathState,
+        tasks: list[Task],
+        seq: Optional[list[int]] = None,
+        cost: Optional[float] = None,
+    ) -> None:
+        state.tasks = tasks
+        state.seq = [self.row[t.task_id] for t in tasks] if seq is None else seq
+        state.cost = self._cost(state, state.seq) if cost is None else cost
+
+    def _cost(self, state: _PathState, seq: Sequence[int]) -> float:
+        """Travel plus service seconds of `seq` on the state's vehicle.
+
+        Adds the legs in the order of `model.sequence_cost`, so the result
+        is bit-identical to it.
+        """
+        table, svc = state.table, self.svc
+        cost = 0.0
+        prev = state.home
+        for i in seq:
+            cost += table[prev][i] + svc[i]
+            prev = i
+        if state.vehicle.return_home and seq:
+            cost += table[prev][state.home]
+        return cost
+
+    # -- screened move deltas ----------------------------------------------
+    #
+    # Each returns the cost change of a move from a few table lookups;
+    # rounding makes it differ from the exact difference of the two path
+    # costs by far less than _GUARD.  An empty path that returns home is
+    # treated as the leg from the start to itself, which is zero (matrix
+    # diagonals are within TIME_TOL of it).
+
+    def _insert_deltas(self, state: _PathState, base: list[int], x: int) -> list[float]:
+        """Inserting row `x` at each position of `base` on the state's
+        vehicle."""
+        table, sx, from_x = state.table, self.svc[x], state.table[x]
+        out = []
+        for prev, nxt in zip([state.home] + base, base + [state.tail]):
+            d = table[prev][x] + sx
+            if nxt is not None:
+                d += from_x[nxt] - table[prev][nxt]
+            out.append(d)
+        return out
+
+    def _removal_delta(self, state: _PathState, pos: int) -> float:
+        """Removing the task at `pos`."""
+        table, seq = state.table, state.seq
+        prev = state.home if pos == 0 else seq[pos - 1]
+        nxt = seq[pos + 1] if pos + 1 < len(seq) else state.tail
+        x = seq[pos]
+        d = -table[prev][x] - self.svc[x]
+        if nxt is not None:
+            d += table[prev][nxt] - table[x][nxt]
+        return d
+
+    def _reversal_deltas(self, state: _PathState) -> list[list[float]]:
+        """Reversing seq[i..j], at [i][j - i - 2] for every j >= i + 2.
+
+        The reversed inner legs come from prefix sums of the legs walked
+        forward and backward, so one formula serves asymmetric tables.
+        """
+        seq, table, tail = state.seq, state.table, state.tail
+        m = len(seq)
+        fwd = [0.0] * m
+        bwd = [0.0] * m
+        for k in range(1, m):
+            fwd[k] = fwd[k - 1] + table[seq[k - 1]][seq[k]]
+            bwd[k] = bwd[k - 1] + table[seq[k]][seq[k - 1]]
+        out = []
+        for i in range(m - 1):
+            first = seq[i]
+            into = table[state.home if i == 0 else seq[i - 1]]
+            base = into[first] + bwd[i] - fwd[i]
+            row = []
+            for j in range(i + 2, m):
+                last = seq[j]
+                d = into[last] - base + bwd[j] - fwd[j]
+                nxt = seq[j + 1] if j + 1 < m else tail
+                if nxt is not None:
+                    d += table[first][nxt] - table[last][nxt]
+                row.append(d)
+            out.append(row)
+        return out
+
+    def _swap_deltas(self, a: _PathState, b: _PathState) -> list[list[float]]:
+        """Exchanging a's task at i with b's task at j, at [i][j]; the sum
+        of both paths' changes."""
+        svc = self.svc
+        ends_a, ends_b = self._neighbours(a), self._neighbours(b)
+        out = []
+        for xa, (pa, na, out_a) in zip(a.seq, ends_a):
+            into_a = a.table[pa]
+            from_a = b.table[xa]
+            row = []
+            for xb, (pb, nb, out_b) in zip(b.seq, ends_b):
+                d = into_a[xb] + svc[xb] - out_a + b.table[pb][xa] + svc[xa] - out_b
+                if na is not None:
+                    d += a.table[xb][na]
+                if nb is not None:
+                    d += from_a[nb]
+                row.append(d)
+            out.append(row)
+        return out
+
+    def _neighbours(self, state: _PathState) -> list[tuple[int, Optional[int], float]]:
+        """(previous row, next row, legs plus service) around each task."""
+        table, seq = state.table, state.seq
+        out = []
+        for prev, x, nxt in zip([state.home] + seq, seq, seq[1:] + [state.tail]):
+            legs = table[prev][x] + self.svc[x]
+            if nxt is not None:
+                legs += table[x][nxt]
+            out.append((prev, nxt, legs))
+        return out
+
+    def _pair_deltas(self, state: _PathState, p: int, d: int) -> list[list[float]]:
+        """Inserting pickup `p` before position i and dropoff `d` before
+        position j of the original sequence, at [i][j - i] for j >= i."""
+        table, seq = state.table, state.seq
+        ins_p = self._insert_deltas(state, seq, p)
+        ins_d = self._insert_deltas(state, seq, d)
+        p_then_d = self.svc[p] + table[p][d] + self.svc[d]
+        out = []
+        for i, (prev, nxt) in enumerate(zip([state.home] + seq, seq + [state.tail])):
+            # back to back in one leg, then apart in two legs
+            both = table[prev][p] + p_then_d
+            if nxt is not None:
+                both += table[d][nxt] - table[prev][nxt]
+            out.append([both] + [ins_p[i] + ins_d[j] for j in range(i + 1, len(seq) + 1)])
+        return out
 
     # -- geometry helpers ---------------------------------------------------
-
-    def _dist(self, a, b, vehicle: Vehicle) -> float:
-        return travel_time(a, b, self.req.travel, vehicle)
 
     def _pin_allows(self, task: Task, vehicle: Vehicle) -> bool:
         if not self.req.pinned:
@@ -397,14 +560,24 @@ class _Heuristic:
         want = self.req.pinned.get(task.task_id)
         return want is None or want == vehicle.vehicle_id
 
-    def _feasible(self, state: _PathState, tasks: list[Task]) -> bool:
+    def _feasible(self, vehicle: Vehicle, tasks: list[Task]) -> bool:
         return (
             path_violation(
-                tasks, state.vehicle, self.req.travel, self.req.budget,
+                tasks, vehicle, self.req.travel, self.req.budget,
                 self.req.round_start,
             )
             is None
         )
+
+    def _value(self, paths: dict[str, list[Task]]) -> tuple[float, float]:
+        """`schedule_value` of these paths, summed in the same order."""
+        value = count = 0.0
+        for v in self.req.vehicles:
+            for t in paths[v.vehicle_id]:
+                r = self.row[t.task_id]
+                value += self.contrib[r]
+                count += self.count[r]
+        return value, count
 
     # -- seeding ------------------------------------------------------------
 
@@ -427,33 +600,26 @@ class _Heuristic:
             out[p.vehicle_id] = kept
         return out
 
-    def _seed_states(self) -> tuple[list[_PathState], float, float]:
+    def _seed_states(self) -> list[_PathState]:
         seeds: list[Schedule] = list(self.req.warm_starts)
         best_paths: Optional[dict[str, list[Task]]] = None
         best_key = (-np.inf, -np.inf, 0)
         for order, s in enumerate(seeds):
             paths = self._sanitize_seed(s)
-            sched = self._to_schedule(paths)
-            if not _schedule_feasible(self.req, sched):
+            if not all(self._feasible(v, paths[v.vehicle_id]) for v in self.req.vehicles):
                 continue
-            value, count = schedule_value(self.req, sched)
+            value, count = self._value(paths)
             key = (value, count, -order)
             if key > best_key:
                 best_key = key
                 best_paths = paths
         if best_paths is None:
             best_paths = {v.vehicle_id: [] for v in self.req.vehicles}
-        states = [
-            _PathState(v, best_paths[v.vehicle_id], self.req.travel)
-            for v in self.req.vehicles
-        ]
-        sched = self._to_schedule({s.vehicle.vehicle_id: s.tasks for s in states})
-        value, count = schedule_value(self.req, sched)
-        return states, value, count
+        return [self._state(v, best_paths[v.vehicle_id]) for v in self.req.vehicles]
 
     def _to_schedule(self, paths: dict[str, list[Task]]) -> Schedule:
         built = tuple(
-            build_path(v, paths.get(v.vehicle_id, []), self.req.travel, self.req.round_start)
+            build_path(v, paths[v.vehicle_id], self.req.travel, self.req.round_start)
             for v in self.req.vehicles
         )
         return Schedule(paths=built, round_duration=self.req.budget)
@@ -465,107 +631,109 @@ class _Heuristic:
         path, vectorized; returns list aligned with `unscheduled`."""
         req = self.req
         veh = state.vehicle
-        seq = state.tasks
-        m = len(seq)
+        m = len(state.seq)
         slack = self.budget_slack[veh.vehicle_id] - state.cost
         if slack <= 0:
             return [None] * len(unscheduled)
-
-        prev_pts = [veh.start_location] + [t.location for t in seq]
-        if veh.return_home:
-            next_pts = [t.location for t in seq] + [veh.start_location]
-        else:
-            next_pts = [t.location for t in seq] + [None]
-
-        prev_arr = np.array(prev_pts, dtype=float)
-        base_legs = np.zeros(m + 1)
-        for i in range(m + 1):
-            if next_pts[i] is not None:
-                base_legs[i] = self._dist(prev_pts[i], next_pts[i], veh)
-
-        results = []
         if not unscheduled:
-            return results
+            return []
+
+        base_legs = np.array([
+            0.0 if b is None else state.table[a][b]
+            for a, b in zip([state.home] + state.seq, state.seq + [state.tail])
+        ])
+        prev_pts = [veh.start_location] + [t.location for t in state.tasks]
         cand_pts = np.array([t.location for t in unscheduled], dtype=float)
         if req.travel.variant == "euclidean":
+            prev_arr = np.array(prev_pts, dtype=float)
             d_prev = np.hypot(
                 cand_pts[:, None, 0] - prev_arr[None, :, 0],
                 cand_pts[:, None, 1] - prev_arr[None, :, 1],
             ) / veh.speed
-            d_next = np.zeros((len(unscheduled), m + 1))
-            for i in range(m + 1):
-                if next_pts[i] is not None:
-                    nxt = np.asarray(next_pts[i])
-                    d_next[:, i] = np.hypot(
-                        cand_pts[:, 0] - nxt[0], cand_pts[:, 1] - nxt[1]
-                    ) / veh.speed
         else:
             lut = req.travel
             cand_idx = [lut._lookup(t.location) for t in unscheduled]
             prev_idx = [lut._lookup(p) for p in prev_pts]
             d_prev = lut.seconds[np.ix_(cand_idx, prev_idx)]
-            d_next = np.zeros((len(unscheduled), m + 1))
-            for i in range(m + 1):
-                if next_pts[i] is not None:
-                    ni = lut._lookup(next_pts[i])
-                    d_next[:, i] = lut.seconds[cand_idx, ni]
+        # The leg out of position i ends where position i + 1 starts.
+        d_next = np.zeros((len(unscheduled), m + 1))
+        d_next[:, :m] = d_prev[:, 1:]
+        if veh.return_home:
+            d_next[:, m] = d_prev[:, 0]
 
         svc = np.array([t.service_time for t in unscheduled])
         delta = d_prev + d_next - base_legs[None, :] + svc[:, None]
 
-        for u_i, task in enumerate(unscheduled):
-            if not self._pin_allows(task, veh):
-                results.append(None)
-                continue
-            row = delta[u_i]
-            feas = row <= slack + 1e-9
-            if not np.any(feas):
-                results.append(None)
-                continue
-            pos = int(np.argmin(np.where(feas, row, np.inf)))
-            results.append((float(row[pos]), pos))
-        return results
+        feas = delta <= slack + 1e-9
+        pos = np.argmin(np.where(feas, delta, np.inf), axis=1)
+        best = delta[np.arange(len(unscheduled)), pos]
+        fits = feas.any(axis=1)
+        return [
+            (float(best[u]), int(pos[u]))
+            if fits[u] and self._pin_allows(task, veh) else None
+            for u, task in enumerate(unscheduled)
+        ]
 
     def _verify_insert(
         self, state: _PathState, task: Task, pos: int
     ) -> Optional[list[Task]]:
         trial = state.tasks[:pos] + [task] + state.tasks[pos:]
         if self.has_deadlines or task.deadline is not None:
-            if not self._feasible(state, trial):
+            if not self._feasible(state.vehicle, trial):
                 return None
         return trial
 
     def _try_insert_pair(
         self, state: _PathState, pickup: Task, dropoff: Task
     ) -> Optional[tuple[float, list[Task]]]:
-        """Cheapest feasible (pickup, dropoff) placement on this path."""
+        """Cheapest feasible (pickup, dropoff) placement on this path: in
+        scan order, each placement that fits and costs more than 1e-12 less
+        than the best so far replaces it."""
         if not (self._pin_allows(pickup, state.vehicle) and self._pin_allows(dropoff, state.vehicle)):
             return None
-        seq = state.tasks
-        best: Optional[tuple[float, list[Task]]] = None
+        seq, tasks = state.seq, state.tasks
+        p, d = self.row[pickup.task_id], self.row[dropoff.task_id]
         slack = self.budget_slack[state.vehicle.vehicle_id] - state.cost
-        for i in range(len(seq) + 1):
-            for j in range(i, len(seq) + 1):
-                trial = seq[:i] + [pickup] + seq[i:j] + [dropoff] + seq[j:]
-                cost = _PathState(state.vehicle, trial, self.req.travel).cost
-                delta = cost - state.cost
-                if delta > slack + 1e-9:
-                    continue
-                if not self._feasible(state, trial):
-                    continue
-                if best is None or delta < best[0] - 1e-12:
-                    best = (delta, trial)
+        trials = sorted(
+            (est, i, j)
+            for i, row in enumerate(self._pair_deltas(state, p, d))
+            for j, est in enumerate(row, start=i)
+            if est <= slack + 1e-9 + _GUARD
+        )
+        # Try placements from the cheapest screened one.  None beyond
+        # _GUARD past the first that fits can be the best, so path_violation
+        # runs only on placements that might be.
+        fits = []
+        limit = None
+        for est, i, j in trials:
+            if limit is not None and est > limit:
+                break
+            trial_seq = seq[:i] + [p] + seq[i:j] + [d] + seq[j:]
+            delta = self._cost(state, trial_seq) - state.cost
+            if delta > slack + 1e-9:
+                continue
+            trial = tasks[:i] + [pickup] + tasks[i:j] + [dropoff] + tasks[j:]
+            if not self._feasible(state.vehicle, trial):
+                continue
+            fits.append((i, j, delta, trial))
+            if limit is None:
+                limit = est + _GUARD
+        best: Optional[tuple[float, list[Task]]] = None
+        for _, _, delta, trial in sorted(fits, key=lambda f: f[:2]):
+            if best is None or delta < best[0] - 1e-12:
+                best = (delta, trial)
         return best
 
-    def _insertion_phase(self, states: list[_PathState], unscheduled: dict[str, Task]) -> tuple[float, float]:
-        """Insert tasks until nothing fits; returns (value, count) gained."""
-        req = self.req
-        gained_v = gained_c = 0.0
+    def _insertion_phase(self, states: list[_PathState], unscheduled: dict[str, Task]) -> None:
+        """Insert tasks until nothing fits or the effort budget runs out."""
+        row, contrib = self.row, self.contrib
         singles = lambda: sorted(
             (t for t in unscheduled.values() if not t.is_dropoff),
             key=lambda t: t.task_id,
         )
-        cache: dict[int, list] = {}
+        # Per path until it changes: the plain candidates with their best
+        # placements, and the best placement of each pair tried so far.
+        cache: dict[int, tuple] = {}
         order: list[Task] = singles()
         while True:
             cand_list = [t for t in order if t.task_id in unscheduled]
@@ -575,13 +743,13 @@ class _Heuristic:
             for s_i, state in enumerate(states):
                 if s_i not in cache:
                     plain = [t for t in cand_list if not t.is_pickup]
-                    cache[s_i] = (plain, self._insertion_candidates(state, plain))
-                plain, res = cache[s_i]
+                    cache[s_i] = (plain, self._insertion_candidates(state, plain), {})
+                plain, res, pairs = cache[s_i]
                 for t, r in zip(plain, res):
                     if r is None or t.task_id not in unscheduled:
                         continue
                     delta, pos = r
-                    gain = _contribution(req, t, self.cindex)
+                    gain = contrib[row[t.task_id]]
                     density = gain / max(delta, 1e-9)
                     key = (gain > 0, density if gain > 0 else -delta, -delta, t.task_id)
                     choice = (key, s_i, t, pos, delta, None)
@@ -593,13 +761,13 @@ class _Heuristic:
                     drop = self.by_id.get(t.pickup_of)
                     if drop is None or drop.task_id not in unscheduled:
                         continue
-                    pres = self._try_insert_pair(state, t, drop)
+                    if t.task_id not in pairs:
+                        pairs[t.task_id] = self._try_insert_pair(state, t, drop)
+                    pres = pairs[t.task_id]
                     if pres is None:
                         continue
                     delta, trial = pres
-                    gain = _contribution(req, t, self.cindex) + _contribution(
-                        req, drop, self.cindex
-                    )
+                    gain = contrib[row[t.task_id]] + contrib[row[drop.task_id]]
                     density = gain / max(delta, 1e-9)
                     key = (gain > 0, density if gain > 0 else -delta, -delta, t.task_id)
                     if best_choice is None or key > best_choice[0]:
@@ -619,39 +787,40 @@ class _Heuristic:
                 inserted = [task]
             else:
                 inserted = [task, self.by_id[task.pickup_of]]
-            state.tasks = trial
-            state.refresh(req.travel)
+            self._assign(state, trial)
             for t in inserted:
                 unscheduled.pop(t.task_id, None)
-                gained_v += _contribution(req, t, self.cindex)
-                gained_c += _count_increment(t, req.ride_counts_as)
             cache.pop(s_i, None)
             self.evals -= len(cand_list)
             if self.evals <= 0:
                 break
-        return gained_v, gained_c
 
     # -- local search -------------------------------------------------------
 
     def _two_opt_pass(self, state: _PathState) -> bool:
         """First-improvement segment reversal; cost-only (membership fixed)."""
-        seq = state.tasks
+        seq = state.seq
         m = len(seq)
-        if m < 3 or any(t.pair_id is not None for t in seq):
+        if m < 3 or any(t.pair_id is not None for t in state.tasks):
             return False
         idx = list(range(m - 1))
         self.rng.shuffle(idx)
+        deltas = self._reversal_deltas(state)
         for i in idx:
-            for j in range(i + 2, m):
+            for j, est in enumerate(deltas[i], start=i + 2):
                 self.evals -= 1
                 if self.evals <= 0:
                     return False
-                trial = seq[:i] + list(reversed(seq[i:j + 1])) + seq[j + 1:]
-                cost = _PathState(state.vehicle, trial, self.req.travel).cost
-                if cost < state.cost - 1e-9 and self._feasible(state, trial):
-                    state.tasks = trial
-                    state.cost = cost
-                    return True
+                if est > _GUARD - 1e-9:
+                    continue
+                trial_seq = seq[:i] + seq[i:j + 1][::-1] + seq[j + 1:]
+                cost = self._cost(state, trial_seq)
+                if cost < state.cost - 1e-9:
+                    tasks = state.tasks
+                    trial = tasks[:i] + tasks[i:j + 1][::-1] + tasks[j + 1:]
+                    if self._feasible(state.vehicle, trial):
+                        self._assign(state, trial, trial_seq, cost)
+                        return True
         return False
 
     def _relocate_pass(self, states: list[_PathState]) -> bool:
@@ -666,46 +835,52 @@ class _Heuristic:
         for s_i, t_i in order:
             src = states[s_i]
             task = src.tasks[t_i]
-            removed = src.tasks[:t_i] + src.tasks[t_i + 1:]
-            removed_cost = _PathState(src.vehicle, removed, self.req.travel).cost
+            x = src.seq[t_i]
+            removed = src.seq[:t_i] + src.seq[t_i + 1:]
+            removal = self._removal_delta(src, t_i)
+            removed_cost: Optional[float] = None
             for d_i, dst in enumerate(states):
                 if not self._pin_allows(task, dst.vehicle):
                     continue
-                base = removed if d_i == s_i else dst.tasks
-                base_cost = removed_cost if d_i == s_i else dst.cost
-                # cheapest position by direct scan (paths are short here)
+                same = d_i == s_i
+                base = removed if same else dst.seq
+                # one evaluation per position
+                self.evals -= len(base) + 1
+                if self.evals <= 0:
+                    return False
+                deltas = self._insert_deltas(dst, base, x)
+                low = min(deltas)
+                if removal + low > _GUARD - 1e-9:
+                    continue
+                if removed_cost is None:
+                    removed_cost = self._cost(src, removed)
+                base_cost = removed_cost if same else dst.cost
+                # Cheapest position by the ordered `< best - 1e-12` rule.
+                # Positions beyond _GUARD of the screened minimum cannot
+                # change its outcome, so only the others are costed.
                 best = None
-                for pos in range(len(base) + 1):
-                    self.evals -= 1
-                    if self.evals <= 0:
-                        return False
-                    trial = base[:pos] + [task] + base[pos:]
-                    cost = _PathState(dst.vehicle, trial, self.req.travel).cost
+                for pos, est in enumerate(deltas):
+                    if est > low + _GUARD:
+                        continue
+                    trial_seq = base[:pos] + [x] + base[pos:]
+                    cost = self._cost(dst, trial_seq)
                     delta = cost - base_cost
                     if best is None or delta < best[0] - 1e-12:
-                        best = (delta, pos, trial, cost)
-                if best is None:
-                    continue
-                old_total = src.cost + (0.0 if d_i == s_i else dst.cost)
-                new_total = (removed_cost if d_i != s_i else 0.0) + best[3]
-                if d_i == s_i:
-                    new_total = best[3]
+                        best = (delta, pos, trial_seq, cost)
+                _, pos, trial_seq, cost = best
+                old_total = src.cost + (0.0 if same else dst.cost)
+                new_total = cost if same else removed_cost + cost
                 if new_total < old_total - 1e-9:
-                    trial = best[2]
-                    if self.budget_slack[dst.vehicle.vehicle_id] < _PathState(
-                        dst.vehicle, trial, self.req.travel
-                    ).cost - 1e-9:
+                    if self.budget_slack[dst.vehicle.vehicle_id] < cost - 1e-9:
                         continue
-                    if not self._feasible(dst, trial):
+                    kept = src.tasks[:t_i] + src.tasks[t_i + 1:]
+                    host = kept if same else dst.tasks
+                    trial = host[:pos] + [task] + host[pos:]
+                    if not self._feasible(dst.vehicle, trial):
                         continue
-                    if d_i == s_i:
-                        src.tasks = trial
-                        src.refresh(self.req.travel)
-                    else:
-                        src.tasks = list(removed)
-                        src.refresh(self.req.travel)
-                        dst.tasks = trial
-                        dst.refresh(self.req.travel)
+                    if not same:
+                        self._assign(src, kept, removed, removed_cost)
+                    self._assign(dst, trial, trial_seq, cost)
                     return True
         return False
 
@@ -718,6 +893,7 @@ class _Heuristic:
         self.rng.shuffle(pairs)
         for a_i, b_i in pairs:
             a, b = states[a_i], states[b_i]
+            deltas = self._swap_deltas(a, b)
             for i, ta in enumerate(a.tasks):
                 if ta.pair_id is not None or not self._pin_allows(ta, b.vehicle):
                     continue
@@ -727,20 +903,23 @@ class _Heuristic:
                     self.evals -= 1
                     if self.evals <= 0:
                         return False
-                    ta_seq = a.tasks[:i] + [tb] + a.tasks[i + 1:]
-                    tb_seq = b.tasks[:j] + [ta] + b.tasks[j + 1:]
-                    ca = _PathState(a.vehicle, ta_seq, self.req.travel).cost
-                    cb = _PathState(b.vehicle, tb_seq, self.req.travel).cost
+                    if deltas[i][j] > _GUARD - 1e-9:
+                        continue
+                    ta_seq = a.seq[:i] + [b.seq[j]] + a.seq[i + 1:]
+                    tb_seq = b.seq[:j] + [a.seq[i]] + b.seq[j + 1:]
+                    ca = self._cost(a, ta_seq)
+                    cb = self._cost(b, tb_seq)
                     if ca + cb < a.cost + b.cost - 1e-9:
                         if ca > self.budget_slack[a.vehicle.vehicle_id] + 1e-9:
                             continue
                         if cb > self.budget_slack[b.vehicle.vehicle_id] + 1e-9:
                             continue
-                        if not (self._feasible(a, ta_seq) and self._feasible(b, tb_seq)):
+                        ta_tasks = a.tasks[:i] + [tb] + a.tasks[i + 1:]
+                        tb_tasks = b.tasks[:j] + [ta] + b.tasks[j + 1:]
+                        if not (self._feasible(a.vehicle, ta_tasks) and self._feasible(b.vehicle, tb_tasks)):
                             continue
-                        a.tasks, b.tasks = ta_seq, tb_seq
-                        a.refresh(self.req.travel)
-                        b.refresh(self.req.travel)
+                        self._assign(a, ta_tasks, ta_seq, ca)
+                        self._assign(b, tb_tasks, tb_seq, cb)
                         return True
         return False
 
@@ -754,7 +933,7 @@ class _Heuristic:
         if remaining:
             self._insertion_phase(states, remaining)
 
-    def _improve(self, states: list[_PathState]) -> Schedule:
+    def _improve(self, states: list[_PathState]) -> None:
         self._insert_all(states)
         while self.evals > 0:
             improved = False
@@ -768,23 +947,23 @@ class _Heuristic:
             if not improved:
                 break
             self._insert_all(states)
-        return self._to_schedule({s.vehicle.vehicle_id: s.tasks for s in states})
 
     def run(self) -> Schedule:
         # Insertion from scratch escapes seeds whose zero-gain tasks
         # crowd out profitable ones; the seeded run keeps the guarantee
         # of never finishing below the best warm start.
-        starts = [[_PathState(v, [], self.req.travel) for v in self.req.vehicles]]
-        seeded, seed_value, _ = self._seed_states()
+        starts = [[self._state(v, []) for v in self.req.vehicles]]
+        seeded = self._seed_states()
         if any(s.tasks for s in seeded):
             starts.append(seeded)
-        best: Optional[tuple[tuple[float, float], Schedule]] = None
+        best: Optional[tuple[tuple[float, float], dict[str, list[Task]]]] = None
         for states in starts:
-            sched = self._improve(states)
-            key = schedule_value(self.req, sched)
+            self._improve(states)
+            paths = {s.vehicle.vehicle_id: s.tasks for s in states}
+            key = self._value(paths)
             if best is None or key > best[0]:
-                best = (key, sched)
-        return best[1]
+                best = (key, paths)
+        return self._to_schedule(best[1])
 
 
 def heuristic_vrp(req: SolverRequest) -> Schedule:

@@ -252,6 +252,7 @@ class TestScheduler:
 
     def test_committed_path_sets_last_cancelled(self):
         s = Scheduler(self.cfg(), EXACT)
+        assert s.last_cancelled == ()
         s.run_round(self.inst_ab(), committed={"ghost": "v0"})
         assert s.last_cancelled == ("ghost",)
         s.run_round(self.inst_ab())

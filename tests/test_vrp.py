@@ -2,15 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EUCLID, brute_best_value, mk_task, mk_vehicle, random_instance
-from fairfleet.model import Instance, allocation_of, path_violation, travel_time
+from fairfleet.model import (
+    Instance,
+    Schedule,
+    Task,
+    TravelModel,
+    Vehicle,
+    allocation_of,
+    build_path,
+    path_violation,
+    sequence_cost,
+    travel_time,
+)
 from fairfleet.vrp import (
+    _GUARD,
     COMMIT_WEIGHT_RATIO,
     ExactSizeError,
     RoundSolver,
     SolverConfig,
     SolverRequest,
+    _Heuristic,
     build_warm_start_suite,
     exact_vrp,
     greedy_alpha_heuristic,
@@ -291,3 +306,196 @@ class TestScheduleValue:
         assert sched.task_ids() == {"p", "d"}
         assert schedule_value(req1, sched)[1] == 1.0
         assert schedule_value(req2, sched)[1] == 2.0
+
+
+@st.composite
+def travel_tables(draw):
+    """A heuristic over random tasks and two vehicles, with disjoint task
+    sequences for each and the leftover tasks.
+
+    Euclidean requests give the vehicles different speeds; matrix requests
+    use an asymmetric table.  `return_home` is drawn per vehicle.
+    """
+    coord = st.floats(min_value=-2000, max_value=2000, allow_nan=False)
+    n = draw(st.integers(min_value=2, max_value=9))
+    points = [(draw(coord), draw(coord)) for _ in range(n + 2)]
+    tasks = tuple(
+        Task(f"t{i}", "c1", points[i], draw(st.floats(min_value=0, max_value=60)))
+        for i in range(n)
+    )
+    vehicles = (
+        Vehicle("a", points[n], speed=10.0, return_home=draw(st.booleans())),
+        Vehicle("b", points[n + 1], speed=7.5, return_home=draw(st.booleans())),
+    )
+    if draw(st.booleans()):
+        travel = TravelModel.euclidean()
+    else:
+        distinct = sorted(set(points))
+        k = len(distinct)
+        cells = draw(st.lists(st.floats(min_value=0, max_value=500),
+                              min_size=k * k, max_size=k * k))
+        seconds = np.array(cells).reshape(k, k)
+        np.fill_diagonal(seconds, 0.0)
+        travel = TravelModel.matrix([f"{x!r};{y!r}" for x, y in distinct], seconds)
+    req = SolverRequest(tasks=tasks, vehicles=vehicles, travel=travel, budget=600.0,
+                        customers=("c1",), weights=np.ones(1))
+    order = draw(st.permutations(list(tasks)))
+    cut_a = draw(st.integers(min_value=0, max_value=n))
+    cut_b = draw(st.integers(min_value=cut_a, max_value=n))
+    return _Heuristic(req), order[:cut_a], order[cut_a:cut_b], order[cut_b:]
+
+
+class TestTravelTable:
+    @given(case=travel_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_table_cost_is_sequence_cost(self, case):
+        heur, seq_a, seq_b, rest = case
+        travel = heur.req.travel
+        for vehicle, tasks in zip(heur.req.vehicles, (seq_a, seq_b + rest)):
+            state = heur._state(vehicle, tasks)
+            assert state.cost == sequence_cost(tasks, vehicle, travel)
+
+    @given(case=travel_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_screened_deltas_match_exact_costs(self, case):
+        heur, seq_a, seq_b, rest = case
+        a = heur._state(heur.req.vehicles[0], seq_a)
+        b = heur._state(heur.req.vehicles[1], seq_b)
+        tol = 1e-9
+        assert tol < _GUARD / 100
+
+        def cost(state, seq):
+            tasks = [heur.req.tasks[r] for r in seq]
+            return sequence_cost(tasks, state.vehicle, heur.req.travel)
+
+        for i, row in enumerate(heur._reversal_deltas(a)):
+            for j, est in enumerate(row, start=i + 2):
+                trial = a.seq[:i] + a.seq[i:j + 1][::-1] + a.seq[j + 1:]
+                assert est == pytest.approx(cost(a, trial) - a.cost, abs=tol)
+        for pos in range(len(a.seq)):
+            removed = a.seq[:pos] + a.seq[pos + 1:]
+            assert heur._removal_delta(a, pos) == pytest.approx(
+                cost(a, removed) - a.cost, abs=tol)
+            x = a.seq[pos]
+            for at, est in enumerate(heur._insert_deltas(a, removed, x)):
+                trial = removed[:at] + [x] + removed[at:]
+                assert est == pytest.approx(cost(a, trial) - cost(a, removed), abs=tol)
+            for at, est in enumerate(heur._insert_deltas(b, b.seq, x)):
+                trial = b.seq[:at] + [x] + b.seq[at:]
+                assert est == pytest.approx(cost(b, trial) - b.cost, abs=tol)
+        for i, row in enumerate(heur._swap_deltas(a, b)):
+            for j, est in enumerate(row):
+                ta = a.seq[:i] + [b.seq[j]] + a.seq[i + 1:]
+                tb = b.seq[:j] + [a.seq[i]] + b.seq[j + 1:]
+                exact = cost(a, ta) + cost(b, tb) - a.cost - b.cost
+                assert est == pytest.approx(exact, abs=tol)
+        if len(rest) >= 2:
+            p, d = heur.row[rest[0].task_id], heur.row[rest[1].task_id]
+            for state in (a, b):
+                for i, row in enumerate(heur._pair_deltas(state, p, d)):
+                    for j, est in enumerate(row, start=i):
+                        trial = state.seq[:i] + [p] + state.seq[i:j] + [d] + state.seq[j:]
+                        assert est == pytest.approx(cost(state, trial) - state.cost, abs=tol)
+
+
+def _golden_asymmetric_matrix():
+    """Asymmetric matrix travel, no return home, a pinned task and a warm
+    start."""
+    rng = np.random.default_rng(101)
+    pts = [(float(x), float(y)) for x, y in np.round(rng.uniform(-900, 900, (20, 2)), 1)]
+    arr = np.array(pts)
+    base = np.hypot(arr[:, None, 0] - arr[None, :, 0], arr[:, None, 1] - arr[None, :, 1]) / 9.0
+    seconds = np.round(base * rng.uniform(0.8, 1.4, base.shape), 3)
+    np.fill_diagonal(seconds, 0.0)
+    travel = TravelModel.matrix([f"{x};{y}" for x, y in pts], seconds)
+    tasks = tuple(
+        Task(f"m{i:02d}", f"c{i % 3 + 1}", pts[i], float(5 + (i * 7) % 30))
+        for i in range(17)
+    )
+    vehicles = tuple(Vehicle(f"v{j}", pts[17 + j]) for j in range(3))
+    warm = Schedule(
+        paths=(build_path(vehicles[0], [tasks[3], tasks[8], tasks[1]], travel),
+               build_path(vehicles[1], [tasks[12], tasks[5]], travel)),
+        round_duration=420.0,
+    )
+    return SolverRequest(
+        tasks=tasks, vehicles=vehicles, travel=travel, budget=420.0,
+        customers=("c1", "c2", "c3"), weights=np.array([1.0, 0.6, 1.7]),
+        pinned={"m04": "v2"}, warm_starts=(warm,), time_limit=0.3, seed=3,
+    )
+
+
+def _golden_deadlines_two_speeds():
+    """Euclidean travel at two speeds, deadlines, a late-ready vehicle and
+    one that returns home."""
+    rng = np.random.default_rng(202)
+    tasks = []
+    for i in range(22):
+        x, y = (float(v) for v in np.round(rng.uniform(-1500, 1500, 2), 2))
+        deadline = float(np.round(rng.uniform(150, 600), 1)) if i % 3 == 0 else None
+        tasks.append(Task(f"d{i:02d}", f"c{i % 2 + 1}", (x, y), float(5 + i % 4 * 8),
+                          deadline=deadline))
+    vehicles = (
+        Vehicle("fast", (100.0, -50.0), speed=14.0, return_home=True),
+        Vehicle("slow", (-200.0, 300.0), speed=8.0),
+        Vehicle("late", (0.0, 0.0), speed=8.0, ready_offset=60.0),
+    )
+    return SolverRequest(
+        tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID, budget=600.0,
+        customers=("c1", "c2"), weights=np.array([0.4, 1.0]), time_limit=0.4, seed=9,
+    )
+
+
+def _golden_pairs_capacity_two():
+    """Pickup/dropoff pairs on capacity-2 vehicles among plain tasks, one
+    dropoff with a deadline."""
+    rng = np.random.default_rng(303)
+    tasks = []
+    for i in range(6):
+        px, py, dx, dy = (float(v) for v in np.round(rng.uniform(-1000, 1000, 4), 2))
+        cust = f"c{i % 2 + 1}"
+        tasks.append(Task(f"p{i}", cust, (px, py), 20.0, pickup_of=f"q{i}"))
+        tasks.append(Task(f"q{i}", cust, (dx, dy), 15.0, dropoff_of=f"p{i}",
+                          deadline=700.0 if i == 2 else None))
+    for i in range(8):
+        x, y = (float(v) for v in np.round(rng.uniform(-1000, 1000, 2), 2))
+        tasks.append(Task(f"s{i}", f"c{i % 2 + 1}", (x, y), 12.0))
+    vehicles = (
+        Vehicle("r0", (0.0, 0.0), capacity=2, return_home=True),
+        Vehicle("r1", (300.0, -300.0), capacity=2),
+    )
+    return SolverRequest(
+        tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID, budget=900.0,
+        customers=("c1", "c2"), weights=np.array([1.0, 1.0]), time_limit=0.3, seed=1,
+        ride_counts_as=2,
+    )
+
+
+# Task-id sequences recorded from the full-rebuild evaluator the travel
+# table replaced.  A change here changes which schedules the heuristic
+# returns.
+GOLDEN = [
+    (_golden_asymmetric_matrix, {
+        "v0": ("m08", "m10", "m06", "m09", "m03"),
+        "v1": ("m02", "m12", "m05", "m01", "m07", "m16", "m14"),
+        "v2": ("m00", "m04", "m13", "m15", "m11"),
+    }),
+    (_golden_deadlines_two_speeds, {
+        "fast": ("d02", "d04", "d14", "d21", "d10", "d16", "d11", "d00", "d12", "d05"),
+        "slow": ("d20", "d15", "d09", "d07"),
+        "late": ("d06", "d01", "d08", "d03", "d13"),
+    }),
+    (_golden_pairs_capacity_two, {
+        "r0": ("s1", "p5", "s2", "s0", "p2", "q2", "p0", "q5", "p4", "q4", "q0", "s4"),
+        "r1": ("p1", "p3", "s6", "q3", "s3", "q1", "s5", "s7"),
+    }),
+]
+
+
+@pytest.mark.parametrize("build, expected", GOLDEN, ids=lambda v: getattr(v, "__name__", ""))
+def test_heuristic_golden_schedules(build, expected):
+    req = build()
+    sched = heuristic_vrp(req)
+    assert {p.vehicle_id: p.task_ids for p in sched.paths} == expected
+    for v, p in zip(req.vehicles, sched.paths):
+        assert path_violation(p.tasks, v, req.travel, req.budget) is None
