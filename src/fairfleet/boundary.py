@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .fairness import alpha_fair_utility, is_leximin, leximin_key
+from .fairness import is_leximin, utility_key
 from .model import Schedule
 
 logger = logging.getLogger(__name__)
@@ -63,36 +63,12 @@ class Face:
         return len(self.active)
 
 
-def face_weights(corners: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Weights and offset of the hyperplane through `corners`.
-
-    Solves w . x_i = c for all corners under the normalization
-    sum(w) = 1.  Raises DegenerateFaceError when the corners are
-    affinely dependent (singular or badly conditioned system).
-    """
+def _face_system(corners: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Linear system in (w, c): w . x_i - c = 0 for every corner and
+    sum(w) = 1."""
     pts = [np.asarray(p, dtype=float) for p in corners]
-    k = len(pts)
-    if k == 0:
+    if not pts:
         raise ValueError("no corners")
-    m = np.zeros((k + 1, k + 1))
-    rhs = np.zeros(k + 1)
-    for i, p in enumerate(pts):
-        m[i, :k] = p
-        m[i, k] = -1.0
-    m[k, :k] = 1.0
-    rhs[k] = 1.0
-    try:
-        if np.linalg.cond(m) > 1e12:
-            raise DegenerateFaceError("affinely dependent corners")
-        sol = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFaceError(str(exc)) from exc
-    return sol[:k], float(sol[k])
-
-
-def _face_weights_lstsq(corners: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Least-squares (w, c) fit for degenerate corner sets."""
-    pts = [np.asarray(p, dtype=float) for p in corners]
     k = len(pts[0])
     m = np.zeros((len(pts) + 1, k + 1))
     rhs = np.zeros(len(pts) + 1)
@@ -101,8 +77,24 @@ def _face_weights_lstsq(corners: Sequence[np.ndarray]) -> tuple[np.ndarray, floa
         m[i, k] = -1.0
     m[len(pts), :k] = 1.0
     rhs[len(pts)] = 1.0
-    sol, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    return sol[:k], float(sol[k])
+    return m, rhs
+
+
+def face_weights(corners: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
+    """Weights and offset of the hyperplane through `corners`.
+
+    Solves w . x_i = c for all corners under the normalization
+    sum(w) = 1.  Raises DegenerateFaceError when the corners are
+    affinely dependent (singular or badly conditioned system).
+    """
+    m, rhs = _face_system(corners)
+    try:
+        if np.linalg.cond(m) > 1e12:
+            raise DegenerateFaceError("affinely dependent corners")
+        sol = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFaceError(str(exc)) from exc
+    return sol[:-1], float(sol[-1])
 
 
 def make_face(
@@ -117,7 +109,8 @@ def make_face(
         w, c = face_weights(corners)
         degenerate = False
     except DegenerateFaceError:
-        w, c = _face_weights_lstsq(corners)
+        sol, *_ = np.linalg.lstsq(*_face_system(corners), rcond=None)
+        w, c = sol[:-1], float(sol[-1])
         degenerate = True
     return Face(
         corners=corners,
@@ -133,13 +126,14 @@ def init_face(customers: Sequence[str], solver) -> Face:
     """Initial face from one basis-weight solver call per customer.
 
     Customer k's call maximizes x_k alone; customers whose own best
-    throughput is zero are dropped from the geometry for the round.
+    throughput is zero are dropped from the geometry for the round.  A
+    single surviving customer gives the one-corner face w = (1,).
     Raises EmptyRoundError when every customer is infeasible.
     """
     customers = tuple(customers)
     k = len(customers)
-    if k < 2:
-        raise ValueError("init_face needs at least 2 customers")
+    if k == 0:
+        raise ValueError("init_face needs at least one customer")
     allocations: list[np.ndarray] = []
     schedules: list[Schedule] = []
     for i in range(k):
@@ -237,22 +231,28 @@ def _inside(face: Face, point: np.ndarray) -> bool:
     return bool(np.all(coords >= -TOL_BARY) and np.all(coords <= 1.0 + TOL_BARY))
 
 
-def _rank_key(x: np.ndarray, alpha: float):
-    """Comparable utility key: leximin tuple in max-min mode, else U_alpha."""
-    if is_leximin(alpha):
-        return leximin_key(x)
-    return alpha_fair_utility(x, alpha)
-
-
-def _embed(face: Face, w: np.ndarray, full_dim: int) -> np.ndarray:
+def embed(face: Face, x: np.ndarray, full_dim: int) -> np.ndarray:
+    """`x`, given over the face's active dimensions, in all `full_dim`."""
     out = np.zeros(full_dim)
     for j, idx in enumerate(face.active):
-        out[idx] = w[j]
+        out[idx] = x[j]
     return out
 
 
-def _project(face: Face, alloc: np.ndarray) -> np.ndarray:
-    return np.asarray(alloc, dtype=float)[list(face.active)]
+def _extend(face: Face, w: np.ndarray, solver) -> tuple[np.ndarray, Schedule]:
+    """One solver call at face weights `w`; the allocation comes back
+    projected onto the face's active dimensions."""
+    alloc, sched = solver.solve(embed(face, w, len(solver.customers)))
+    return np.asarray(alloc, dtype=float)[list(face.active)], sched
+
+
+def _replace_corner(face: Face, i: int, x_hat: np.ndarray, sched: Schedule) -> Face:
+    """The face through `face`'s corners with corner i replaced by x_hat."""
+    corners = list(face.corners)
+    schedules = list(face.schedules)
+    corners[i] = x_hat
+    schedules[i] = sched
+    return make_face(corners, schedules, face.active)
 
 
 def search_boundary(
@@ -273,42 +273,25 @@ def search_boundary(
     optimum; both are logged.  At alpha = 0 the fairness objective is
     total throughput, so a single uniform-weight stage suffices.
     """
-    full_dim = len(solver.customers)
     if initial.dim < 2:
         return initial
 
     if alpha == 0:
         k = initial.dim
-        uniform = np.full(k, 1.0 / k)
-        alloc, sched = solver.solve(_embed(initial, uniform, full_dim))
-        x_hat = _project(initial, alloc)
+        x_hat, sched = _extend(initial, np.full(k, 1.0 / k), solver)
         totals = [float(np.sum(p)) for p in initial.corners]
         if float(np.sum(x_hat)) <= max(totals):
             return initial
-        drop = int(np.argmin(totals))
-        corners = list(initial.corners)
-        schedules = list(initial.schedules)
-        corners[drop] = x_hat
-        schedules[drop] = sched
-        return make_face(corners, schedules, initial.active)
+        return _replace_corner(initial, int(np.argmin(totals)), x_hat, sched)
 
     face = initial
     discovered = [initial]
     for _ in range(max_stages):
-        w_full = _embed(face, np.asarray(face.w, dtype=float), full_dim)
-        alloc, sched = solver.solve(w_full)
-        x_hat = _project(face, alloc)
+        x_hat, sched = _extend(face, face.w, solver)
         if not is_valid_extension(face, x_hat, discovered):
             return face
 
-        candidates = []
-        for i in range(face.dim):
-            corners = list(face.corners)
-            schedules = list(face.schedules)
-            corners[i] = x_hat
-            schedules[i] = sched
-            cand = make_face(corners, schedules, face.active)
-            candidates.append(cand)
+        candidates = [_replace_corner(face, i, x_hat, sched) for i in range(face.dim)]
 
         inside = []
         for cand in candidates:
@@ -321,11 +304,11 @@ def search_boundary(
             logger.warning("no candidate face holds the optimum; centroid fallback")
             face = max(
                 candidates,
-                key=lambda f: _rank_key(np.mean(np.stack(f.corners), axis=0), alpha),
+                key=lambda f: utility_key(np.mean(np.stack(f.corners), axis=0), alpha),
             )
         else:
             logger.warning("%d candidate faces hold the optimum; utility fallback", len(inside))
-            face = max(inside, key=lambda pair: _rank_key(pair[1], alpha))[0]
+            face = max(inside, key=lambda pair: utility_key(pair[1], alpha))[0]
         discovered.append(face)
     return face
 
@@ -344,7 +327,6 @@ def full_boundary(
     the fairness target (best clipped face optimum for `alpha`).
     """
     initial = init_face(customers, solver)
-    full_dim = len(solver.customers)
     if initial.dim < 2:
         target = initial.corners[0]
         return [initial.corners[0]], [initial], target
@@ -354,18 +336,12 @@ def full_boundary(
     discovered: list[Face] = [initial]
     while queue and len(final) + len(queue) < max_faces:
         face = queue.pop(0)
-        w_full = _embed(face, np.asarray(face.w, dtype=float), full_dim)
-        alloc, sched = solver.solve(w_full)
-        x_hat = _project(face, alloc)
+        x_hat, sched = _extend(face, face.w, solver)
         if not is_valid_extension(face, x_hat, discovered):
             final.append(face)
             continue
         for i in range(face.dim):
-            corners = list(face.corners)
-            schedules = list(face.schedules)
-            corners[i] = x_hat
-            schedules[i] = sched
-            cand = make_face(corners, schedules, face.active)
+            cand = _replace_corner(face, i, x_hat, sched)
             if cand.degenerate or cand.c <= 0:
                 continue
             queue.append(cand)
@@ -385,7 +361,7 @@ def full_boundary(
         x_star, ok = opt_in_face(f, alpha)
         cands = [x_star] if ok and x_star is not None else list(f.corners)
         for x in cands:
-            key = _rank_key(x, alpha)
+            key = utility_key(x, alpha)
             if best_key is None or key > best_key:
                 best_key = key
                 target = x

@@ -237,7 +237,7 @@ def cmd_run(cfg: dict) -> int:
     for p in policies:
         metrics = run_trace(trace, p, round_cfg, vehicles, travel, solver_cfg)
         suffix = f"_{p}" if policy == "all" else ""
-        _write_csv(out / f"metrics{suffix}.csv", METRICS_COLUMNS, metrics.metrics_rows())
+        _write_csv(out / f"metrics{suffix}.csv", METRICS_COLUMNS, metrics.rounds)
         with open(out / f"events{suffix}.jsonl", "w", encoding="utf-8") as fh:
             for event in metrics.events:
                 fh.write(json.dumps(event, sort_keys=True) + "\n")

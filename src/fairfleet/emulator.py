@@ -23,10 +23,17 @@ from .model import (
     build_path,
     empty_schedule,
     path_violation,
+    task_count,
     travel_time,
 )
 from .scheduler import RoundConfig, Scheduler
-from .vrp import COMMIT_WEIGHT_RATIO, SolverConfig, SolverRequest, solve_weighted_vrp
+from .vrp import (
+    COMMIT_WEIGHT_RATIO,
+    SolverConfig,
+    SolverRequest,
+    dedicated_partition,
+    solve_weighted_vrp,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -149,9 +156,6 @@ class SimState:
         }
         self.tasks: dict[str, _TaskState] = {}
         self.cancellations: list[tuple[float, str]] = []
-
-    def arrived(self) -> list[_TaskState]:
-        return list(self.tasks.values())
 
     def by_status(self, status: str) -> list[_TaskState]:
         return [s for s in self.tasks.values() if s.status == status]
@@ -305,7 +309,11 @@ def _cancel(sim: SimState, task_ids: Sequence[str], now: float) -> None:
 
 @dataclass
 class Metrics:
-    """Emulation outcome: realized throughput history and fairness."""
+    """Emulation outcome: realized throughput history and fairness.
+
+    `rounds` holds the metrics-CSV rows: round, customer, xbar,
+    completed, expired, jain_total.
+    """
 
     customers: tuple[str, ...]
     rounds: list[dict] = field(default_factory=list)
@@ -317,10 +325,6 @@ class Metrics:
     cancellations: int = 0
     solver_calls: list[int] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
-
-    def metrics_rows(self) -> list[dict]:
-        """Rows for the metrics CSV: round,customer,xbar,completed,expired,jain_total."""
-        return self.rounds
 
     def plot_rows(self, round_s: float) -> list[dict]:
         """Rows for the throughput time-series CSV: t_s,customer,xbar."""
@@ -417,17 +421,6 @@ def baseline_max_throughput(
         seed=(solver_config or SolverConfig()).seed,
     )
     return solve_weighted_vrp(req, solver_config)
-
-
-def dedicated_partition(vehicles: Sequence[Vehicle], customers: Sequence[str]) -> dict[str, list[Vehicle]]:
-    """Round-robin vehicle split by index; extra vehicles go to the
-    lowest customer indices.  Requires |V| >= |K|."""
-    if len(vehicles) < len(customers):
-        raise ValueError("dedicated baseline needs at least one vehicle per customer")
-    out: dict[str, list[Vehicle]] = {c: [] for c in customers}
-    for i, v in enumerate(vehicles):
-        out[customers[i % len(customers)]].append(v)
-    return out
 
 
 def baseline_dedicated(
@@ -635,7 +628,7 @@ def _build_metrics(
         x = np.zeros(k)
         for ts in completed:
             if lo < ts.completion <= hi:
-                x[cidx[ts.task.customer_id]] += 1.0
+                x[cidx[ts.task.customer_id]] += task_count(ts.task, cfg.ride_counts_as)
         x /= minutes
         xbar = x / (r + 1) + xbar * (r / (r + 1))
         done = np.zeros(k)

@@ -56,6 +56,13 @@ def leximin_key(x: np.ndarray) -> tuple[float, ...]:
     return tuple(sorted(float(v) for v in np.asarray(x, dtype=float)))
 
 
+def utility_key(x: np.ndarray, alpha: float):
+    """Comparable utility of x: its leximin key in max-min mode, else U_alpha."""
+    if is_leximin(alpha):
+        return leximin_key(x)
+    return alpha_fair_utility(x, alpha)
+
+
 def utility_compare(a: np.ndarray, b: np.ndarray, alpha: float) -> int:
     """Three-way comparison of allocations under alpha-fairness.
 

@@ -162,6 +162,12 @@ def map_a(seed: int = 0, **params) -> Scenario:
     one cluster.  Pooled excursions sweep a strip as a cheap extension
     of the cluster visit, so the fair allocation keeps almost all of
     the max throughput."""
+    return _two_clusters("map_a", seed, params, east_strip=True)
+
+
+def _two_clusters(name: str, seed: int, params: dict, east_strip: bool) -> Scenario:
+    """Map A's layout; without `east_strip` customer 2 lines only the
+    west cluster."""
     cluster_x = float(params.get("cluster_x", 1800.0))
     n_cluster = int(params.get("n_cluster", 20))
     strip_offset = float(params.get("strip_offset", 30.0))
@@ -176,11 +182,11 @@ def map_a(seed: int = 0, **params) -> Scenario:
     ]
     strip_e = [
         (cluster_x + strip_offset + j * strip_spacing, pod_y) for j in range(n_strip)
-    ]
+    ] if east_strip else []
     c2 = _tasks("c2", strip_w + strip_e)
     vehicles = _fleet(int(params.get("n_vehicles", 2)), (0.0, 0.0), return_home=True)
     return Scenario(
-        name="map_a",
+        name=name,
         tasks=tuple(c1 + c2),
         vehicles=vehicles,
         round_s=float(params.get("round_s", 600.0)),
@@ -229,30 +235,7 @@ def map_c(seed: int = 0, **params) -> Scenario:
     """Map A's layout skewed toward customer 1: the two dense clusters
     stay, but customer 2's strip lines only the west cluster, capping
     customer 2's ceiling at what one pooled excursion can sweep."""
-    cluster_x = float(params.get("cluster_x", 1800.0))
-    n_cluster = int(params.get("n_cluster", 20))
-    strip_offset = float(params.get("strip_offset", 30.0))
-    strip_spacing = float(params.get("strip_spacing", 15.0))
-    n_strip = int(params.get("n_strip", 9))
-    pod_y = float(params.get("pod_y", 40.0))
-    west = _grid((-cluster_x, 0.0), n_cluster, spacing=12.0, cols=5)
-    east = _grid((cluster_x, 0.0), n_cluster, spacing=12.0, cols=5)
-    c1 = _tasks("c1", west + east)
-    strip_w = [
-        (-(cluster_x + strip_offset + j * strip_spacing), pod_y) for j in range(n_strip)
-    ]
-    c2 = _tasks("c2", strip_w)
-    vehicles = _fleet(int(params.get("n_vehicles", 2)), (0.0, 0.0), return_home=True)
-    return Scenario(
-        name="map_c",
-        tasks=tuple(c1 + c2),
-        vehicles=vehicles,
-        round_s=float(params.get("round_s", 600.0)),
-        rounds=int(params.get("rounds", 10)),
-        alpha=float(params.get("alpha", 64.0)),
-        seed=seed,
-        params={"cluster_x": cluster_x, "n_cluster": n_cluster, "n_strip": n_strip},
-    )
+    return _two_clusters("map_c", seed, params, east_strip=False)
 
 
 def map_d(seed: int = 0, **params) -> Scenario:

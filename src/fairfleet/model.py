@@ -419,30 +419,31 @@ def customers_of(tasks: Iterable[Task]) -> tuple[str, ...]:
     return tuple(sorted({t.customer_id for t in tasks}))
 
 
+def task_count(task: Task, ride_counts_as: int = 1) -> float:
+    """Throughput count of one completed task.
+
+    A pickup/dropoff pair contributes `ride_counts_as` once its dropoff is
+    complete: each half counts 1 under 2, otherwise the dropoff carries
+    the whole count and the pickup none.
+    """
+    if task.is_pickup:
+        return 1.0 if ride_counts_as == 2 else 0.0
+    if task.is_dropoff:
+        return 1.0 if ride_counts_as == 2 else float(ride_counts_as)
+    return 1.0
+
+
 def count_fulfilled(
     tasks: Iterable[Task],
     customers: Sequence[str],
     ride_counts_as: int = 1,
 ) -> np.ndarray:
-    """Per-customer fulfilled-task counts for a set of completed tasks.
-
-    A pickup/dropoff pair contributes `ride_counts_as` once its dropoff is
-    present (halves never count separately under the default of 1).
-    """
+    """Per-customer `task_count` sums for a set of completed tasks."""
     index = {c: i for i, c in enumerate(customers)}
     counts = np.zeros(len(customers), dtype=float)
     for t in tasks:
-        if t.customer_id not in index:
-            continue
-        if t.is_pickup:
-            if ride_counts_as == 2:
-                counts[index[t.customer_id]] += 1.0
-        elif t.is_dropoff:
-            counts[index[t.customer_id]] += 1.0 if ride_counts_as == 2 else float(
-                ride_counts_as
-            )
-        else:
-            counts[index[t.customer_id]] += 1.0
+        if t.customer_id in index:
+            counts[index[t.customer_id]] += task_count(t, ride_counts_as)
     return counts
 
 
@@ -550,16 +551,6 @@ def write_tasks_jsonl(path: str, tasks: Iterable[Task]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for t in tasks:
             fh.write(json.dumps(task_to_record(t), sort_keys=True) + "\n")
-
-
-def interest_maps_from_tasks(tasks: Iterable[Task]) -> list[InterestMap]:
-    by_customer: dict[str, list[Task]] = {}
-    for t in tasks:
-        by_customer.setdefault(t.customer_id, []).append(t)
-    return [
-        InterestMap(customer_id=c, tasks=tuple(ts))
-        for c, ts in sorted(by_customer.items())
-    ]
 
 
 def read_travel_matrix_csv(path: str) -> TravelModel:

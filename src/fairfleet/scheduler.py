@@ -11,14 +11,13 @@ matches it exactly.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .boundary import EmptyRoundError, Face, init_face, search_boundary
-from .fairness import alpha_fair_utility, is_leximin, leximin_key
+from .boundary import EmptyRoundError, Face, embed, init_face, search_boundary
+from .fairness import utility_key
 from .model import Instance, Schedule, empty_schedule
 from .vrp import COMMIT_WEIGHT_RATIO, RoundSolver, SolverConfig
 
@@ -85,7 +84,7 @@ def update_history(h: History, x: np.ndarray, duration: Optional[float] = None) 
 @dataclass
 class RoundConfig:
     """Per-round knobs (config keys: round_s, replan_s, alpha, discount,
-    return_home_every_s, prune_after_rounds)."""
+    return_home_every_s, prune_after_rounds, ride_counts_as, expiry_s)."""
 
     round_s: float = 900.0
     replan_s: Optional[float] = None
@@ -95,7 +94,6 @@ class RoundConfig:
     prune_after_rounds: int = 10
     ride_counts_as: int = 1
     expiry_s: float = 600.0
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.replan_s is None:
@@ -118,14 +116,6 @@ class RoundResult:
     face: Optional[Face]
     calls: int
     stages: int
-    wall_ms: Optional[float] = None
-
-
-def _embed_corner(face: Face, corner: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros(dim)
-    for j, idx in enumerate(face.active):
-        out[idx] = corner[j]
-    return out
 
 
 def select_allocation(
@@ -143,13 +133,8 @@ def select_allocation(
     g = h.gamma
     best = None
     for idx in range(len(face.corners)):
-        x = _embed_corner(face, face.corners[idx], dim)
-        cumulative = g * x + (1.0 - g) * h.xbar
-        if is_leximin(alpha):
-            score = leximin_key(cumulative)
-        else:
-            score = alpha_fair_utility(cumulative, alpha)
-        key = (score, float(np.sum(x)))
+        x = embed(face, face.corners[idx], dim)
+        key = (utility_key(g * x + (1.0 - g) * h.xbar, alpha), float(np.sum(x)))
         if best is None or key > best[0]:
             best = (key, idx, x)
     _, idx, x = best
@@ -178,21 +163,6 @@ def plan_round(
     )
     if not customers or not instance.tasks:
         return None, solver
-    if len(customers) == 1:
-        alloc, sched = solver.solve(np.ones(1))
-        if alloc[0] <= 0 and sched.total_tasks() == 0:
-            return None, solver
-        x = np.asarray(alloc, dtype=float)
-        return (
-            Face(
-                corners=(x,),
-                w=np.ones(1),
-                c=float(x[0]),
-                schedules=(sched,),
-                active=(0,),
-            ),
-            solver,
-        )
     try:
         face = init_face(customers, solver)
     except EmptyRoundError:
@@ -215,7 +185,6 @@ def run_round(
     customers = tuple(customers if customers is not None else instance.customers)
     if len(customers) != len(history.xbar):
         raise ValueError("history dimension does not match customers")
-    start = time.perf_counter() if cfg.profile else None
     face, solver = plan_round(
         instance,
         cfg.alpha,
@@ -232,9 +201,8 @@ def run_round(
         stages = 0
     else:
         schedule, allocation = select_allocation(face, history, cfg.alpha)
-        stages = solver.calls - k if len(customers) > 1 else 0
+        stages = solver.calls - k
     new_history = update_history(history, allocation, duration=instance.budget)
-    wall_ms = (time.perf_counter() - start) * 1000.0 if cfg.profile else None
     return RoundResult(
         schedule=schedule,
         allocation=allocation,
@@ -242,7 +210,6 @@ def run_round(
         face=face,
         calls=solver.calls,
         stages=stages,
-        wall_ms=wall_ms,
     )
 
 
@@ -416,14 +383,3 @@ def run_static_rounds(
         out.schedules.append(result.schedule)
     return out
 
-
-def event_record(round_index: int, result: RoundResult) -> dict:
-    """Per-round event for the JSON-lines log."""
-    return {
-        "round": round_index,
-        "allocation": [float(v) for v in result.allocation],
-        "xbar": [float(v) for v in result.history.xbar],
-        "calls": result.calls,
-        "stages": result.stages,
-        "wall_ms": result.wall_ms,
-    }

@@ -43,6 +43,7 @@ from .model import (
     build_path,
     empty_schedule,
     path_violation,
+    task_count,
     travel_time,
 )
 
@@ -72,6 +73,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("exact", "heuristic", "auto"):
             raise ValueError(f"unknown solver backend {self.backend!r}")
+
+    def picks_exact(self, n_tasks: int, n_vehicles: int) -> bool:
+        """The backend rule: `exact`, or `auto` within the exact cutoff."""
+        if self.backend == "auto":
+            return n_tasks <= self.exact_task_limit and n_vehicles <= self.exact_vehicle_limit
+        return self.backend == "exact"
 
 
 @dataclass(frozen=True)
@@ -123,19 +130,10 @@ def _task_weight(req: SolverRequest, task: Task, cindex: dict[str, int]) -> floa
     return float(req.weights[idx]) if idx is not None else 0.0
 
 
-def _count_increment(task: Task, ride_counts_as: int) -> float:
-    """Throughput count contributed by completing this task on a path."""
-    if task.is_pickup:
-        return 1.0 if ride_counts_as == 2 else 0.0
-    if task.is_dropoff:
-        return 1.0 if ride_counts_as == 2 else float(ride_counts_as)
-    return 1.0
-
-
 def _contribution(req: SolverRequest, task: Task, cindex: dict[str, int]) -> float:
     """Weighted objective gain of completing this task (w . x terms)."""
     minutes = req.budget / 60.0
-    return _task_weight(req, task, cindex) * _count_increment(task, req.ride_counts_as) / minutes
+    return _task_weight(req, task, cindex) * task_count(task, req.ride_counts_as) / minutes
 
 
 def schedule_value(req: SolverRequest, schedule: Schedule) -> tuple[float, float]:
@@ -145,7 +143,7 @@ def schedule_value(req: SolverRequest, schedule: Schedule) -> tuple[float, float
     count = 0.0
     for t in schedule.all_tasks():
         value += _contribution(req, t, cindex)
-        count += _count_increment(t, req.ride_counts_as)
+        count += task_count(t, req.ride_counts_as)
     return value, count
 
 
@@ -185,7 +183,7 @@ def exact_vrp(
     cindex = _customer_index(req)
     tindex = {t.task_id: i for i, t in enumerate(tasks)}
     contrib = [_contribution(req, t, cindex) for t in tasks]
-    counts = [_count_increment(t, req.ride_counts_as) for t in tasks]
+    counts = [task_count(t, req.ride_counts_as) for t in tasks]
     pin: list[Optional[int]] = [None] * n
     if req.pinned:
         vid_index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
@@ -392,7 +390,7 @@ class _Heuristic:
         self.row = {t.task_id: i for i, t in enumerate(req.tasks)}
         self.svc = [t.service_time for t in req.tasks]
         self.contrib = [_contribution(req, t, self.cindex) for t in req.tasks]
-        self.count = [_count_increment(t, req.ride_counts_as) for t in req.tasks]
+        self.count = [task_count(t, req.ride_counts_as) for t in req.tasks]
         points = [t.location for t in req.tasks] + [v.start_location for v in req.vehicles]
         distinct = list(dict.fromkeys(points))
         where = {p: k for k, p in enumerate(distinct)}
@@ -1043,8 +1041,8 @@ def greedy_alpha_heuristic(
             best = None
             for t, extra, cost in cands:
                 k = cindex[t.customer_id]
-                inc = _count_increment(t, ride_counts_as) + (
-                    _count_increment(extra, ride_counts_as) if extra is not None else 0.0
+                inc = task_count(t, ride_counts_as) + (
+                    task_count(extra, ride_counts_as) if extra is not None else 0.0
                 )
                 if is_leximin(alpha):
                     key = (-h[k], -cost)
@@ -1100,6 +1098,17 @@ def greedy_alpha_heuristic(
 # ---------------------------------------------------------------------------
 
 
+def dedicated_partition(vehicles: Sequence[Vehicle], customers: Sequence[str]) -> dict[str, list[Vehicle]]:
+    """Round-robin vehicle split by index; extra vehicles go to the
+    lowest customer indices.  Requires |V| >= |K|."""
+    if len(vehicles) < len(customers):
+        raise ValueError("dedicated baseline needs at least one vehicle per customer")
+    out: dict[str, list[Vehicle]] = {c: [] for c in customers}
+    for i, v in enumerate(vehicles):
+        out[customers[i % len(customers)]].append(v)
+    return out
+
+
 def build_warm_start_suite(instance: Instance, alpha: float, seed: int = 0) -> list[Schedule]:
     """Constructive schedules: max-throughput insertion, a dedicated
     vehicle partition (omitted when |V| < |K|), and the fairness-guided
@@ -1120,9 +1129,7 @@ def build_warm_start_suite(instance: Instance, alpha: float, seed: int = 0) -> l
     suite.append(heuristic_vrp(base))
 
     if len(instance.vehicles) >= len(customers) and customers:
-        groups: dict[str, list[Vehicle]] = {c: [] for c in customers}
-        for i, v in enumerate(instance.vehicles):
-            groups[customers[i % len(customers)]].append(v)
+        groups = dedicated_partition(instance.vehicles, customers)
         paths = []
         for cust in customers:
             own = tuple(t for t in instance.tasks if t.customer_id == cust)
@@ -1145,52 +1152,26 @@ def build_warm_start_suite(instance: Instance, alpha: float, seed: int = 0) -> l
     return suite
 
 
-def select_warm_start(
-    suite: Sequence[Schedule],
-    w: np.ndarray,
-    customers: Sequence[str],
-    ride_counts_as: int = 1,
-) -> Schedule:
-    """Suite member with highest weighted throughput; earliest wins ties."""
-    if not suite:
-        raise ValueError("warm-start suite is empty")
-    best = None
-    best_val = -np.inf
-    for s in suite:
-        val = float(np.dot(w, allocation_of(s, customers, ride_counts_as)))
-        if val > best_val + 1e-12:
-            best_val = val
-            best = s
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Backend dispatch and the counting facade
 # ---------------------------------------------------------------------------
 
 
 def solve_weighted_vrp(req: SolverRequest, config: Optional[SolverConfig] = None) -> Schedule:
-    """Dispatch to the configured backend (`auto` = exact iff within the
-    exact cutoff, else heuristic)."""
+    """Dispatch to the backend `SolverConfig.picks_exact` names."""
     config = config or SolverConfig()
-    if config.backend == "exact":
-        return exact_vrp(req, config.exact_task_limit, config.exact_vehicle_limit)
-    if config.backend == "heuristic":
-        return heuristic_vrp(req)
-    if (
-        len(req.tasks) <= config.exact_task_limit
-        and len(req.vehicles) <= config.exact_vehicle_limit
-    ):
+    if config.picks_exact(len(req.tasks), len(req.vehicles)):
         return exact_vrp(req, config.exact_task_limit, config.exact_vehicle_limit)
     return heuristic_vrp(req)
 
 
 class RoundSolver:
-    """Per-round solver facade: counts calls, caches every result into the
-    warm-start suite, and applies commitment overrides/pins to each call.
+    """Per-round solver facade: counts calls, applies commitment
+    overrides/pins to each call, and keeps every result as a warm start
+    for the next.
 
-    The cache supports concurrent insert/snapshot (last-writer-wins); the
-    call counter verifies the |K| + stages budget per round.
+    A heuristic-backed round starts from the warm-start suite; the call
+    counter verifies the |K| + stages budget per round.
     """
 
     def __init__(
@@ -1203,8 +1184,6 @@ class RoundSolver:
         ride_counts_as: int = 1,
         customers: Optional[Sequence[str]] = None,
     ):
-        import threading
-
         self.instance = instance
         self.config = config or SolverConfig()
         self.alpha = alpha
@@ -1213,26 +1192,9 @@ class RoundSolver:
         self.ride_counts_as = ride_counts_as
         self.customers = tuple(customers) if customers is not None else instance.customers
         self.calls = 0
-        self._lock = threading.Lock()
         self._cache: list[Schedule] = []
-        needs_suite = self.config.backend == "heuristic" or (
-            self.config.backend == "auto"
-            and (
-                len(instance.tasks) > self.config.exact_task_limit
-                or len(instance.vehicles) > self.config.exact_vehicle_limit
-            )
-        )
-        if needs_suite:
-            for s in build_warm_start_suite(instance, alpha, self.config.seed):
-                self.cache_insert(s)
-
-    def cache_insert(self, schedule: Schedule) -> None:
-        with self._lock:
-            self._cache.append(schedule)
-
-    def cache_snapshot(self) -> tuple[Schedule, ...]:
-        with self._lock:
-            return tuple(self._cache)
+        if not self.config.picks_exact(len(instance.tasks), len(instance.vehicles)):
+            self._cache.extend(build_warm_start_suite(instance, alpha, self.config.seed))
 
     @property
     def suite_size(self) -> int:
@@ -1257,14 +1219,13 @@ class RoundSolver:
             round_start=self.instance.round_start,
             weight_overrides=self.weight_overrides or None,
             pinned=self.pinned or None,
-            warm_starts=self.cache_snapshot(),
+            warm_starts=tuple(self._cache),
             time_limit=self.config.time_limit_s,
             seed=self.config.seed,
             ride_counts_as=self.ride_counts_as,
         )
         schedule = solve_weighted_vrp(req, self.config)
-        with self._lock:
-            self.calls += 1
-        self.cache_insert(schedule)
+        self.calls += 1
+        self._cache.append(schedule)
         allocation = allocation_of(schedule, self.customers, self.ride_counts_as)
         return allocation, schedule

@@ -117,9 +117,24 @@ class TestInitFace:
         assert face.dim == 1 and face.active == (0,)
         assert face.c == pytest.approx(1.5)
 
-    def test_needs_two_customers(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            init_face(("c1",), ScriptedSolver([(1.0,)], []))
+    def test_one_customer_is_point_face_after_one_call(self):
+        solver = ScriptedSolver([(0.7,)], [])
+        face = init_face(("c1",), solver)
+        assert solver.calls == 1
+        assert face.active == (0,) and face.dim == 1
+        assert len(face.corners) == 1 and face.corners[0] == pytest.approx([0.7])
+        assert face.w == pytest.approx([1.0]) and face.c == pytest.approx(0.7)
+        assert face.schedules == (DUMMY,)
+
+    def test_one_customer_zero_raises_empty_round(self):
+        solver = ScriptedSolver([(0.0,)], [])
+        with pytest.raises(EmptyRoundError):
+            init_face(("c1",), solver)
+        assert solver.calls == 1
+
+    def test_no_customers_rejected(self):
+        with pytest.raises(ValueError, match="at least one customer"):
+            init_face((), ScriptedSolver([], []))
 
 
 class TestIsValidExtension:

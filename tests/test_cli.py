@@ -119,6 +119,16 @@ class TestRun:
             assert summary["policies"][p]["completion_fraction"] == {
                 "c1": 1.0, "c2": 1.0}
 
+    def test_policy_all_reruns_are_byte_identical(self, tmp_path):
+        cfg = tiny_bundle(tmp_path)
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--policy", "all"]) == 0
+        for p in ("mobius", "max_throughput", "dedicated", "round_robin"):
+            for name in (f"metrics_{p}.csv", f"events_{p}.jsonl"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_optional_artifacts_behind_emit_keys(self, tmp_path):
         cfg = gen_bundle(tmp_path)
         out = tmp_path / "run1"

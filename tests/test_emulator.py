@@ -377,6 +377,23 @@ class TestRunTrace:
         # co-located leftovers, so all 10 complete each round (cumulative).
         assert done == 20
 
+    @pytest.mark.parametrize("ride_counts_as, expected", [(1, [0.1, 0.1]),
+                                                          (2, [0.2, 0.1])])
+    def test_realized_ride_counts_as_planned(self, ride_counts_as, expected):
+        # One ride for c1, one plain task for c2: the realized x-bar
+        # counts the ride as the planner does, not once per half.
+        tasks = (
+            mk_task("p", "c1", 100.0, 0.0, pickup_of="d"),
+            mk_task("d", "c1", 200.0, 0.0, dropoff_of="p"),
+            mk_task("b", "c2", -100.0, 0.0),
+        )
+        trace = Trace(tasks=tasks, duration=600.0, customers=())
+        cfg = RoundConfig(round_s=600.0, alpha=1.0, ride_counts_as=ride_counts_as)
+        m = run_trace(trace, "mobius", cfg, (mk_vehicle(),), EUCLID, EXACT)
+        assert m.completion_fraction == {"c1": 1.0, "c2": 1.0}
+        assert m.events[0]["allocation"] == pytest.approx(expected, abs=1e-12)
+        assert m.xbar.tolist() == pytest.approx(m.events[0]["allocation"], abs=1e-12)
+
 
 class TestCancel:
     def test_cancel_marks_expired_and_logs(self):

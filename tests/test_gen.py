@@ -1,5 +1,6 @@
 """Scenario presets: layouts, caps, renewal traces, on-disk bundles."""
 
+import hashlib
 import json
 
 import pytest
@@ -126,6 +127,27 @@ class TestWriteScenario:
         assert cfg["duration_s"] == 1200.0
         assert cfg["trace"] == "trace.jsonl"
         assert cfg["travel"] == "euclidean"
+
+    # sha256 of tasks.jsonl and config.json for each preset at seed 0.
+    GOLDEN = {
+        "map_a": ("68377286d2534e22dcb0d2323e1629aee67752c4695a146a460388d31b8b61c8",
+                  "51fc1e5989676207801257dee7242cca0eda606528ff1cd87fb200aa21db7ce8"),
+        "map_b": ("1e00a48604e78cd5db3eca02bec336a5e3df5ca1a4b22e324d97eaf3fdec4e52",
+                  "afe3acbff9aa3474ae983cf0cf5bb23e1c908b21e593cc5a602d7efda30c90cc"),
+        "map_c": ("65333fe3ccbe3b523102875ece2534dd5c15e8e89a04fe10e5a8b2a8d71c8fcd",
+                  "8a2a19986fd7fdecef110b614e0332c70dd4d8b808f2a866c64e8c16bc3a618e"),
+        "map_a_small": ("946f14d0c29566473a6fd9f65930b5cf78c08ca1c8b3d49441c7e0dcddf9c582",
+                        "57803a4462e655eb89f717b050e59426099b9f8576cb71c37e2e9ccdf49b3d52"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_bundle_digests(self, tmp_path, name):
+        write_scenario(generate(name, seed=0), tmp_path)
+        digests = tuple(
+            hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in ("tasks.jsonl", "config.json")
+        )
+        assert digests == self.GOLDEN[name]
 
     def test_round_trip_preserves_tasks(self, tmp_path):
         scn = generate("map_b")

@@ -1,7 +1,5 @@
 """Round loop: history folding, corner selection, replanning, pruning."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from fairfleet.scheduler import (
     History,
     RoundConfig,
     Scheduler,
-    event_record,
     replan,
     run_round,
     run_static_rounds,
@@ -277,18 +274,3 @@ class TestStaticRounds:
         assert out.calls == [3] * 6
         assert out.stages == [1] * 6
         assert out.final_xbar == pytest.approx([0.3, 0.3])
-
-    def test_event_record_is_json_ready(self):
-        inst = small_instance()
-        out = run_static_rounds(inst, RoundConfig(round_s=600.0, alpha=64.0),
-                                rounds=1, solver_config=EXACT)
-        from fairfleet.scheduler import RoundResult
-
-        res = RoundResult(schedule=out.schedules[0], allocation=out.allocations[0],
-                          history=History(xbar=out.xbars[0], t=1),
-                          face=out.faces[0], calls=out.calls[0],
-                          stages=out.stages[0], wall_ms=1.5)
-        rec = event_record(3, res)
-        assert rec["round"] == 3
-        assert rec["calls"] == 3
-        assert json.dumps(rec)  # serializable
