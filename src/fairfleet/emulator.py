@@ -7,6 +7,7 @@ policies alongside the fairness-aware one.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -15,6 +16,7 @@ import numpy as np
 from .fairness import jain_index
 from .model import (
     Instance,
+    PathState,
     Point,
     Schedule,
     Task,
@@ -22,7 +24,6 @@ from .model import (
     Vehicle,
     build_path,
     empty_schedule,
-    path_violation,
     task_count,
     travel_time,
 )
@@ -143,7 +144,13 @@ class _VehicleSim:
 
 class SimState:
     """World state: clock, vehicles, and the task-lifecycle partition
-    (pending / committed / completed / expired covers every arrival)."""
+    (pending / committed / completed / expired covers every arrival).
+
+    `tasks` holds every arrival; `live` holds the pending and committed
+    ones, both in arrival order.  `arrive`, the completion and expiry in
+    `step`, and `_cancel` keep `live` in step with the statuses, so a
+    tick's scans cover live tasks, not the whole history.
+    """
 
     def __init__(self, trace: Trace, vehicles: Sequence[Vehicle], expiry_s: float = 600.0):
         self.trace = trace
@@ -155,10 +162,19 @@ class SimState:
             for v in vehicles
         }
         self.tasks: dict[str, _TaskState] = {}
+        self.live: dict[str, _TaskState] = {}
         self.cancellations: list[tuple[float, str]] = []
 
+    def arrive(self, task: Task) -> _TaskState:
+        """Enter `task` as pending."""
+        ts = _TaskState(task=task)
+        self.tasks[task.task_id] = ts
+        self.live[task.task_id] = ts
+        return ts
+
     def by_status(self, status: str) -> list[_TaskState]:
-        return [s for s in self.tasks.values() if s.status == status]
+        pool = self.live if status in (PENDING, COMMITTED) else self.tasks
+        return [s for s in pool.values() if s.status == status]
 
     def counts(self) -> dict[str, int]:
         out = {PENDING: 0, COMMITTED: 0, COMPLETED: 0, EXPIRED: 0}
@@ -183,6 +199,7 @@ def step(sim: SimState, until: float) -> SimState:
             ts.service_start = s.arrive
             ts.completion = s.complete
             ts.vehicle_id = vid
+            sim.live.pop(s.task.task_id, None)
             vs.position = s.task.location
         vs.stops = [s for s in vs.stops if s.complete > until + 1e-9]
         leg = vs.home_leg
@@ -194,10 +211,10 @@ def step(sim: SimState, until: float) -> SimState:
         t = sim.trace.tasks[sim.cursor]
         if t.arrival_time > until + 1e-9:
             break
-        sim.tasks[t.task_id] = _TaskState(task=t)
+        sim.arrive(t)
         sim.cursor += 1
 
-    for ts in sim.tasks.values():
+    for tid, ts in list(sim.live.items()):
         if ts.status != PENDING:
             continue
         t = ts.task
@@ -207,6 +224,9 @@ def step(sim: SimState, until: float) -> SimState:
         elif t.deadline is not None and until >= t.deadline - 1e-9:
             ts.status = EXPIRED
             ts.expired_at = t.deadline
+        else:
+            continue
+        del sim.live[tid]
 
     sim.clock = until
     return sim
@@ -303,6 +323,7 @@ def _cancel(sim: SimState, task_ids: Sequence[str], now: float) -> None:
         if ts is not None and ts.status in (PENDING, COMMITTED):
             ts.status = EXPIRED
             ts.expired_at = now
+            del sim.live[tid]
             sim.cancellations.append((now, tid))
             logger.warning("t=%.0fs cancelled committed task %s", now, tid)
 
@@ -373,11 +394,7 @@ def _planning_instance(
     vehicles: list[Vehicle],
 ) -> Instance:
     locked_ids = {s.task.task_id for s in locked.values()}
-    tasks = tuple(
-        ts.task
-        for tid, ts in sorted(sim.tasks.items())
-        if ts.status in (PENDING, COMMITTED) and tid not in locked_ids
-    )
+    tasks = tuple(ts.task for tid, ts in sorted(sim.live.items()) if tid not in locked_ids)
     return Instance(
         tasks=tasks,
         vehicles=tuple(vehicles),
@@ -457,17 +474,25 @@ def baseline_round_robin(instance: Instance, pinned: Optional[dict[str, str]] = 
     customers = instance.customers
     unserved = {t.task_id: t for t in sorted(instance.tasks, key=lambda t: t.task_id)}
     by_id = dict(unserved)
+    # Candidates per customer, in task-id order: pickups and plain tasks.
+    offered: dict[str, dict[str, Task]] = {c: {} for c in customers}
+    for tid, t in unserved.items():
+        if not t.is_dropoff:
+            offered[t.customer_id][tid] = t
     vehicles = sorted(instance.vehicles, key=lambda v: v.vehicle_id)
     paths: dict[str, list[Task]] = {v.vehicle_id: [] for v in vehicles}
+    # Each path's walk so far: a candidate is checked as one appended
+    # step, not by re-walking the path.
+    walks = {
+        v.vehicle_id: PathState(v, instance.travel, instance.budget, instance.round_start)
+        for v in vehicles
+    }
     cycle: dict[str, int] = {v.vehicle_id: 0 for v in vehicles}
 
     def nearest_feasible(veh: Vehicle, customer: str) -> Optional[tuple]:
-        seq = paths[veh.vehicle_id]
-        last = seq[-1].location if seq else veh.start_location
+        walk = walks[veh.vehicle_id]
         best = None
-        for t in unserved.values():
-            if t.customer_id != customer or t.is_dropoff:
-                continue
+        for t in offered[customer].values():
             if pinned and pinned.get(t.task_id) not in (None, veh.vehicle_id):
                 continue
             extra = None
@@ -475,12 +500,13 @@ def baseline_round_robin(instance: Instance, pinned: Optional[dict[str, str]] = 
                 extra = by_id.get(t.pickup_of)
                 if extra is None or extra.task_id not in unserved:
                     continue
-            trial = seq + [t] + ([extra] if extra else [])
-            if path_violation(trial, veh, instance.travel, instance.budget, instance.round_start):
+            d = travel_time(walk.loc, t.location, instance.travel, veh)
+            # A candidate that cannot displace `best` needs no check.
+            if best is not None and not d < best[0] - 1e-12:
                 continue
-            d = travel_time(last, t.location, instance.travel, veh)
-            if best is None or d < best[0] - 1e-12:
-                best = (d, t, extra)
+            step = [t] if extra is None else [t, extra]
+            if walk.violation(step) is None:
+                best = (d, step)
         return best
 
     active = list(vehicles)
@@ -497,12 +523,12 @@ def baseline_round_robin(instance: Instance, pinned: Optional[dict[str, str]] = 
                     break
             if found is None:
                 continue
-            _, t, extra = found
-            paths[veh.vehicle_id].append(t)
-            unserved.pop(t.task_id)
-            if extra is not None:
-                paths[veh.vehicle_id].append(extra)
-                unserved.pop(extra.task_id)
+            _, step = found
+            paths[veh.vehicle_id].extend(step)
+            walks[veh.vehicle_id].advance(step)
+            offered[step[0].customer_id].pop(step[0].task_id)
+            for t in step:
+                unserved.pop(t.task_id)
             still.append(veh)
         active = still
 
@@ -545,7 +571,7 @@ def run_trace(
         }
         expired_commits = [
             tid
-            for tid, ts in sorted(sim.tasks.items())
+            for tid, ts in sorted(sim.live.items())
             if ts.status == COMMITTED
             and ts.task.deadline is not None
             and ts.task.deadline <= now + 1e-9
@@ -572,10 +598,8 @@ def run_trace(
         if not instance.tasks:
             events.append(event)
             continue
-        live_committed = {
-            tid: vid for tid, vid in committed.items()
-            if tid in {t.task_id for t in instance.tasks}
-        }
+        planned = {t.task_id for t in instance.tasks}
+        live_committed = {tid: vid for tid, vid in committed.items() if tid in planned}
         event["committed"] = len(live_committed)
         cancelled_before = len(sim.cancellations)
 
@@ -620,27 +644,34 @@ def _build_metrics(
     k = len(customers)
     cidx = {c: i for i, c in enumerate(customers)}
 
-    completed = sim.by_status(COMPLETED)
+    # One pass buckets each completion and expiry into the first round
+    # whose end (r + 1) * round_s it does not pass; round r counts a
+    # completion in x when r * round_s < completion <= its end.
+    ends = [(r + 1) * cfg.round_s for r in range(n_rounds)]
+    x_in = np.zeros((n_rounds, k))
+    done_in = np.zeros((n_rounds, k), dtype=int)
+    expired_in = np.zeros((n_rounds, k), dtype=int)
+    for ts in sim.tasks.values():
+        if ts.status == COMPLETED:
+            r = bisect_left(ends, ts.completion)
+            if r < n_rounds and r * cfg.round_s < ts.completion:
+                x_in[r, cidx[ts.task.customer_id]] += task_count(ts.task, cfg.ride_counts_as)
+            i = cidx.get(ts.task.customer_id)
+            if i is not None and r < n_rounds and ts.completion <= ends[r]:
+                done_in[r, i] += 1
+        elif ts.status == EXPIRED and ts.expired_at is not None:
+            r = bisect_left(ends, ts.expired_at)
+            i = cidx.get(ts.task.customer_id)
+            if i is not None and r < n_rounds and ts.expired_at <= ends[r]:
+                expired_in[r, i] += 1
+    done = np.cumsum(done_in, axis=0)
+    expired = np.cumsum(expired_in, axis=0)
+
     xbar = np.zeros(k)
     rows: list[dict] = []
     for r in range(n_rounds):
-        lo, hi = r * cfg.round_s, (r + 1) * cfg.round_s
-        x = np.zeros(k)
-        for ts in completed:
-            if lo < ts.completion <= hi:
-                x[cidx[ts.task.customer_id]] += task_count(ts.task, cfg.ride_counts_as)
-        x /= minutes
+        x = x_in[r] / minutes
         xbar = x / (r + 1) + xbar * (r / (r + 1))
-        done = np.zeros(k)
-        expired = np.zeros(k)
-        for ts in sim.tasks.values():
-            i = cidx.get(ts.task.customer_id)
-            if i is None:
-                continue
-            if ts.status == COMPLETED and ts.completion <= hi:
-                done[i] += 1
-            if ts.status == EXPIRED and ts.expired_at is not None and ts.expired_at <= hi:
-                expired[i] += 1
         j = jain_index(xbar)
         for c in customers:
             i = cidx[c]
@@ -649,8 +680,8 @@ def _build_metrics(
                     "round": r,
                     "customer": c,
                     "xbar": float(xbar[i]),
-                    "completed": int(done[i]),
-                    "expired": int(expired[i]),
+                    "completed": int(done[r, i]),
+                    "expired": int(expired[r, i]),
                     "jain_total": j,
                 }
             )

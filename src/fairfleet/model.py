@@ -284,6 +284,52 @@ def path_cost(path: Path, vehicle: Vehicle, model: TravelModel) -> float:
     return sequence_cost(path.tasks, vehicle, model)
 
 
+def _walk(
+    tasks: Sequence[Task],
+    vehicle: Vehicle,
+    model: TravelModel,
+    budget: float,
+    round_start: float,
+    clock: float,
+    loc: Point,
+    open_pairs: set[str],
+    seen: set[str],
+    seen_before: frozenset[str] | set[str],
+    served: int,
+) -> tuple[Optional[str], float, Point]:
+    """The path rules for `tasks` served from `clock` at `loc`, after
+    `served` earlier tasks with ids `seen_before` that left `open_pairs`
+    open.  Updates `open_pairs` and adds the walked ids to `seen`.
+
+    Returns the first broken rule's reason (None when there is none)
+    and the clock and location after the last task walked.
+    """
+    for t in tasks:
+        clock += travel_time(loc, t.location, model, vehicle)
+        clock += t.service_time
+        loc = t.location
+        if t.deadline is not None and clock > t.deadline + TIME_TOL:
+            return f"task {t.task_id} completes after its deadline", clock, loc
+        if t.pickup_of is not None:
+            if len(open_pairs) >= vehicle.capacity:
+                return f"pickup {t.task_id} exceeds capacity {vehicle.capacity}", clock, loc
+            open_pairs.add(t.task_id)
+        elif t.dropoff_of is not None:
+            if t.dropoff_of not in seen and t.dropoff_of not in seen_before:
+                return f"dropoff {t.task_id} precedes its pickup", clock, loc
+            open_pairs.discard(t.dropoff_of)
+        seen.add(t.task_id)
+    end = clock
+    if vehicle.return_home and (served or tasks):
+        end += travel_time(loc, vehicle.start_location, model, vehicle)
+    if end - round_start > budget + TIME_TOL:
+        return f"path cost {end - round_start:.3f}s exceeds budget {budget}s", clock, loc
+    return None, clock, loc
+
+
+_NONE_SEEN: frozenset[str] = frozenset()
+
+
 def path_violation(
     tasks: Sequence[Task],
     vehicle: Vehicle,
@@ -297,30 +343,58 @@ def path_violation(
     leg), deadlines at schedule time, pickup-before-dropoff ordering, and
     the concurrent open-pair capacity.
     """
-    clock = round_start + vehicle.ready_offset
-    loc = vehicle.start_location
-    open_pairs: set[str] = set()
-    ids_seen: set[str] = set()
-    for t in tasks:
-        clock += travel_time(loc, t.location, model, vehicle)
-        clock += t.service_time
-        loc = t.location
-        if t.deadline is not None and clock > t.deadline + TIME_TOL:
-            return f"task {t.task_id} completes after its deadline"
-        if t.is_pickup:
-            if len(open_pairs) >= vehicle.capacity:
-                return f"pickup {t.task_id} exceeds capacity {vehicle.capacity}"
-            open_pairs.add(t.task_id)
-        elif t.is_dropoff:
-            if t.dropoff_of not in ids_seen:
-                return f"dropoff {t.task_id} precedes its pickup"
-            open_pairs.discard(t.dropoff_of)
-        ids_seen.add(t.task_id)
-    if vehicle.return_home and tasks:
-        clock += travel_time(loc, vehicle.start_location, model, vehicle)
-    if clock - round_start > budget + TIME_TOL:
-        return f"path cost {clock - round_start:.3f}s exceeds budget {budget}s"
-    return None
+    return _walk(
+        tasks, vehicle, model, budget, round_start, round_start + vehicle.ready_offset,
+        vehicle.start_location, set(), set(), _NONE_SEEN, 0,
+    )[0]
+
+
+class PathState:
+    """`path_violation`'s walk paused after a valid prefix: the clock,
+    location, open pairs, seen ids and length it reached.
+
+    `violation(tasks)` equals `path_violation(prefix + tasks, ...)` and
+    leaves the state as it is; `advance(tasks)` appends accepted tasks.
+    Both cost O(len(tasks)), not O(len(prefix)), and the clock adds the
+    same floats in the same order as a walk from the start.
+    """
+
+    __slots__ = ("vehicle", "model", "budget", "round_start", "clock", "loc",
+                 "open_pairs", "seen", "length")
+
+    def __init__(
+        self,
+        vehicle: Vehicle,
+        model: TravelModel,
+        budget: float,
+        round_start: float = 0.0,
+    ) -> None:
+        self.vehicle = vehicle
+        self.model = model
+        self.budget = budget
+        self.round_start = round_start
+        self.clock = round_start + vehicle.ready_offset
+        self.loc = vehicle.start_location
+        self.open_pairs: set[str] = set()
+        self.seen: set[str] = set()
+        self.length = 0
+
+    def violation(self, tasks: Sequence[Task]) -> Optional[str]:
+        """None when prefix + `tasks` is a valid path, else a reason."""
+        return _walk(
+            tasks, self.vehicle, self.model, self.budget, self.round_start, self.clock,
+            self.loc, set(self.open_pairs), set(), self.seen, self.length,
+        )[0]
+
+    def advance(self, tasks: Sequence[Task]) -> None:
+        """Append `tasks`, which must keep the path valid."""
+        reason, self.clock, self.loc = _walk(
+            tasks, self.vehicle, self.model, self.budget, self.round_start, self.clock,
+            self.loc, self.open_pairs, self.seen, _NONE_SEEN, self.length,
+        )
+        self.length += len(tasks)
+        if reason is not None:
+            raise ValueError(f"advanced past a broken rule: {reason}")
 
 
 def sequence_feasible(

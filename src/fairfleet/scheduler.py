@@ -104,6 +104,8 @@ class RoundConfig:
             raise ValueError("alpha must be >= 0")
         if self.discount is not None and not (0 < self.discount <= 1):
             raise ValueError("discount must lie in (0, 1]")
+        if self.ride_counts_as not in (1, 2):
+            raise ValueError("ride_counts_as must be 1 or 2")
 
 
 @dataclass(frozen=True)

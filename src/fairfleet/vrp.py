@@ -35,6 +35,7 @@ import numpy as np
 from .fairness import alpha_fair_utility, is_leximin
 from .model import (
     Instance,
+    PathState,
     Schedule,
     Task,
     TravelModel,
@@ -1009,11 +1010,14 @@ def greedy_alpha_heuristic(
     unserved = dict(sorted(by_id.items()))
     h = np.zeros(len(customers))
     paths: dict[str, list[Task]] = {v.vehicle_id: [] for v in vehicles}
+    # Each path's walk so far: a candidate is checked as one appended
+    # step, not by re-walking the path.
+    walks = {v.vehicle_id: PathState(v, travel, budget, round_start) for v in vehicles}
     active = sorted(vehicles, key=lambda v: v.vehicle_id)
 
-    def candidates_for(veh: Vehicle) -> list[tuple[Task, Optional[Task], float]]:
-        seq = paths[veh.vehicle_id]
-        last_loc = seq[-1].location if seq else veh.start_location
+    def candidates_for(veh: Vehicle) -> list[tuple[Task, Optional[Task], float, list[Task]]]:
+        walk = walks[veh.vehicle_id]
+        last_loc = walk.loc
         out = []
         for t in unserved.values():
             if t.is_dropoff:
@@ -1026,10 +1030,10 @@ def greedy_alpha_heuristic(
             cost = travel_time(last_loc, t.location, travel, veh)
             if extra is not None:
                 cost += travel_time(t.location, extra.location, travel, veh)
-            trial = seq + [t] + ([extra] if extra is not None else [])
-            if path_violation(trial, veh, travel, budget, round_start) is not None:
+            step = [t] if extra is None else [t, extra]
+            if walk.violation(step) is not None:
                 continue
-            out.append((t, extra, cost))
+            out.append((t, extra, cost, step))
         return out
 
     while active:
@@ -1039,7 +1043,10 @@ def greedy_alpha_heuristic(
             if not cands:
                 continue
             best = None
-            for t, extra, cost in cands:
+            # The utility gain depends on the candidate only through its
+            # customer and count, so it is computed once per pair of them.
+            gains: dict[tuple[int, float], float] = {}
+            for t, extra, cost, step in cands:
                 k = cindex[t.customer_id]
                 inc = task_count(t, ride_counts_as) + (
                     task_count(extra, ride_counts_as) if extra is not None else 0.0
@@ -1047,22 +1054,23 @@ def greedy_alpha_heuristic(
                 if is_leximin(alpha):
                     key = (-h[k], -cost)
                 else:
-                    x_new = h.copy()
-                    x_new[k] += inc
-                    du = alpha_fair_utility(x_new / minutes, alpha) - alpha_fair_utility(
-                        h / minutes, alpha
-                    )
+                    du = gains.get((k, inc))
+                    if du is None:
+                        x_new = h.copy()
+                        x_new[k] += inc
+                        du = gains[k, inc] = alpha_fair_utility(
+                            x_new / minutes, alpha
+                        ) - alpha_fair_utility(h / minutes, alpha)
                     key = (du / max(cost, 1e-9), -cost)
                 if best is None or key > best[0]:
-                    best = (key, t, extra, inc)
+                    best = (key, t, inc, step)
             if best is None:
                 continue
-            _, t, extra, inc = best
-            paths[veh.vehicle_id].append(t)
-            unserved.pop(t.task_id)
-            if extra is not None:
-                paths[veh.vehicle_id].append(extra)
-                unserved.pop(extra.task_id)
+            _, t, inc, step = best
+            paths[veh.vehicle_id].extend(step)
+            walks[veh.vehicle_id].advance(step)
+            for done in step:
+                unserved.pop(done.task_id)
             h[cindex[t.customer_id]] += inc
             still.append(veh)
         active = still

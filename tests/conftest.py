@@ -2,6 +2,8 @@
 
 import itertools
 
+import numpy as np
+
 from fairfleet.model import Instance, Task, TravelModel, Vehicle, path_violation
 
 EUCLID = TravelModel.euclidean()
@@ -129,3 +131,75 @@ def brute_best_value(instance, weights, ride_counts_as=1):
         if all(set_feasible(v, g) for v, g in zip(vehicles, groups)):
             best = value
     return best
+
+
+def construction_instances():
+    """Named (instance, pins) for the constructive loops' golden schedules.
+
+    * ``ties``: one vehicle on a 100 m lattice, so many candidates are
+      equally far; ``a1`` is 4e-13 s farther than ``a2`` from the start,
+      inside the 1e-12 s tie tolerance.  The budget runs out.
+    * ``pins_deadlines``: three vehicles (one late-ready, one returning
+      home, two speeds) in a round that starts at 1200 s, with deadlines
+      on every third task and pins.
+    * ``pairs``: pickup/dropoff pairs on capacity-1 and capacity-2
+      vehicles among plain tasks, dropoff deadlines, a tight budget.
+    * ``matrix``: asymmetric matrix travel with a pin.
+    """
+    out = {}
+
+    tasks = [mk_task("a1", "c1", 100.0 + 4e-12, 0.0), mk_task("a2", "c1", 0.0, 100.0)]
+    for i, (x, y) in enumerate([(100, 100), (-100, 0), (0, -100), (-100, -100),
+                                (200, 0), (0, 200)]):
+        tasks.append(mk_task(f"a{i + 3}", "c1", float(x), float(y)))
+    for i, (x, y) in enumerate([(-100, 100), (100, -100), (200, 100), (-200, 0),
+                                (0, -200), (300, 300), (-300, 0)]):
+        tasks.append(mk_task(f"b{i}", "c2", float(x), float(y), service=5.0))
+    out["ties"] = (Instance(tasks=tuple(tasks), vehicles=(mk_vehicle(),), travel=EUCLID,
+                            budget=230.0), None)
+
+    rng = np.random.default_rng(404)
+    tasks = []
+    for i in range(24):
+        x, y = (float(v) for v in np.round(rng.uniform(-1200, 1200, 2), 1))
+        deadline = 1200.0 + float(np.round(rng.uniform(120, 500), 1)) if i % 3 == 0 else None
+        tasks.append(mk_task(f"d{i:02d}", f"c{i % 3 + 1}", x, y, service=float(5 + i % 5 * 6),
+                             arrival_time=1000.0, deadline=deadline))
+    vehicles = (
+        Vehicle("fast", (100.0, -50.0), speed=14.0, return_home=True),
+        Vehicle("late", (0.0, 0.0), speed=9.0, ready_offset=45.0),
+        Vehicle("slow", (-300.0, 200.0), speed=7.0),
+    )
+    pins = {"d01": "slow", "d05": "late", "d09": "fast", "d14": "slow"}
+    out["pins_deadlines"] = (Instance(tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID,
+                                      budget=480.0, round_start=1200.0), pins)
+
+    rng = np.random.default_rng(505)
+    tasks = []
+    for i in range(7):
+        px, py, dx, dy = (float(v) for v in np.round(rng.uniform(-900, 900, 4), 1))
+        cust = f"c{i % 2 + 1}"
+        tasks.append(mk_task(f"p{i}", cust, px, py, service=20.0, pickup_of=f"q{i}"))
+        tasks.append(mk_task(f"q{i}", cust, dx, dy, service=15.0, dropoff_of=f"p{i}",
+                             deadline=400.0 if i % 3 == 1 else None))
+    for i in range(6):
+        x, y = (float(v) for v in np.round(rng.uniform(-900, 900, 2), 1))
+        tasks.append(mk_task(f"s{i}", f"c{i % 2 + 1}", x, y, service=12.0))
+    vehicles = (Vehicle("r0", (0.0, 0.0), capacity=1, return_home=True),
+                Vehicle("r1", (250.0, -250.0), capacity=2))
+    out["pairs"] = (Instance(tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID,
+                             budget=700.0), None)
+
+    rng = np.random.default_rng(606)
+    pts = [(float(x), float(y)) for x, y in np.round(rng.uniform(-800, 800, (16, 2)), 1)]
+    arr = np.array(pts)
+    base = np.hypot(arr[:, None, 0] - arr[None, :, 0], arr[:, None, 1] - arr[None, :, 1]) / 9.0
+    seconds = np.round(base * rng.uniform(0.8, 1.4, base.shape), 3)
+    np.fill_diagonal(seconds, 0.0)
+    travel = TravelModel.matrix([f"{x};{y}" for x, y in pts], seconds)
+    tasks = tuple(mk_task(f"m{i:02d}", f"c{i % 2 + 1}", *pts[i], service=float(5 + i % 4 * 5))
+                  for i in range(14))
+    vehicles = (Vehicle("v0", pts[14]), Vehicle("v1", pts[15]))
+    out["matrix"] = (Instance(tasks=tasks, vehicles=vehicles, travel=travel, budget=360.0),
+                     {"m03": "v1"})
+    return out

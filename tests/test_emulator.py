@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EUCLID, mk_task, mk_vehicle
+from conftest import EUCLID, construction_instances, mk_task, mk_vehicle
+from fairfleet import emulator
 from fairfleet.emulator import (
     COMMITTED,
     COMPLETED,
@@ -14,6 +15,7 @@ from fairfleet.emulator import (
     Metrics,
     SimState,
     Trace,
+    _build_metrics,
     _cancel,
     _commit,
     _planning_instance,
@@ -26,8 +28,9 @@ from fairfleet.emulator import (
     run_trace,
     step,
 )
+from fairfleet.fairness import jain_index
 from fairfleet.gen import Scenario, map_a_small
-from fairfleet.model import Instance, Schedule, build_path
+from fairfleet.model import Instance, Schedule, build_path, path_violation, task_count
 from fairfleet.scheduler import RoundConfig
 from fairfleet.vrp import SolverConfig
 
@@ -226,7 +229,7 @@ class TestSnapshot:
     def test_locked_stop_survives_replan(self):
         sim = self.mid_service_sim()
         t2 = mk_task("t2", "c1", 300.0, 0.0, arrival_time=0.0)
-        sim.tasks["t2"] = type(sim.tasks["t1"])(task=t2)
+        sim.arrive(t2)
         vehicles, locked = _snapshot_vehicles(sim, 15.0, None)
         inst = _planning_instance(sim, 15.0, RoundConfig(round_s=600.0), EUCLID,
                                   locked, vehicles)
@@ -298,6 +301,32 @@ class TestBaselines:
                         budget=600.0)
         sched = baseline_round_robin(inst)
         assert sched.task_ids() == {"a1"}
+
+
+# Task-id sequences recorded from the loop that re-checked the whole
+# path for every candidate.  A change here changes which schedules the
+# round-robin baseline returns.
+ROUND_ROBIN_GOLDEN = {
+    "ties": {"v0": ("a1", "b1", "a5", "b4", "a6", "b3", "a4", "b0", "a2", "b2", "a3")},
+    "pins_deadlines": {"fast": ("d00", "d07", "d08", "d15", "d04", "d13"),
+                       "late": ("d18", "d19", "d17"),
+                       "slow": ("d06", "d16", "d20")},
+    "pairs": {"r0": ("p4", "q4", "s3", "p2", "q2", "s1", "s2", "p6", "q6"),
+              "r1": ("s4", "p5", "q5", "p0", "q0", "s5")},
+    "matrix": {"v0": ("m06", "m07", "m00", "m05"),
+               "v1": ("m02", "m01", "m04", "m13", "m10", "m03")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_ROBIN_GOLDEN))
+def test_round_robin_golden_schedules(name):
+    inst, pins = construction_instances()[name]
+    sched = baseline_round_robin(inst, pins)
+    pins = pins or {}
+    assert {p.vehicle_id: p.task_ids for p in sched.paths} == ROUND_ROBIN_GOLDEN[name]
+    for v, p in zip(inst.vehicles, sched.paths):
+        assert path_violation(p.tasks, v, inst.travel, inst.budget, inst.round_start) is None
+        assert all(pins.get(t.task_id, v.vehicle_id) == v.vehicle_id for t in p.tasks)
 
 
 def tiny_scenario():
@@ -407,6 +436,14 @@ class TestCancel:
         assert sim.tasks["t1"].status == EXPIRED
         assert sim.tasks["t1"].expired_at == 42.0
         assert sim.cancellations == [(42.0, "t1")]
+        assert_live_index(sim)
+
+
+def assert_live_index(sim):
+    """The live index is the pending-or-committed status scan, in arrival
+    order, holding the same task states."""
+    scan = [(tid, ts) for tid, ts in sim.tasks.items() if ts.status in (PENDING, COMMITTED)]
+    assert [(tid, id(ts)) for tid, ts in sim.live.items()] == [(tid, id(ts)) for tid, ts in scan]
 
 
 class TestLifecycleInvariants:
@@ -426,6 +463,7 @@ class TestLifecycleInvariants:
         checkpoints = sorted(rng.uniform(0.0, 1500.0, size=4)) + [2000.0]
         for now in checkpoints:
             step(sim, now)
+            assert_live_index(sim)
             counts = sim.counts()
             arrived = sum(1 for t in tasks if t.arrival_time <= now + 1e-9)
             assert sum(counts.values()) == arrived == len(sim.tasks)
@@ -436,6 +474,134 @@ class TestLifecycleInvariants:
                     assert ts.expired_at == ts.task.arrival_time + 600.0
                     assert ts.expired_at <= now + 1e-9
         assert sim.counts()[EXPIRED] == n  # nothing committed: all time out
+
+
+def reference_rounds(sim, cfg, customers):
+    """The metrics rows and final x-bar as the per-round rescan of every
+    task computed them."""
+    n_rounds = int(sim.trace.duration // cfg.round_s)
+    minutes = cfg.round_s / 60.0
+    k = len(customers)
+    cidx = {c: i for i, c in enumerate(customers)}
+    completed = sim.by_status(COMPLETED)
+    xbar = np.zeros(k)
+    rows = []
+    for r in range(n_rounds):
+        lo, hi = r * cfg.round_s, (r + 1) * cfg.round_s
+        x = np.zeros(k)
+        for ts in completed:
+            if lo < ts.completion <= hi:
+                x[cidx[ts.task.customer_id]] += task_count(ts.task, cfg.ride_counts_as)
+        x /= minutes
+        xbar = x / (r + 1) + xbar * (r / (r + 1))
+        done = np.zeros(k)
+        expired = np.zeros(k)
+        for ts in sim.tasks.values():
+            i = cidx.get(ts.task.customer_id)
+            if i is None:
+                continue
+            if ts.status == COMPLETED and ts.completion <= hi:
+                done[i] += 1
+            if ts.status == EXPIRED and ts.expired_at is not None and ts.expired_at <= hi:
+                expired[i] += 1
+        j = jain_index(xbar)
+        for c in customers:
+            i = cidx[c]
+            rows.append({"round": r, "customer": c, "xbar": float(xbar[i]),
+                         "completed": int(done[i]), "expired": int(expired[i]),
+                         "jain_total": j})
+    return rows, xbar
+
+
+def assert_metrics_match_reference(metrics, sim, cfg, customers):
+    rows, xbar = reference_rounds(sim, cfg, customers)
+    assert metrics.rounds == rows
+    assert metrics.xbar.tolist() == xbar.tolist()
+    assert metrics.jain == jain_index(xbar)
+
+
+class TestBuildMetrics:
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           duration=st.sampled_from([1800.0, 2100.5, 2399.0]),
+           ride_counts_as=st.sampled_from([1, 2]))
+    @settings(max_examples=80, deadline=None)
+    def test_one_pass_equals_rescan(self, seed, duration, ride_counts_as):
+        # Completions and expiries exactly at round ends, at 0, inside
+        # rounds and after the last whole round.
+        rng = np.random.default_rng(seed)
+        round_s = 600.0
+        edges = [0.0, 600.0, 1200.0, 1800.0, 2400.0, duration]
+        tasks = []
+        for i in range(int(rng.integers(1, 14))):
+            cust = f"c{int(rng.integers(1, 4))}"
+            if rng.random() < 0.3:
+                tasks.append(mk_task(f"p{i}", cust, 0.0, 0.0, pickup_of=f"q{i}"))
+                tasks.append(mk_task(f"q{i}", cust, 0.0, 0.0, dropoff_of=f"p{i}"))
+            else:
+                tasks.append(mk_task(f"t{i}", cust, 0.0, 0.0))
+        sim = SimState(Trace(tasks=tuple(tasks), duration=duration, customers=()), [])
+        for t in sim.trace.tasks:
+            ts = sim.arrive(t)
+            when = (edges[int(rng.integers(len(edges)))] if rng.random() < 0.5
+                    else float(rng.uniform(0.0, duration)))
+            ts.status = (PENDING, COMMITTED, COMPLETED, EXPIRED)[int(rng.integers(4))]
+            if ts.status == COMPLETED:
+                ts.service_start = max(when - 10.0, 0.0)
+                ts.completion = when
+            elif ts.status == EXPIRED:
+                ts.expired_at = None if rng.random() < 0.1 else when
+        cfg = RoundConfig(round_s=round_s, ride_counts_as=ride_counts_as)
+        customers = sim.trace.customers
+        metrics = _build_metrics(sim, cfg, customers, [])
+        assert_metrics_match_reference(metrics, sim, cfg, customers)
+
+    @pytest.mark.parametrize("policy", ["round_robin", "max_throughput"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ride_traces_match_rescan(self, policy, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        round_s, rounds = 600.0, 3
+        tasks = []
+        for r in range(rounds):
+            start = r * round_s
+            # At the vehicle's base: one task completes at the round end,
+            # one the moment it is served.
+            tasks.append(mk_task(f"r{r}-edge", "c1", 0.0, 0.0, service=round_s,
+                                 arrival_time=start))
+            tasks.append(mk_task(f"r{r}-zero", "c2", 0.0, 0.0, service=0.0,
+                                 arrival_time=start))
+            for j in range(4):
+                cust = f"c{j % 3 + 1}"
+                arrival = start + float(rng.integers(0, 500))
+                px, py, dx, dy = (float(v) for v in rng.uniform(-900, 900, 4))
+                if j % 2:
+                    tasks.append(mk_task(f"r{r}-p{j}", cust, px, py, pickup_of=f"r{r}-d{j}",
+                                         arrival_time=arrival))
+                    tasks.append(mk_task(f"r{r}-d{j}", cust, dx, dy, dropoff_of=f"r{r}-p{j}",
+                                         arrival_time=arrival,
+                                         deadline=arrival + float(rng.uniform(200, 700))))
+                else:
+                    tasks.append(mk_task(f"r{r}-s{j}", cust, px, py, arrival_time=arrival))
+        trace = Trace(tasks=tuple(tasks), duration=rounds * round_s + 250.0, customers=())
+        vehicles = (mk_vehicle("v0", capacity=2), mk_vehicle("v1", 400.0, 0.0, capacity=2),
+                    mk_vehicle("v2", 0.0, 0.0, capacity=2, return_home=True))
+        cfg = RoundConfig(round_s=round_s, replan_s=250.0, expiry_s=400.0)
+        sims = []
+        real_step = emulator.step
+
+        def checked_step(sim, until):
+            assert_live_index(sim)
+            real_step(sim, until)
+            assert_live_index(sim)
+            sims.append(sim)
+            return sim
+
+        monkeypatch.setattr(emulator, "step", checked_step)
+        metrics = run_trace(trace, policy, cfg, vehicles, EUCLID,
+                            SolverConfig(backend="heuristic", time_limit_s=0.05))
+        sim = sims[-1]
+        assert sim.counts()[COMPLETED] > 0
+        assert any(ts.completion == round_s for ts in sim.tasks.values())
+        assert_metrics_match_reference(metrics, sim, cfg, trace.customers)
 
 
 class TestMetricsHelpers:

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EUCLID, mk_task, mk_vehicle
 from fairfleet.model import (
     Instance,
     InterestMap,
+    PathState,
     Schedule,
     Task,
     TravelModel,
+    Vehicle,
     allocation_of,
     build_path,
     count_fulfilled,
@@ -192,6 +196,96 @@ class TestPathViolation:
         seq = [mk_task("t1", "c1", 100, 0)]
         assert path_violation(seq, v, EUCLID, budget=30.0) is not None
         assert path_violation(seq, v, EUCLID, budget=35.0) is None
+
+
+
+def _walk_case(seed, travel_kind, return_home, ready_offset, capacity, round_start):
+    """A shuffled mix of plain tasks and pickup/dropoff pairs, some with
+    deadlines, and a vehicle and budget that some prefixes break."""
+    rng = np.random.default_rng(seed)
+    n_plain, n_pairs = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+    n_points = n_plain + 2 * n_pairs + 1
+    pts = [(float(x), float(y)) for x, y in np.round(rng.uniform(-600, 600, (n_points, 2)), 1)]
+    speed = 13.0
+    if travel_kind == "matrix":
+        arr = np.array(pts)
+        base = np.hypot(arr[:, None, 0] - arr[None, :, 0], arr[:, None, 1] - arr[None, :, 1])
+        seconds = np.round(base / 9.0 * rng.uniform(0.5, 1.6, base.shape), 3)
+        np.fill_diagonal(seconds, 0.0)
+        travel = TravelModel.matrix([f"{x};{y}" for x, y in pts], seconds)
+    else:
+        travel = EUCLID
+        speed = 7.0 if travel_kind == "slow" else 13.0
+
+    def deadline():
+        return round_start + float(rng.uniform(60, 400)) if rng.random() < 0.3 else None
+
+    tasks = [Task(f"s{i}", "c1", pts[i], float(rng.uniform(0, 30)), deadline=deadline())
+             for i in range(n_plain)]
+    for j in range(n_pairs):
+        tasks.append(Task(f"p{j}", "c1", pts[n_plain + 2 * j], 10.0, pickup_of=f"d{j}",
+                          deadline=deadline()))
+        tasks.append(Task(f"d{j}", "c1", pts[n_plain + 2 * j + 1], 5.0, dropoff_of=f"p{j}",
+                          deadline=deadline()))
+    order = rng.permutation(len(tasks))
+    seq = [tasks[i] for i in order]
+    vehicle = Vehicle("v0", pts[-1], speed=speed, capacity=capacity,
+                      return_home=return_home, ready_offset=ready_offset)
+    budget = float(rng.uniform(150, 700))
+    return seq, vehicle, travel, budget
+
+
+def _snapshot(state):
+    return (state.clock, state.loc, set(state.open_pairs), set(state.seen), state.length)
+
+
+class TestPathState:
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        travel_kind=st.sampled_from(["fast", "slow", "matrix"]),
+        return_home=st.booleans(),
+        ready_offset=st.sampled_from([0.0, 37.5]),
+        capacity=st.integers(min_value=1, max_value=2),
+        round_start=st.sampled_from([0.0, 600.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_resumed_walk_equals_full_walk(self, seed, travel_kind, return_home,
+                                           ready_offset, capacity, round_start):
+        seq, vehicle, travel, budget = _walk_case(seed, travel_kind, return_home,
+                                                  ready_offset, capacity, round_start)
+        valid = [k for k in range(len(seq) + 1)
+                 if path_violation(seq[:k], vehicle, travel, budget, round_start) is None]
+        for k in valid:
+            # Advance by the whole prefix, and by its valid sub-prefixes.
+            whole = PathState(vehicle, travel, budget, round_start)
+            whole.advance(seq[:k])
+            chunked = PathState(vehicle, travel, budget, round_start)
+            done = 0
+            for cut in [c for c in valid if 0 < c <= k]:
+                chunked.advance(seq[done:cut])
+                done = cut
+            assert _snapshot(chunked) == _snapshot(whole)
+            assert whole.length == k
+            for state in (whole, chunked):
+                for end in range(k, len(seq) + 1):
+                    before = _snapshot(state)
+                    got = state.violation(seq[k:end])
+                    assert got == path_violation(seq[:end], vehicle, travel, budget,
+                                                 round_start)
+                    assert _snapshot(state) == before
+
+    def test_clock_matches_build_path(self):
+        v = mk_vehicle(speed=7.0, ready_offset=3.25)
+        seq = [mk_task("t1", "c1", 100.3, 7.1), mk_task("t2", "c1", -40.9, 33.3, service=4.7)]
+        state = PathState(v, EUCLID, 600.0, round_start=1200.0)
+        state.advance(seq)
+        assert state.clock == build_path(v, seq, EUCLID, 1200.0).completions[-1]
+        assert state.loc == seq[-1].location
+
+    def test_advance_past_a_broken_rule_raises(self):
+        state = PathState(mk_vehicle(), EUCLID, 19.0)
+        with pytest.raises(ValueError, match="budget"):
+            state.advance([mk_task("t1", "c1", 100, 0)])
 
 
 class TestCounting:

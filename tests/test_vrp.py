@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EUCLID, brute_best_value, mk_task, mk_vehicle, random_instance
+from conftest import (
+    EUCLID,
+    brute_best_value,
+    construction_instances,
+    mk_task,
+    mk_vehicle,
+    random_instance,
+)
 from fairfleet.model import (
     Instance,
     Schedule,
@@ -209,6 +216,47 @@ class TestGreedy:
                                        64.0, EUCLID, pack=False)
         alloc = allocation_of(sched, inst.customers)
         assert alloc[1] > 0
+
+
+# Task-id sequences of the unpacked construction, recorded from the loop
+# that re-checked the whole path for every candidate.
+GREEDY_GOLDEN = [
+    ("ties", 0.0, {"v0": ("a2", "a3", "a1", "a7", "b2", "a8", "b0", "a4", "a6", "a5", "b1")}),
+    ("ties", 1.0, {"v0": ("a2", "b0", "a4", "b3", "b6", "a6", "a5", "b1", "a1", "a7", "b2",
+                          "a3")}),
+    ("ties", 64.0, {"v0": ("a2", "b0", "a4", "b3", "b6", "a6", "a5", "b1", "a1", "b2", "a3")}),
+    ("pins_deadlines", 0.0, {"fast": ("d01", "d08", "d07", "d15", "d06", "d12", "d22"),
+                             "late": ("d16", "d00", "d18", "d23", "d02"),
+                             "slow": ("d19", "d17", "d20", "d04", "d13", "d10")}),
+    ("pins_deadlines", 1.0, {"fast": ("d01", "d09", "d05", "d22", "d16", "d19", "d10"),
+                             "late": ("d08", "d07", "d18", "d15", "d23", "d02"),
+                             "slow": ("d00", "d17", "d20", "d04", "d13", "d12")}),
+    ("pins_deadlines", 64.0, {"fast": ("d01", "d09", "d05", "d22", "d16", "d12", "d10", "d13"),
+                              "late": ("d08", "d07", "d18", "d15", "d23", "d02"),
+                              "slow": ("d00", "d17", "d19", "d20", "d04")}),
+    ("pairs", 0.0, {"r0": ("s4", "s2", "p6", "q6", "p4", "q4", "s0"),
+                    "r1": ("s5", "s3", "s1", "p2", "q2", "p0", "q0")}),
+    ("pairs", 1.0, {"r0": ("s4", "s2", "p6", "q6", "p4", "q4", "p5", "q5"),
+                    "r1": ("s5", "s3", "s1", "p2", "q2", "s0", "p3", "q3")}),
+    ("pairs", 64.0, {"r0": ("s4", "s2", "p6", "q6", "p4", "q4", "p2", "q2"),
+                     "r1": ("s5", "s3", "s1", "p5", "q5", "p3", "q3")}),
+    ("matrix", 0.0, {"v0": ("m05", "m06", "m07", "m03", "m13", "m10", "m00"),
+                     "v1": ("m02", "m01", "m09", "m04", "m12")}),
+    ("matrix", 1.0, {"v0": ("m05", "m06", "m07", "m00", "m08", "m11"),
+                     "v1": ("m02", "m01", "m09", "m04", "m13", "m10", "m12")}),
+    ("matrix", 64.0, {"v0": ("m05", "m06", "m07", "m03", "m13", "m09"),
+                      "v1": ("m02", "m01", "m04", "m12", "m10")}),
+]
+
+
+@pytest.mark.parametrize("name, alpha, expected", GREEDY_GOLDEN)
+def test_greedy_golden_schedules(name, alpha, expected):
+    inst, _ = construction_instances()[name]
+    sched = greedy_alpha_heuristic(inst.tasks, inst.vehicles, inst.budget, alpha,
+                                   inst.travel, inst.round_start, pack=False)
+    assert {p.vehicle_id: p.task_ids for p in sched.paths} == expected
+    for v, p in zip(inst.vehicles, sched.paths):
+        assert path_violation(p.tasks, v, inst.travel, inst.budget, inst.round_start) is None
 
 
 class TestWarmStarts:
