@@ -333,6 +333,7 @@ def _snapshot_instance(cfg: dict, snapshot_s: float) -> Instance:
 
 
 def cmd_boundary(cfg: dict) -> int:
+    round_cfg = _round_config(cfg)
     snapshot_s = float(cfg["snapshot_s"])
     instance = _snapshot_instance(cfg, snapshot_s)
     if not instance.tasks:
@@ -341,11 +342,11 @@ def cmd_boundary(cfg: dict) -> int:
     solver = RoundSolver(
         instance,
         _solver_config(cfg),
-        alpha=float(cfg["alpha"]),
-        ride_counts_as=int(cfg["ride_counts_as"]),
+        alpha=round_cfg.alpha,
+        ride_counts_as=round_cfg.ride_counts_as,
         customers=customers,
     )
-    corners, faces, target = full_boundary(customers, solver, alpha=float(cfg["alpha"]))
+    corners, faces, target = full_boundary(customers, solver, alpha=round_cfg.alpha)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     payload = {

@@ -419,6 +419,7 @@ def baseline_max_throughput(
     solver_config: Optional[SolverConfig] = None,
     weight_overrides: Optional[dict[str, float]] = None,
     pinned: Optional[dict[str, str]] = None,
+    ride_counts_as: int = 1,
 ) -> Schedule:
     """Uniform-weight solve: pure throughput, fairness-blind."""
     customers = instance.customers
@@ -436,6 +437,7 @@ def baseline_max_throughput(
         pinned=pinned,
         time_limit=(solver_config or SolverConfig()).time_limit_s,
         seed=(solver_config or SolverConfig()).seed,
+        ride_counts_as=ride_counts_as,
     )
     return solve_weighted_vrp(req, solver_config)
 
@@ -445,6 +447,7 @@ def baseline_dedicated(
     solver_config: Optional[SolverConfig] = None,
     weight_overrides: Optional[dict[str, float]] = None,
     pinned: Optional[dict[str, str]] = None,
+    ride_counts_as: int = 1,
 ) -> Schedule:
     """Vehicles split evenly among customers; per-customer max-throughput
     solve on its own tasks."""
@@ -462,7 +465,9 @@ def baseline_dedicated(
             budget=instance.budget,
             round_start=instance.round_start,
         )
-        sched = baseline_max_throughput(sub, solver_config, weight_overrides, pinned)
+        sched = baseline_max_throughput(
+            sub, solver_config, weight_overrides, pinned, ride_counts_as
+        )
         paths.extend(sched.paths)
     return Schedule(paths=tuple(paths), round_duration=instance.budget)
 
@@ -604,25 +609,25 @@ def run_trace(
         cancelled_before = len(sim.cancellations)
 
         if policy == "mobius":
-            result = mobius.run_round(instance, committed=live_committed or None)
+            result = mobius.run_round(instance, committed=live_committed)
             schedule = result.schedule
             calls.append(result.calls)
-            _cancel(sim, [tid for tid in mobius.last_cancelled if tid in live_committed], now)
             event["calls"] = result.calls
             event["stages"] = result.stages
             event["allocation"] = [float(v) for v in result.allocation]
-            event["xbar"] = [float(v) for v in result.history.xbar]
+            event["xbar"] = [float(v) for v in mobius.history.xbar]
         else:
             overrides = {tid: COMMIT_WEIGHT_RATIO for tid in live_committed} or None
             pins = dict(live_committed) or None
+            rides = cfg.ride_counts_as
             if policy == "max_throughput":
-                schedule = baseline_max_throughput(instance, solver_config, overrides, pins)
+                schedule = baseline_max_throughput(instance, solver_config, overrides, pins, rides)
             elif policy == "dedicated":
-                schedule = baseline_dedicated(instance, solver_config, overrides, pins)
+                schedule = baseline_dedicated(instance, solver_config, overrides, pins, rides)
             else:
                 schedule = baseline_round_robin(instance, pins)
-            dropped = [tid for tid in sorted(live_committed) if tid not in schedule.task_ids()]
-            _cancel(sim, dropped, now)
+        scheduled = schedule.task_ids()
+        _cancel(sim, [tid for tid in sorted(live_committed) if tid not in scheduled], now)
         home_flags = {v.vehicle_id: v.return_home for v in snapshot}
         _commit(sim, schedule, now, locked, travel, home_flags)
         event["scheduled"] = schedule.total_tasks()

@@ -2,15 +2,17 @@
 round, pick the corner that maximizes cumulative fairness, and honor
 commitments across replanning windows.
 
-One planning round = init_face + search_boundary + select_allocation +
-update_history.  The history update uses the planned allocation of the
-chosen corner; under the static arrival model the realized allocation
-matches it exactly.
+One planning round = init_face + search_boundary + select_allocation
+(`run_round`), then update_history.  `Scheduler.run_round` is the one
+place a round is folded into the history, over the full customer
+roster; `run_static_rounds` and the emulator's mobius policy both drive
+a `Scheduler`.  The fold uses the planned allocation of the chosen
+corner; under the static arrival model the realized allocation matches
+it exactly.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -20,8 +22,6 @@ from .boundary import EmptyRoundError, Face, embed, init_face, search_boundary
 from .fairness import utility_key
 from .model import Instance, Schedule, empty_schedule
 from .vrp import COMMIT_WEIGHT_RATIO, RoundSolver, SolverConfig
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,6 @@ class RoundResult:
 
     schedule: Schedule
     allocation: np.ndarray
-    history: History
     face: Optional[Face]
     calls: int
     stages: int
@@ -143,36 +142,6 @@ def select_allocation(
     return face.schedules[idx], x
 
 
-def plan_round(
-    instance: Instance,
-    alpha: float,
-    solver_config: Optional[SolverConfig] = None,
-    customers: Optional[Sequence[str]] = None,
-    weight_overrides: Optional[dict[str, float]] = None,
-    pinned: Optional[dict[str, str]] = None,
-    ride_counts_as: int = 1,
-) -> tuple[Optional[Face], RoundSolver]:
-    """Boundary search for one round; face is None on an empty round."""
-    customers = tuple(customers if customers is not None else instance.customers)
-    solver = RoundSolver(
-        instance,
-        solver_config,
-        alpha=alpha,
-        weight_overrides=weight_overrides,
-        pinned=pinned,
-        ride_counts_as=ride_counts_as,
-        customers=customers,
-    )
-    if not customers or not instance.tasks:
-        return None, solver
-    try:
-        face = init_face(customers, solver)
-    except EmptyRoundError:
-        return None, solver
-    face = search_boundary(face, alpha, solver)
-    return face, solver
-
-
 def run_round(
     instance: Instance,
     history: History,
@@ -182,88 +151,33 @@ def run_round(
     weight_overrides: Optional[dict[str, float]] = None,
     pinned: Optional[dict[str, str]] = None,
 ) -> RoundResult:
-    """One full planning round; empty rounds record a zero allocation
-    but still advance the history."""
+    """Boundary search and corner pick for one round; an empty round
+    plans nothing and allocates zero.  The history is read, not folded."""
     customers = tuple(customers if customers is not None else instance.customers)
-    if len(customers) != len(history.xbar):
-        raise ValueError("history dimension does not match customers")
-    face, solver = plan_round(
-        instance,
-        cfg.alpha,
-        solver_config,
-        customers,
-        weight_overrides,
-        pinned,
-        cfg.ride_counts_as,
-    )
     k = len(customers)
+    if k != len(history.xbar):
+        raise ValueError("history dimension does not match customers")
+    solver = RoundSolver(
+        instance,
+        solver_config,
+        alpha=cfg.alpha,
+        weight_overrides=weight_overrides,
+        pinned=pinned,
+        ride_counts_as=cfg.ride_counts_as,
+        customers=customers,
+    )
+    face = None
+    if customers and instance.tasks:
+        try:
+            face = init_face(customers, solver)
+        except EmptyRoundError:
+            pass
     if face is None:
         schedule = empty_schedule(instance.vehicles, instance.budget)
-        allocation = np.zeros(k)
-        stages = 0
-    else:
-        schedule, allocation = select_allocation(face, history, cfg.alpha)
-        stages = solver.calls - k
-    new_history = update_history(history, allocation, duration=instance.budget)
-    return RoundResult(
-        schedule=schedule,
-        allocation=allocation,
-        history=new_history,
-        face=face,
-        calls=solver.calls,
-        stages=stages,
-    )
-
-
-@dataclass(frozen=True)
-class ReplanResult:
-    round: RoundResult
-    cancelled: tuple[str, ...]
-
-
-def replan(
-    instance: Instance,
-    history: History,
-    cfg: RoundConfig,
-    committed: Mapping[str, str],
-    solver_config: Optional[SolverConfig] = None,
-    customers: Optional[Sequence[str]] = None,
-) -> ReplanResult:
-    """Replanning tick: full round over the remaining horizon with
-    committed tasks forced in (weight override) and pinned to their
-    assigned vehicles.  Committed tasks that can no longer be scheduled
-    are reported as cancellations.
-    """
-    by_id = {t.task_id: t for t in instance.tasks}
-    live: dict[str, str] = {}
-    cancelled: list[str] = []
-    for tid, vid in sorted(committed.items()):
-        task = by_id.get(tid)
-        if task is None:
-            cancelled.append(tid)
-            continue
-        if task.deadline is not None and task.deadline <= instance.round_start:
-            cancelled.append(tid)
-            continue
-        live[tid] = vid
-    tasks = tuple(t for t in instance.tasks if t.task_id not in set(cancelled))
-    inst = replace(instance, tasks=tasks)
-    overrides = {tid: COMMIT_WEIGHT_RATIO for tid in live}
-    result = run_round(
-        inst,
-        history,
-        cfg,
-        solver_config,
-        customers,
-        weight_overrides=overrides,
-        pinned=dict(live),
-    )
-    scheduled = result.schedule.task_ids()
-    for tid in sorted(live):
-        if tid not in scheduled:
-            logger.warning("committed task %s no longer feasible; cancelled", tid)
-            cancelled.append(tid)
-    return ReplanResult(round=result, cancelled=tuple(cancelled))
+        return RoundResult(schedule, np.zeros(k), None, solver.calls, 0)
+    face = search_boundary(face, cfg.alpha, solver)
+    schedule, allocation = select_allocation(face, history, cfg.alpha)
+    return RoundResult(schedule, allocation, face, solver.calls, solver.calls - k)
 
 
 class Scheduler:
@@ -282,7 +196,6 @@ class Scheduler:
         self.roster: list[str] = list(customers)
         self.history = History.zeros(len(self.roster), discount=cfg.discount)
         self.idle: dict[str, int] = {c: 0 for c in self.roster}
-        self.rounds: list[RoundResult] = []
         self.last_cancelled: tuple[str, ...] = ()
 
     def observe(self, customers: Sequence[str]) -> None:
@@ -312,39 +225,29 @@ class Scheduler:
         instance: Instance,
         committed: Optional[Mapping[str, str]] = None,
     ) -> RoundResult:
-        self.observe(sorted({t.customer_id for t in instance.tasks}))
+        """Plan one round over the geometry and fold its allocation into
+        the full-roster history.  Committed tasks are forced in with
+        COMMIT_WEIGHT_RATIO and pinned to their vehicles; those the plan
+        leaves out are reported, sorted, in `last_cancelled`."""
         present = {t.customer_id for t in instance.tasks}
+        self.observe(present)
         for c in self.roster:
             self.idle[c] = 0 if c in present else self.idle[c] + 1
         geom = self.geometry(instance)
         gidx = [self.roster.index(c) for c in geom]
-        sub_history = History(
-            xbar=self.history.xbar[gidx],
-            t=self.history.t,
-            discount=self.history.discount,
-            weight_total=self.history.weight_total,
+        sub_history = replace(self.history, xbar=self.history.xbar[gidx])
+        pins = dict(sorted((committed or {}).items()))
+        result = run_round(
+            instance, sub_history, self.cfg, self.solver_config, customers=geom,
+            weight_overrides=dict.fromkeys(pins, COMMIT_WEIGHT_RATIO),
+            pinned=pins,
         )
-        if committed:
-            res = replan(
-                instance, sub_history, self.cfg, committed,
-                self.solver_config, customers=geom,
-            )
-            result = res.round
-            self.last_cancelled = res.cancelled
-        else:
-            result = run_round(
-                instance, sub_history, self.cfg, self.solver_config, customers=geom,
-            )
-            self.last_cancelled = ()
+        scheduled = result.schedule.task_ids()
+        self.last_cancelled = tuple(tid for tid in pins if tid not in scheduled)
         full_alloc = np.zeros(len(self.roster))
-        for j, idx in enumerate(gidx):
-            full_alloc[idx] = result.allocation[j]
-        self.history = update_history(
-            self.history, full_alloc, duration=instance.budget
-        )
-        result = replace(result, allocation=full_alloc, history=self.history)
-        self.rounds.append(result)
-        return result
+        full_alloc[gidx] = result.allocation
+        self.history = update_history(self.history, full_alloc, duration=instance.budget)
+        return replace(result, allocation=full_alloc)
 
 
 @dataclass
@@ -353,10 +256,8 @@ class StaticRunResult:
 
     allocations: list[np.ndarray] = field(default_factory=list)
     xbars: list[np.ndarray] = field(default_factory=list)
-    faces: list[Optional[Face]] = field(default_factory=list)
     calls: list[int] = field(default_factory=list)
     stages: list[int] = field(default_factory=list)
-    schedules: list[Schedule] = field(default_factory=list)
 
     @property
     def final_xbar(self) -> np.ndarray:
@@ -371,17 +272,12 @@ def run_static_rounds(
 ) -> StaticRunResult:
     """Repeat the round loop on a fixed instance (static arrival model:
     the task set renews every round, so the feasible set is constant)."""
-    customers = instance.customers
-    history = History.zeros(len(customers), discount=cfg.discount)
+    sched = Scheduler(cfg, solver_config, customers=instance.customers)
     out = StaticRunResult()
     for _ in range(rounds):
-        result = run_round(instance, history, cfg, solver_config)
-        history = result.history
+        result = sched.run_round(instance)
         out.allocations.append(result.allocation)
-        out.xbars.append(history.xbar.copy())
-        out.faces.append(result.face)
+        out.xbars.append(sched.history.xbar.copy())
         out.calls.append(result.calls)
         out.stages.append(result.stages)
-        out.schedules.append(result.schedule)
     return out
-

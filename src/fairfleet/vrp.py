@@ -643,9 +643,12 @@ class _Heuristic:
         ])
         prev_pts = [veh.start_location] + [t.location for t in state.tasks]
         cand_pts = np.array([t.location for t in unscheduled], dtype=float)
+        # d_in[u, i]: the leg from the point before position i into
+        # candidate u; d_out[u, i]: the leg from u to that point.  Only
+        # a matrix tells the two directions apart.
         if req.travel.variant == "euclidean":
             prev_arr = np.array(prev_pts, dtype=float)
-            d_prev = np.hypot(
+            d_in = d_out = np.hypot(
                 cand_pts[:, None, 0] - prev_arr[None, :, 0],
                 cand_pts[:, None, 1] - prev_arr[None, :, 1],
             ) / veh.speed
@@ -653,15 +656,16 @@ class _Heuristic:
             lut = req.travel
             cand_idx = [lut._lookup(t.location) for t in unscheduled]
             prev_idx = [lut._lookup(p) for p in prev_pts]
-            d_prev = lut.seconds[np.ix_(cand_idx, prev_idx)]
+            d_in = lut.seconds[np.ix_(prev_idx, cand_idx)].T
+            d_out = lut.seconds[np.ix_(cand_idx, prev_idx)]
         # The leg out of position i ends where position i + 1 starts.
         d_next = np.zeros((len(unscheduled), m + 1))
-        d_next[:, :m] = d_prev[:, 1:]
+        d_next[:, :m] = d_out[:, 1:]
         if veh.return_home:
-            d_next[:, m] = d_prev[:, 0]
+            d_next[:, m] = d_out[:, 0]
 
         svc = np.array([t.service_time for t in unscheduled])
-        delta = d_prev + d_next - base_legs[None, :] + svc[:, None]
+        delta = d_in + d_next - base_legs[None, :] + svc[:, None]
 
         feas = delta <= slack + 1e-9
         pos = np.argmin(np.where(feas, delta, np.inf), axis=1)
@@ -1117,10 +1121,12 @@ def dedicated_partition(vehicles: Sequence[Vehicle], customers: Sequence[str]) -
     return out
 
 
-def build_warm_start_suite(instance: Instance, alpha: float, seed: int = 0) -> list[Schedule]:
+def build_warm_start_suite(
+    instance: Instance, alpha: float, seed: int = 0, ride_counts_as: int = 1
+) -> list[Schedule]:
     """Constructive schedules: max-throughput insertion, a dedicated
     vehicle partition (omitted when |V| < |K|), and the fairness-guided
-    greedy construction."""
+    greedy construction, all counting a ride as `ride_counts_as`."""
     customers = instance.customers
     suite: list[Schedule] = []
     base = SolverRequest(
@@ -1133,6 +1139,7 @@ def build_warm_start_suite(instance: Instance, alpha: float, seed: int = 0) -> l
         round_start=instance.round_start,
         time_limit=0.5,
         seed=seed,
+        ride_counts_as=ride_counts_as,
     )
     suite.append(heuristic_vrp(base))
 
@@ -1153,6 +1160,7 @@ def build_warm_start_suite(instance: Instance, alpha: float, seed: int = 0) -> l
             alpha,
             instance.travel,
             instance.round_start,
+            ride_counts_as=ride_counts_as,
             customers=customers,
             seed=seed,
         )
@@ -1202,7 +1210,9 @@ class RoundSolver:
         self.calls = 0
         self._cache: list[Schedule] = []
         if not self.config.picks_exact(len(instance.tasks), len(instance.vehicles)):
-            self._cache.extend(build_warm_start_suite(instance, alpha, self.config.seed))
+            self._cache.extend(
+                build_warm_start_suite(instance, alpha, self.config.seed, ride_counts_as)
+            )
 
     @property
     def suite_size(self) -> int:

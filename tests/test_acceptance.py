@@ -36,7 +36,6 @@ from fairfleet.oracle import convex_boundary, enumerate_feasible_allocations
 from fairfleet.scheduler import (
     History,
     RoundConfig,
-    plan_round,
     run_round,
     run_static_rounds,
     select_allocation,
@@ -81,12 +80,8 @@ def test_01_single_round_corner_is_utility_optimal():
                 alpha_fair_utility(np.asarray(c, dtype=float), alpha)
                 for c in corners
             )
-            face, _ = plan_round(inst, alpha, EXACT)
-            if face is None:
-                got = alpha_fair_utility(np.zeros(k), alpha)
-            else:
-                _, x = select_allocation(face, History.zeros(k), alpha)
-                got = alpha_fair_utility(x, alpha)
+            res = run_round(inst, History.zeros(k), RoundConfig(alpha=alpha), EXACT)
+            got = alpha_fair_utility(res.allocation, alpha)
             tol = 1e-9 * max(1.0, abs(best))
             assert best - tol <= got <= best + tol, (i, got, best)
     finally:

@@ -190,13 +190,16 @@ class TestConfigHandling:
 
     def test_ride_counts_as_out_of_range(self, tmp_path, capsys):
         cfg = tiny_bundle(tmp_path)
-        rc = main(["run", "--config", str(cfg), "--set", "ride_counts_as=3"])
-        assert rc != 0
-        assert "ride_counts_as must be 1 or 2" in capsys.readouterr().err
-        for value in ("1", "2"):
-            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / value),
-                       "--set", f"ride_counts_as={value}", "--set", "solver.backend=exact"])
-            assert rc == 0
+        for command in ("run", "boundary"):
+            rc = main([command, "--config", str(cfg), "--set", "ride_counts_as=3"])
+            assert rc != 0
+            assert "ride_counts_as must be 1 or 2" in capsys.readouterr().err
+            for value in ("1", "2"):
+                out = tmp_path / command / value
+                rc = main([command, "--config", str(cfg), "--out", str(out),
+                           "--set", f"ride_counts_as={value}",
+                           "--set", "solver.backend=exact"])
+                assert rc == 0
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path, monkeypatch):
         cfg = gen_bundle(tmp_path)

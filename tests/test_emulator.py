@@ -423,6 +423,25 @@ class TestRunTrace:
         assert m.events[0]["allocation"] == pytest.approx(expected, abs=1e-12)
         assert m.xbar.tolist() == pytest.approx(m.events[0]["allocation"], abs=1e-12)
 
+    @pytest.mark.parametrize("policy", ["max_throughput", "dedicated"])
+    @pytest.mark.parametrize("ride_counts_as, scheduled, xbar", [(1, 1, 0.1), (2, 2, 0.2)])
+    def test_baselines_plan_with_configured_ride_count(
+        self, policy, ride_counts_as, scheduled, xbar
+    ):
+        # The budget fits either the ride or the plain task, not both.
+        # They tie at ride_counts_as=1, where the plain task wins; at 2
+        # the ride is worth twice as much.
+        tasks = (
+            mk_task("plain", "c1", 2500.0, 0.0),
+            mk_task("rp", "c1", -2500.0, 0.0, pickup_of="rd"),
+            mk_task("rd", "c1", -2800.0, 0.0, dropoff_of="rp"),
+        )
+        trace = Trace(tasks=tasks, duration=600.0, customers=())
+        cfg = RoundConfig(round_s=600.0, ride_counts_as=ride_counts_as)
+        m = run_trace(trace, policy, cfg, (mk_vehicle(),), EUCLID, EXACT)
+        assert m.events[0]["scheduled"] == scheduled
+        assert m.xbar.tolist() == pytest.approx([xbar])
+
 
 class TestCancel:
     def test_cancel_marks_expired_and_logs(self):
@@ -474,6 +493,42 @@ class TestLifecycleInvariants:
                     assert ts.expired_at == ts.task.arrival_time + 600.0
                     assert ts.expired_at <= now + 1e-9
         assert sim.counts()[EXPIRED] == n  # nothing committed: all time out
+
+    @pytest.mark.parametrize("policy", emulator.POLICIES)
+    def test_dropped_commitments_are_cancelled(self, policy, monkeypatch):
+        # After every tick each committed task is on a vehicle's plan: a
+        # commitment the new schedule leaves out is cancelled, under every
+        # policy.  Every policy cancels some commitments on this trace.
+        rng = np.random.default_rng(1)
+        tasks = []
+        for r in range(3):
+            for j in range(6):
+                arrival = r * 600.0 + float(rng.integers(0, 500))
+                px, py, dx, dy = (float(v) for v in rng.uniform(-900, 900, 4))
+                common = dict(customer=f"c{j % 3 + 1}", arrival_time=arrival)
+                if j % 2:
+                    tasks.append(mk_task(f"r{r}-p{j}", x=px, y=py, pickup_of=f"r{r}-d{j}",
+                                         **common))
+                    tasks.append(mk_task(f"r{r}-d{j}", x=dx, y=dy, dropoff_of=f"r{r}-p{j}",
+                                         deadline=arrival + float(rng.uniform(200, 700)),
+                                         **common))
+                else:
+                    tasks.append(mk_task(f"r{r}-s{j}", x=px, y=py, **common))
+        trace = Trace(tasks=tuple(tasks), duration=1800.0, customers=())
+        vehicles = (mk_vehicle("v0", capacity=2), mk_vehicle("v1", 400.0, 0.0, capacity=2),
+                    mk_vehicle("v2", 0.0, 0.0, capacity=2, return_home=True))
+        cfg = RoundConfig(round_s=600.0, replan_s=200.0, expiry_s=400.0)
+        real_commit = emulator._commit
+
+        def checked_commit(sim, *args):
+            real_commit(sim, *args)
+            planned = {s.task.task_id for vs in sim.vehicles.values() for s in vs.stops}
+            assert {ts.task.task_id for ts in sim.by_status(COMMITTED)} <= planned
+
+        monkeypatch.setattr(emulator, "_commit", checked_commit)
+        solver = SolverConfig(backend="heuristic", time_limit_s=0.05)
+        metrics = run_trace(trace, policy, cfg, vehicles, EUCLID, solver)
+        assert metrics.cancellations > 0
 
 
 def reference_rounds(sim, cfg, customers):

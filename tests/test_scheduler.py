@@ -11,7 +11,6 @@ from fairfleet.scheduler import (
     History,
     RoundConfig,
     Scheduler,
-    replan,
     run_round,
     run_static_rounds,
     select_allocation,
@@ -125,8 +124,12 @@ class TestRunRound:
                         customers=("c1", "c2"))
         assert res.face is None
         assert np.array_equal(res.allocation, np.zeros(2))
-        assert res.history.t == 1
         assert res.schedule.total_tasks() == 0
+        # The scheduler still folds the empty round into the history.
+        s = Scheduler(RoundConfig(round_s=600.0), customers=("c1", "c2"))
+        s.run_round(inst)
+        assert s.history.t == 1
+        assert np.array_equal(s.history.xbar, np.zeros(2))
 
     def test_single_customer_shortcut(self):
         tasks = [mk_task("t1", "c1", 100.0, 0.0), mk_task("t2", "c1", 200.0, 0.0)]
@@ -160,20 +163,22 @@ def replan_fixture():
 
 
 class TestReplan:
+    """A replanning tick: committed tasks are forced in and pinned to
+    their vehicles; those the plan leaves out are reported."""
+
     def test_commitment_pins_vehicle(self):
         inst = replan_fixture()
         # v1 sits next to t1; the commitment forces it onto v0 anyway.
-        res = replan(inst, History.zeros(2), RoundConfig(round_s=600.0),
-                     committed={"t1": "v0"}, solver_config=EXACT)
-        assert res.cancelled == ()
-        by_vehicle = {p.vehicle_id: p.task_ids for p in res.round.schedule.paths}
+        s = Scheduler(RoundConfig(round_s=600.0), EXACT)
+        res = s.run_round(inst, committed={"t1": "v0"})
+        assert s.last_cancelled == ()
+        by_vehicle = {p.vehicle_id: p.task_ids for p in res.schedule.paths}
         assert "t1" in by_vehicle["v0"]
 
     def test_missing_task_cancelled(self):
-        inst = replan_fixture()
-        res = replan(inst, History.zeros(2), RoundConfig(round_s=600.0),
-                     committed={"ghost": "v0"}, solver_config=EXACT)
-        assert "ghost" in res.cancelled
+        s = Scheduler(RoundConfig(round_s=600.0), EXACT)
+        s.run_round(replan_fixture(), committed={"t2": "v1", "ghost": "v0"})
+        assert s.last_cancelled == ("ghost",)
 
     def test_expired_deadline_cancelled(self):
         inst = replan_fixture()
@@ -183,11 +188,10 @@ class TestReplan:
         )
         inst = Instance(tasks=tasks, vehicles=inst.vehicles, travel=EUCLID,
                         budget=400.0, round_start=200.0)
-        res = replan(inst, History.zeros(2), RoundConfig(round_s=400.0),
-                     committed={"t1": "v1"}, solver_config=EXACT,
-                     customers=("c1", "c2"))
-        assert "t1" in res.cancelled
-        assert "t1" not in res.round.schedule.task_ids()
+        s = Scheduler(RoundConfig(round_s=400.0), EXACT, customers=("c1", "c2"))
+        res = s.run_round(inst, committed={"t1": "v1"})
+        assert s.last_cancelled == ("t1",)
+        assert "t1" not in res.schedule.task_ids()
 
     def test_unreachable_commitment_cancelled(self):
         tasks = (
@@ -196,9 +200,9 @@ class TestReplan:
         )
         inst = Instance(tasks=tasks, vehicles=(mk_vehicle(),), travel=EUCLID,
                         budget=600.0)
-        res = replan(inst, History.zeros(2), RoundConfig(round_s=600.0),
-                     committed={"far": "v0"}, solver_config=EXACT)
-        assert "far" in res.cancelled
+        s = Scheduler(RoundConfig(round_s=600.0), EXACT)
+        s.run_round(inst, committed={"far": "v0"})
+        assert s.last_cancelled == ("far",)
 
 
 class TestScheduler:

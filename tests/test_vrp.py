@@ -1,5 +1,7 @@
 """Weighted-VRP backends: exact branch and bound, heuristic, greedy."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,15 +143,25 @@ class TestHeuristic:
 
     def test_schedules_always_feasible(self):
         rng = np.random.default_rng(15)
-        for _ in range(6):
+        table_rng = np.random.default_rng(16)
+        for _ in range(12):
             inst = random_instance(rng, max_tasks=16, max_vehicles=3,
                                    span=1600.0, allow_pairs=True)
-            req = request_for(inst, np.ones(len(inst.customers)), time_limit=0.5)
-            sched = heuristic_vrp(req)
+            # The same points again, with a random table whose two
+            # directions differ.
+            pts = sorted({t.location for t in inst.tasks}
+                         | {v.start_location for v in inst.vehicles})
+            seconds = table_rng.uniform(0.0, 500.0, (len(pts), len(pts)))
+            np.fill_diagonal(seconds, 0.0)
+            asymmetric = TravelModel.matrix([f"{x!r};{y!r}" for x, y in pts], seconds)
             by_id = {v.vehicle_id: v for v in inst.vehicles}
-            for p in sched.paths:
-                assert path_violation(p.tasks, by_id[p.vehicle_id], EUCLID,
-                                      inst.budget, inst.round_start) is None
+            for travel in (EUCLID, asymmetric):
+                req = request_for(replace(inst, travel=travel),
+                                  np.ones(len(inst.customers)), time_limit=0.5)
+                sched = heuristic_vrp(req)
+                for p in sched.paths:
+                    assert path_violation(p.tasks, by_id[p.vehicle_id], travel,
+                                          inst.budget, inst.round_start) is None
 
     def test_respects_pins(self):
         tasks = (mk_task("a", "c1", 100, 0), mk_task("b", "c1", -100, 0))
@@ -517,13 +529,15 @@ def _golden_pairs_capacity_two():
 
 
 # Task-id sequences recorded from the full-rebuild evaluator the travel
-# table replaced.  A change here changes which schedules the heuristic
+# table replaced; the matrix sequences were recorded again once the
+# insertion screen read each leg of an asymmetric table in its own
+# direction.  A change here changes which schedules the heuristic
 # returns.
 GOLDEN = [
     (_golden_asymmetric_matrix, {
-        "v0": ("m08", "m10", "m06", "m09", "m03"),
-        "v1": ("m02", "m12", "m05", "m01", "m07", "m16", "m14"),
-        "v2": ("m00", "m04", "m13", "m15", "m11"),
+        "v0": ("m08", "m10", "m09", "m03", "m00", "m01", "m07", "m05"),
+        "v1": ("m02", "m12", "m16", "m14"),
+        "v2": ("m13", "m15", "m11", "m06"),
     }),
     (_golden_deadlines_two_speeds, {
         "fast": ("d02", "d04", "d14", "d21", "d10", "d16", "d11", "d00", "d12", "d05"),
