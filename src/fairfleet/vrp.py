@@ -10,11 +10,14 @@ throughput allocation.  Three entry points:
 * heuristic_vrp   -- warm-start seeding, cheapest insertion by marginal
                      weighted gain per second, then 2-opt / relocate /
                      swap local search; never worse than its best seed.
-                     Each solve fills a travel table once; every move is
-                     screened from a few table lookups and decided on the
-                     exact path cost whenever the screen lies within
-                     _GUARD of a threshold, so results match evaluating
-                     every move exactly.
+                     Every solve of a round reads one `RoundTable` of
+                     travel seconds; every move is screened from a few
+                     table lookups and decided on the exact path cost
+                     whenever the screen lies within _GUARD of a
+                     threshold, so results match evaluating every move
+                     exactly.  Each path keeps its insertion offers until
+                     it changes, so a step rescans only the path the last
+                     insertion changed.
 * greedy_alpha_heuristic -- fairness-guided construction by greatest
                      return-on-investment, then a final packing pass.
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,7 +92,9 @@ class SolverRequest:
     `weights` aligns with `customers` (canonical sorted order).  Negative
     weights are clamped to zero before solving.  `weight_overrides` maps a
     task_id to an absolute weight replacing its customer's; `pinned` maps
-    a task_id to the only vehicle allowed to serve it.
+    a task_id to the only vehicle allowed to serve it.  `table` is the
+    round's shared travel table; a heuristic solve it does not cover
+    builds its own.
     """
 
     tasks: tuple[Task, ...]
@@ -105,6 +110,7 @@ class SolverRequest:
     time_limit: float = 10.0
     seed: int = 0
     ride_counts_as: int = 1
+    table: Optional["RoundTable"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.budget <= 0:
@@ -347,19 +353,86 @@ def exact_vrp(
 _GUARD = 1e-6
 
 
-class _PathState:
+def _offer_key(gain: float, delta: float, task_id: str) -> tuple:
+    """Insertion preference: positive gain per second of added cost, then
+    the cheaper placement, then the task id."""
+    if gain > 0:
+        return (True, gain / max(delta, 1e-9), -delta, task_id)
+    return (False, -delta, -delta, task_id)
+
+
+class RoundTable:
+    """Travel seconds between the tasks and vehicle starts of one round.
+
+    Rows 0..n-1 are the tasks, then one row per vehicle start.  Every
+    entry of `seconds` comes from `travel_time`, computed once per
+    distinct point pair and per distinct vehicle speed (the matrix model
+    ignores speed).  `screen` holds the same legs as one array per speed
+    for the vectorized insertion screen: for Euclidean travel from
+    `np.hypot` on the points' coordinates, for matrix travel the model's
+    own entries.  `vetted` memoizes each warm start's sanitized paths
+    and their feasibility for the solves over the whole round.
+    """
+
+    def __init__(self, tasks: Sequence[Task], vehicles: Sequence[Vehicle], travel: TravelModel):
+        self.travel = travel
+        self.tasks = {t.task_id: t for t in tasks}
+        self.vehicles = {v.vehicle_id: v for v in vehicles}
+        self.row = {t.task_id: i for i, t in enumerate(tasks)}
+        self.home = {v.vehicle_id: len(tasks) + k for k, v in enumerate(vehicles)}
+        self.svc = [t.service_time for t in tasks]
+        self.svc_array = np.array(self.svc, dtype=float)
+        points = [t.location for t in tasks] + [v.start_location for v in vehicles]
+        distinct = list(dict.fromkeys(points))
+        where = {p: k for k, p in enumerate(distinct)}
+        col = [where[p] for p in points]
+        euclidean = travel.variant == "euclidean"
+        if euclidean:
+            xy = np.array(points, dtype=float)
+        else:
+            at = [travel._lookup(p) for p in points]
+            legs = travel.seconds[np.ix_(at, at)]
+        self.seconds: dict[str, list[list[float]]] = {}
+        self.screen: dict[str, np.ndarray] = {}
+        by_key: dict = {}
+        for v in vehicles:
+            key = v.speed if euclidean else None
+            if key not in by_key:
+                small = [[travel_time(a, b, travel, v) for b in distinct] for a in distinct]
+                wide = [[r[c] for c in col] for r in small]
+                if euclidean:
+                    legs = np.hypot(
+                        xy[:, None, 0] - xy[None, :, 0], xy[:, None, 1] - xy[None, :, 1]
+                    ) / v.speed
+                by_key[key] = ([wide[c] for c in col], legs)
+            self.seconds[v.vehicle_id], self.screen[v.vehicle_id] = by_key[key]
+        self.vetted: dict[tuple, tuple[Schedule, Optional[dict[str, list[Task]]]]] = {}
+
+    def covers(self, req: SolverRequest) -> bool:
+        """Whether `req` travels on this model between points of this
+        table: its vehicles and tasks are among the table's."""
+        return (
+            req.travel is self.travel
+            and all(self.vehicles.get(v.vehicle_id) == v for v in req.vehicles)
+            and all(self.tasks.get(t.task_id) == t for t in req.tasks)
+        )
+
+
+class _Route:
     """Mutable task sequence for one vehicle during heuristic search.
 
     `seq` holds the tasks' rows in `table`, the vehicle's travel-seconds
-    table, and `home` the row of its start location; `cost` is the exact
-    cost of the sequence.
+    table, and `home` the row of its start location; `screen` is the
+    vehicle's array of the same legs; `cost` is the exact cost of the
+    sequence.
     """
 
-    __slots__ = ("vehicle", "table", "home", "tasks", "seq", "cost")
+    __slots__ = ("vehicle", "table", "screen", "home", "tasks", "seq", "cost")
 
-    def __init__(self, vehicle: Vehicle, table: list, home: int):
+    def __init__(self, vehicle: Vehicle, table: list, screen: np.ndarray, home: int):
         self.vehicle = vehicle
         self.table = table
+        self.screen = screen
         self.home = home
         self.tasks: list[Task] = []
         self.seq: list[int] = []
@@ -369,6 +442,91 @@ class _PathState:
     def tail(self) -> Optional[int]:
         """Row the path ends at after its last task, if it must return."""
         return self.home if self.vehicle.return_home else None
+
+
+class _Pool:
+    """The plain insertion candidates of one insertion phase, in task-id
+    order, with their table rows, service seconds and gains as arrays;
+    `up` marks a positive gain and `live` those still unscheduled."""
+
+    def __init__(self, heur: "_Heuristic", tasks: list[Task]):
+        self.tasks = tasks
+        self.index = {t.task_id: u for u, t in enumerate(tasks)}
+        self.rows = np.array([heur.row[t.task_id] for t in tasks], dtype=np.intp)
+        self.svc = heur.table.svc_array[self.rows][:, None]
+        self.gain = np.array([heur.contrib[t.task_id] for t in tasks], dtype=float)
+        self.up = self.gain > 0
+        self.span = np.arange(len(tasks))
+        self.live = np.ones(len(tasks), dtype=bool)
+        self._allows = heur._pin_allows
+        self._pins: dict[str, np.ndarray] = {}
+        self._legs: dict[int, np.ndarray] = {}
+
+    def drop(self, task_id: str) -> None:
+        """Mark a task scheduled or dropped; pickups are not in the pool."""
+        u = self.index.get(task_id)
+        if u is not None:
+            self.live[u] = False
+
+    def legs_from(self, screen: np.ndarray) -> np.ndarray:
+        """The rows of `screen` that start at a candidate."""
+        legs = self._legs.get(id(screen))
+        if legs is None:
+            legs = self._legs[id(screen)] = screen[self.rows]
+        return legs
+
+    def pins(self, vehicle: Vehicle) -> np.ndarray:
+        """Which candidates the pins let `vehicle` serve."""
+        mask = self._pins.get(vehicle.vehicle_id)
+        if mask is None:
+            mask = np.array([self._allows(t, vehicle) for t in self.tasks], dtype=bool)
+            self._pins[vehicle.vehicle_id] = mask
+        return mask
+
+
+class _Offers:
+    """One path's insertion offers until the path changes.
+
+    An offer is (`_offer_key`, task, position, delta, trial), where
+    `trial` is the whole new path for a pair and None for a plain task;
+    no two offers share a key, as each names its own task.  The plain
+    placements are the screen's lists over the pool, with `order`
+    indexing those that fit in descending key order; one becomes an
+    offer only when it is the best still open.  `pairs` holds the pair
+    offers in ascending order, so the best is last.
+    """
+
+    __slots__ = ("pool", "order", "delta", "pos", "k", "head", "pairs")
+
+    def __init__(self, pool: _Pool, plain: tuple, pairs: list[tuple]):
+        self.pool = pool
+        self.order, self.delta, self.pos = plain
+        self.k = 0
+        self.head: Optional[tuple] = None
+        self.pairs = pairs
+
+    def best(self, unscheduled: dict[str, Task]) -> Optional[tuple]:
+        """The greatest-key offer whose task is still unscheduled.  A
+        pair's halves are scheduled together, so its pickup tells."""
+        head = self.head
+        if head is None or head[1].task_id not in unscheduled:
+            head = None
+            while self.k < len(self.order):
+                u = self.order[self.k]
+                t = self.pool.tasks[u]
+                if t.task_id in unscheduled:
+                    d = self.delta[u]
+                    key = _offer_key(float(self.pool.gain[u]), d, t.task_id)
+                    head = (key, t, self.pos[u], d, None)
+                    break
+                self.k += 1
+            self.head = head
+        pairs = self.pairs
+        while pairs and pairs[-1][1].task_id not in unscheduled:
+            pairs.pop()
+        if pairs and (head is None or pairs[-1][0] > head[0]):
+            return pairs[-1]
+        return head
 
 
 class _Heuristic:
@@ -384,42 +542,25 @@ class _Heuristic:
         # A dropoff is represented by its pair; only pickups and plain
         # tasks are direct insertion candidates.
         self.by_id = {t.task_id: t for t in req.tasks}
-        # Travel table: rows 0..n-1 are the tasks, then one row per
-        # vehicle start.  Every entry comes from `travel_time`, computed
-        # once per distinct point pair and per distinct vehicle speed
-        # (the matrix model ignores speed).
-        self.row = {t.task_id: i for i, t in enumerate(req.tasks)}
-        self.svc = [t.service_time for t in req.tasks]
-        self.contrib = [_contribution(req, t, self.cindex) for t in req.tasks]
-        self.count = [task_count(t, req.ride_counts_as) for t in req.tasks]
-        points = [t.location for t in req.tasks] + [v.start_location for v in req.vehicles]
-        distinct = list(dict.fromkeys(points))
-        where = {p: k for k, p in enumerate(distinct)}
-        col = [where[p] for p in points]
-        self.home = {v.vehicle_id: len(req.tasks) + k for k, v in enumerate(req.vehicles)}
-        self.tables: dict[str, list[list[float]]] = {}
-        by_key: dict = {}
-        for v in req.vehicles:
-            key = v.speed if req.travel.variant == "euclidean" else None
-            if key not in by_key:
-                small = [
-                    [travel_time(a, b, req.travel, v) for b in distinct]
-                    for a in distinct
-                ]
-                wide = [[r[c] for c in col] for r in small]
-                by_key[key] = [wide[c] for c in col]
-            self.tables[v.vehicle_id] = by_key[key]
+        self.contrib = {t.task_id: _contribution(req, t, self.cindex) for t in req.tasks}
+        self.count = {t.task_id: task_count(t, req.ride_counts_as) for t in req.tasks}
+        table = req.table
+        if table is None or not table.covers(req):
+            table = RoundTable(req.tasks, req.vehicles, req.travel)
+        self.table = table
+        self.row, self.svc, self.home = table.row, table.svc, table.home
 
     # -- path states --------------------------------------------------------
 
-    def _state(self, vehicle: Vehicle, tasks: list[Task]) -> _PathState:
-        state = _PathState(vehicle, self.tables[vehicle.vehicle_id], self.home[vehicle.vehicle_id])
+    def _state(self, vehicle: Vehicle, tasks: list[Task]) -> _Route:
+        vid = vehicle.vehicle_id
+        state = _Route(vehicle, self.table.seconds[vid], self.table.screen[vid], self.home[vid])
         self._assign(state, tasks)
         return state
 
     def _assign(
         self,
-        state: _PathState,
+        state: _Route,
         tasks: list[Task],
         seq: Optional[list[int]] = None,
         cost: Optional[float] = None,
@@ -428,7 +569,7 @@ class _Heuristic:
         state.seq = [self.row[t.task_id] for t in tasks] if seq is None else seq
         state.cost = self._cost(state, state.seq) if cost is None else cost
 
-    def _cost(self, state: _PathState, seq: Sequence[int]) -> float:
+    def _cost(self, state: _Route, seq: Sequence[int]) -> float:
         """Travel plus service seconds of `seq` on the state's vehicle.
 
         Adds the legs in the order of `model.sequence_cost`, so the result
@@ -452,7 +593,7 @@ class _Heuristic:
     # treated as the leg from the start to itself, which is zero (matrix
     # diagonals are within TIME_TOL of it).
 
-    def _insert_deltas(self, state: _PathState, base: list[int], x: int) -> list[float]:
+    def _insert_deltas(self, state: _Route, base: list[int], x: int) -> list[float]:
         """Inserting row `x` at each position of `base` on the state's
         vehicle."""
         table, sx, from_x = state.table, self.svc[x], state.table[x]
@@ -464,7 +605,7 @@ class _Heuristic:
             out.append(d)
         return out
 
-    def _removal_delta(self, state: _PathState, pos: int) -> float:
+    def _removal_delta(self, state: _Route, pos: int) -> float:
         """Removing the task at `pos`."""
         table, seq = state.table, state.seq
         prev = state.home if pos == 0 else seq[pos - 1]
@@ -475,7 +616,7 @@ class _Heuristic:
             d += table[prev][nxt] - table[x][nxt]
         return d
 
-    def _reversal_deltas(self, state: _PathState) -> list[list[float]]:
+    def _reversal_deltas(self, state: _Route) -> list[list[float]]:
         """Reversing seq[i..j], at [i][j - i - 2] for every j >= i + 2.
 
         The reversed inner legs come from prefix sums of the legs walked
@@ -504,7 +645,7 @@ class _Heuristic:
             out.append(row)
         return out
 
-    def _swap_deltas(self, a: _PathState, b: _PathState) -> list[list[float]]:
+    def _swap_deltas(self, a: _Route, b: _Route) -> list[list[float]]:
         """Exchanging a's task at i with b's task at j, at [i][j]; the sum
         of both paths' changes."""
         svc = self.svc
@@ -524,7 +665,7 @@ class _Heuristic:
             out.append(row)
         return out
 
-    def _neighbours(self, state: _PathState) -> list[tuple[int, Optional[int], float]]:
+    def _neighbours(self, state: _Route) -> list[tuple[int, Optional[int], float]]:
         """(previous row, next row, legs plus service) around each task."""
         table, seq = state.table, state.seq
         out = []
@@ -535,7 +676,7 @@ class _Heuristic:
             out.append((prev, nxt, legs))
         return out
 
-    def _pair_deltas(self, state: _PathState, p: int, d: int) -> list[list[float]]:
+    def _pair_deltas(self, state: _Route, p: int, d: int) -> list[list[float]]:
         """Inserting pickup `p` before position i and dropoff `d` before
         position j of the original sequence, at [i][j - i] for j >= i."""
         table, seq = state.table, state.seq
@@ -573,9 +714,8 @@ class _Heuristic:
         value = count = 0.0
         for v in self.req.vehicles:
             for t in paths[v.vehicle_id]:
-                r = self.row[t.task_id]
-                value += self.contrib[r]
-                count += self.count[r]
+                value += self.contrib[t.task_id]
+                count += self.count[t.task_id]
         return value, count
 
     # -- seeding ------------------------------------------------------------
@@ -599,13 +739,29 @@ class _Heuristic:
             out[p.vehicle_id] = kept
         return out
 
-    def _seed_states(self) -> list[_PathState]:
-        seeds: list[Schedule] = list(self.req.warm_starts)
+    def _vet(self, schedule: Schedule) -> Optional[dict[str, list[Task]]]:
+        """The seed's sanitized paths, or None if one is infeasible."""
+        paths = self._sanitize_seed(schedule)
+        if all(self._feasible(v, paths[v.vehicle_id]) for v in self.req.vehicles):
+            return paths
+        return None
+
+    def _seed_states(self) -> list[_Route]:
+        req, table = self.req, self.table
+        # A solve over all of the table's tasks and vehicles shares the
+        # table's verdicts with the other solves of the round that have
+        # the same budget, start and pins.
+        full = len(req.tasks) == len(table.tasks) and len(req.vehicles) == len(table.vehicles)
+        memo = table.vetted if full else {}
+        context = (req.budget, req.round_start, tuple(sorted((req.pinned or {}).items())))
         best_paths: Optional[dict[str, list[Task]]] = None
         best_key = (-np.inf, -np.inf, 0)
-        for order, s in enumerate(seeds):
-            paths = self._sanitize_seed(s)
-            if not all(self._feasible(v, paths[v.vehicle_id]) for v in self.req.vehicles):
+        for order, s in enumerate(req.warm_starts):
+            key = (id(s),) + context
+            if key not in memo:
+                memo[key] = (s, self._vet(s))  # holding s keeps its id unique
+            paths = memo[key][1]
+            if paths is None:
                 continue
             value, count = self._value(paths)
             key = (value, count, -order)
@@ -614,7 +770,7 @@ class _Heuristic:
                 best_paths = paths
         if best_paths is None:
             best_paths = {v.vehicle_id: [] for v in self.req.vehicles}
-        return [self._state(v, best_paths[v.vehicle_id]) for v in self.req.vehicles]
+        return [self._state(v, list(best_paths[v.vehicle_id])) for v in req.vehicles]
 
     def _to_schedule(self, paths: dict[str, list[Task]]) -> Schedule:
         built = tuple(
@@ -625,60 +781,50 @@ class _Heuristic:
 
     # -- insertion ----------------------------------------------------------
 
-    def _insertion_candidates(self, state: _PathState, unscheduled: list[Task]):
-        """Best (delta, position) per unscheduled plain/pickup task for one
-        path, vectorized; returns list aligned with `unscheduled`."""
-        req = self.req
+    def _plain_offers(self, state: _Route, pool: _Pool) -> tuple:
+        """Each live plain task's cheapest placement on this path that fits
+        the budget, vectorized: the order of those that fit, and the delta
+        and the position of every candidate."""
         veh = state.vehicle
         m = len(state.seq)
         slack = self.budget_slack[veh.vehicle_id] - state.cost
-        if slack <= 0:
-            return [None] * len(unscheduled)
-        if not unscheduled:
-            return []
+        if slack <= 0 or not pool.tasks:
+            return [], [], []
 
+        prev = [state.home] + state.seq
         base_legs = np.array([
             0.0 if b is None else state.table[a][b]
-            for a, b in zip([state.home] + state.seq, state.seq + [state.tail])
+            for a, b in zip(prev, state.seq + [state.tail])
         ])
-        prev_pts = [veh.start_location] + [t.location for t in state.tasks]
-        cand_pts = np.array([t.location for t in unscheduled], dtype=float)
         # d_in[u, i]: the leg from the point before position i into
         # candidate u; d_out[u, i]: the leg from u to that point.  Only
         # a matrix tells the two directions apart.
-        if req.travel.variant == "euclidean":
-            prev_arr = np.array(prev_pts, dtype=float)
-            d_in = d_out = np.hypot(
-                cand_pts[:, None, 0] - prev_arr[None, :, 0],
-                cand_pts[:, None, 1] - prev_arr[None, :, 1],
-            ) / veh.speed
+        d_out = pool.legs_from(state.screen)[:, prev]
+        if self.req.travel.variant == "euclidean":
+            d_in = d_out
         else:
-            lut = req.travel
-            cand_idx = [lut._lookup(t.location) for t in unscheduled]
-            prev_idx = [lut._lookup(p) for p in prev_pts]
-            d_in = lut.seconds[np.ix_(prev_idx, cand_idx)].T
-            d_out = lut.seconds[np.ix_(cand_idx, prev_idx)]
+            d_in = state.screen[prev][:, pool.rows].T
         # The leg out of position i ends where position i + 1 starts.
-        d_next = np.zeros((len(unscheduled), m + 1))
+        d_next = np.zeros((len(pool.tasks), m + 1))
         d_next[:, :m] = d_out[:, 1:]
         if veh.return_home:
             d_next[:, m] = d_out[:, 0]
+        delta = d_in + d_next - base_legs[None, :] + pool.svc
 
-        svc = np.array([t.service_time for t in unscheduled])
-        delta = d_in + d_next - base_legs[None, :] + svc[:, None]
-
-        feas = delta <= slack + 1e-9
-        pos = np.argmin(np.where(feas, delta, np.inf), axis=1)
-        best = delta[np.arange(len(unscheduled)), pos]
-        fits = feas.any(axis=1)
-        return [
-            (float(best[u]), int(pos[u]))
-            if fits[u] and self._pin_allows(task, veh) else None
-            for u, task in enumerate(unscheduled)
-        ]
+        fitting = np.where(delta <= slack + 1e-9, delta, np.inf)
+        pos = fitting.argmin(axis=1)
+        best = fitting.min(axis=1)
+        ok = pool.live & (best < np.inf)
+        if self.req.pinned:
+            ok &= pool.pins(veh)
+        second = np.where(pool.up, pool.gain / np.maximum(best, 1e-9), -best)
+        # Those that fit first, in descending `_offer_key` order; the pool
+        # is in task-id order.
+        order = np.lexsort((pool.span, -best, second, pool.up, ok))[::-1]
+        return order[:np.count_nonzero(ok)].tolist(), best.tolist(), pos.tolist()
 
     def _verify_insert(
-        self, state: _PathState, task: Task, pos: int
+        self, state: _Route, task: Task, pos: int
     ) -> Optional[list[Task]]:
         trial = state.tasks[:pos] + [task] + state.tasks[pos:]
         if self.has_deadlines or task.deadline is not None:
@@ -687,7 +833,7 @@ class _Heuristic:
         return trial
 
     def _try_insert_pair(
-        self, state: _PathState, pickup: Task, dropoff: Task
+        self, state: _Route, pickup: Task, dropoff: Task
     ) -> Optional[tuple[float, list[Task]]]:
         """Cheapest feasible (pickup, dropoff) placement on this path: in
         scan order, each placement that fits and costs more than 1e-12 less
@@ -727,65 +873,65 @@ class _Heuristic:
                 best = (delta, trial)
         return best
 
-    def _insertion_phase(self, states: list[_PathState], unscheduled: dict[str, Task]) -> None:
-        """Insert tasks until nothing fits or the effort budget runs out."""
-        row, contrib = self.row, self.contrib
-        singles = lambda: sorted(
+    def _offers(
+        self, state: _Route, pool: _Pool, pickups: list[Task], unscheduled: dict[str, Task]
+    ) -> _Offers:
+        """Every placement of a candidate on this path."""
+        contrib = self.contrib
+        pairs = []
+        for t in pickups:
+            if t.task_id not in unscheduled:
+                continue
+            drop = self.by_id.get(t.pickup_of)
+            if drop is None or drop.task_id not in unscheduled:
+                continue
+            pres = self._try_insert_pair(state, t, drop)
+            if pres is not None:
+                delta, trial = pres
+                gain = contrib[t.task_id] + contrib[drop.task_id]
+                pairs.append((_offer_key(gain, delta, t.task_id), t, None, delta, trial))
+        return _Offers(pool, self._plain_offers(state, pool), sorted(pairs))
+
+    def _insertion_phase(self, states: list[_Route], unscheduled: dict[str, Task]) -> None:
+        """Insert tasks until nothing fits or the effort budget runs out.
+
+        Each step takes the greatest offer key over all paths, the first
+        path in order on a tie.  A path keeps its offers until it changes
+        and sheds those whose task was scheduled meanwhile, so a step
+        rescans only the path the last step changed.
+        """
+        order = sorted(
             (t for t in unscheduled.values() if not t.is_dropoff),
             key=lambda t: t.task_id,
         )
-        # Per path until it changes: the plain candidates with their best
-        # placements, and the best placement of each pair tried so far.
-        cache: dict[int, tuple] = {}
-        order: list[Task] = singles()
-        while True:
-            cand_list = [t for t in order if t.task_id in unscheduled]
-            if not cand_list:
-                break
-            best_choice = None  # (density, -delta, tid) maximized
+        if not order:
+            return
+        pool = _Pool(self, [t for t in order if not t.is_pickup])
+        pickups = [t for t in order if t.is_pickup]
+        left = len(order)  # candidates still unscheduled
+        offers: dict[int, _Offers] = {}
+        while left:
+            best = None
             for s_i, state in enumerate(states):
-                if s_i not in cache:
-                    plain = [t for t in cand_list if not t.is_pickup]
-                    cache[s_i] = (plain, self._insertion_candidates(state, plain), {})
-                plain, res, pairs = cache[s_i]
-                for t, r in zip(plain, res):
-                    if r is None or t.task_id not in unscheduled:
-                        continue
-                    delta, pos = r
-                    gain = contrib[row[t.task_id]]
-                    density = gain / max(delta, 1e-9)
-                    key = (gain > 0, density if gain > 0 else -delta, -delta, t.task_id)
-                    choice = (key, s_i, t, pos, delta, None)
-                    if best_choice is None or key > best_choice[0]:
-                        best_choice = choice
-                for t in cand_list:
-                    if not t.is_pickup or t.task_id not in unscheduled:
-                        continue
-                    drop = self.by_id.get(t.pickup_of)
-                    if drop is None or drop.task_id not in unscheduled:
-                        continue
-                    if t.task_id not in pairs:
-                        pairs[t.task_id] = self._try_insert_pair(state, t, drop)
-                    pres = pairs[t.task_id]
-                    if pres is None:
-                        continue
-                    delta, trial = pres
-                    gain = contrib[row[t.task_id]] + contrib[row[drop.task_id]]
-                    density = gain / max(delta, 1e-9)
-                    key = (gain > 0, density if gain > 0 else -delta, -delta, t.task_id)
-                    if best_choice is None or key > best_choice[0]:
-                        best_choice = (key, s_i, t, None, delta, trial)
-            if best_choice is None:
+                mine = offers.get(s_i)
+                if mine is None:
+                    mine = offers[s_i] = self._offers(state, pool, pickups, unscheduled)
+                top = mine.best(unscheduled)
+                if top is not None and (best is None or top[0] > best[1][0]):
+                    best = (s_i, top)
+            if best is None:
                 break
-            _, s_i, task, pos, delta, trial = best_choice
+            s_i, (_, task, pos, _, trial) = best
             state = states[s_i]
+            del offers[s_i]
             if trial is None:
                 trial = self._verify_insert(state, task, pos)
                 if trial is None:
                     # deadline push-forward made this placement invalid;
                     # drop the candidate from this round of insertion
-                    cache.pop(s_i, None)
                     unscheduled.pop(task.task_id)
+                    pool.drop(task.task_id)
+                    left -= 1
                     continue
                 inserted = [task]
             else:
@@ -793,14 +939,15 @@ class _Heuristic:
             self._assign(state, trial)
             for t in inserted:
                 unscheduled.pop(t.task_id, None)
-            cache.pop(s_i, None)
-            self.evals -= len(cand_list)
+            pool.drop(task.task_id)
+            self.evals -= left  # the step weighed every open candidate
+            left -= 1
             if self.evals <= 0:
                 break
 
     # -- local search -------------------------------------------------------
 
-    def _two_opt_pass(self, state: _PathState) -> bool:
+    def _two_opt_pass(self, state: _Route) -> bool:
         """First-improvement segment reversal; cost-only (membership fixed)."""
         seq = state.seq
         m = len(seq)
@@ -826,7 +973,7 @@ class _Heuristic:
                         return True
         return False
 
-    def _relocate_pass(self, states: list[_PathState]) -> bool:
+    def _relocate_pass(self, states: list[_Route]) -> bool:
         """Move one plain task to the cheapest position anywhere."""
         order = [
             (s_i, t_i)
@@ -887,7 +1034,7 @@ class _Heuristic:
                     return True
         return False
 
-    def _swap_pass(self, states: list[_PathState]) -> bool:
+    def _swap_pass(self, states: list[_Route]) -> bool:
         """Exchange two plain tasks across paths when it lowers total cost."""
         pairs = []
         for a_i in range(len(states)):
@@ -928,7 +1075,7 @@ class _Heuristic:
 
     # -- main loop ----------------------------------------------------------
 
-    def _insert_all(self, states: list[_PathState]) -> None:
+    def _insert_all(self, states: list[_Route]) -> None:
         scheduled = {t.task_id for s in states for t in s.tasks}
         remaining = {
             t.task_id: t for t in self.req.tasks if t.task_id not in scheduled
@@ -936,7 +1083,7 @@ class _Heuristic:
         if remaining:
             self._insertion_phase(states, remaining)
 
-    def _improve(self, states: list[_PathState]) -> None:
+    def _improve(self, states: list[_Route]) -> None:
         self._insert_all(states)
         while self.evals > 0:
             improved = False
@@ -991,6 +1138,7 @@ def greedy_alpha_heuristic(
     customers: Optional[Sequence[str]] = None,
     pack: bool = True,
     seed: int = 0,
+    table: Optional[RoundTable] = None,
 ) -> Schedule:
     """Fairness-guided construction: each vehicle repeatedly appends the
     feasible task with greatest return-on-investment
@@ -1000,7 +1148,7 @@ def greedy_alpha_heuristic(
     where x counts fulfilled tasks per customer over the budget.  In
     max-min mode the pick is the worst-off customer's cheapest task.  A
     final packing pass re-solves with very high weight on the selected
-    tasks to fill leftover capacity.
+    tasks to fill leftover capacity, on `table` if it covers them.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -1101,6 +1249,7 @@ def greedy_alpha_heuristic(
         time_limit=1.0,
         seed=seed,
         ride_counts_as=ride_counts_as,
+        table=table,
     )
     return heuristic_vrp(req)
 
@@ -1122,11 +1271,16 @@ def dedicated_partition(vehicles: Sequence[Vehicle], customers: Sequence[str]) -
 
 
 def build_warm_start_suite(
-    instance: Instance, alpha: float, seed: int = 0, ride_counts_as: int = 1
+    instance: Instance,
+    alpha: float,
+    seed: int = 0,
+    ride_counts_as: int = 1,
+    table: Optional[RoundTable] = None,
 ) -> list[Schedule]:
     """Constructive schedules: max-throughput insertion, a dedicated
     vehicle partition (omitted when |V| < |K|), and the fairness-guided
-    greedy construction, all counting a ride as `ride_counts_as`."""
+    greedy construction, all counting a ride as `ride_counts_as`.  Every
+    heuristic solve reads `table` if it covers the solve."""
     customers = instance.customers
     suite: list[Schedule] = []
     base = SolverRequest(
@@ -1140,6 +1294,7 @@ def build_warm_start_suite(
         time_limit=0.5,
         seed=seed,
         ride_counts_as=ride_counts_as,
+        table=table,
     )
     suite.append(heuristic_vrp(base))
 
@@ -1163,6 +1318,7 @@ def build_warm_start_suite(
             ride_counts_as=ride_counts_as,
             customers=customers,
             seed=seed,
+            table=table,
         )
     )
     return suite
@@ -1186,8 +1342,9 @@ class RoundSolver:
     overrides/pins to each call, and keeps every result as a warm start
     for the next.
 
-    A heuristic-backed round starts from the warm-start suite; the call
-    counter verifies the |K| + stages budget per round.
+    A heuristic-backed round builds one travel table for the suite and
+    every call, and starts from the warm-start suite; the call counter
+    verifies the |K| + stages budget per round.
     """
 
     def __init__(
@@ -1209,9 +1366,13 @@ class RoundSolver:
         self.customers = tuple(customers) if customers is not None else instance.customers
         self.calls = 0
         self._cache: list[Schedule] = []
+        self._table: Optional[RoundTable] = None
         if not self.config.picks_exact(len(instance.tasks), len(instance.vehicles)):
+            self._table = RoundTable(instance.tasks, instance.vehicles, instance.travel)
             self._cache.extend(
-                build_warm_start_suite(instance, alpha, self.config.seed, ride_counts_as)
+                build_warm_start_suite(
+                    instance, alpha, self.config.seed, ride_counts_as, table=self._table
+                )
             )
 
     @property
@@ -1241,6 +1402,7 @@ class RoundSolver:
             time_limit=self.config.time_limit_s,
             seed=self.config.seed,
             ride_counts_as=self.ride_counts_as,
+            table=self._table,
         )
         schedule = solve_weighted_vrp(req, self.config)
         self.calls += 1

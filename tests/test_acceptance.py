@@ -6,6 +6,7 @@ values marked "derived by hand" come from independent enumeration or
 closed-form geometry, not from the implementation under test.
 """
 
+import hashlib
 import itertools
 import logging
 import time
@@ -352,10 +353,16 @@ def test_09_emulation_lifecycle_invariants():
     assert m.completion_fraction == {"c1": 1.0, "c2": 1.0}
 
 
+# sha256 of the scale round's schedule, one "vehicle_id:task_id,..." line
+# per path in fleet order, recorded before the round-scoped travel table
+# and the incremental insertion step; speed-ups must keep it.
+SCALE_SCHEDULE_SHA256 = "32946d4e315b0710116c76c6842f6830fc71ce6aa93857bdd9a555db9ca95425"
+
+
 def test_10_metropolitan_scale_round():
     """One heuristic planning round at fleet scale (6 customers, 999
-    tasks, 24 vehicles) finishes within 10 minutes and stays on the
-    |K| + stages call budget."""
+    tasks, 24 vehicles) finishes within 10 minutes, stays on the
+    |K| + stages call budget and returns the recorded schedule."""
     scn = generate("scale")
     inst = instance_of(scn)
     cfg = RoundConfig(round_s=scn.round_s, alpha=scn.alpha)
@@ -365,3 +372,5 @@ def test_10_metropolitan_scale_round():
     assert wall <= 600.0, f"round took {wall:.1f}s"
     assert res.calls == len(inst.customers) + res.stages
     assert float(np.sum(res.allocation)) > 0.0
+    lines = "\n".join(f"{p.vehicle_id}:{','.join(p.task_ids)}" for p in res.schedule.paths)
+    assert hashlib.sha256(lines.encode()).hexdigest() == SCALE_SCHEDULE_SHA256

@@ -32,6 +32,7 @@ from fairfleet.vrp import (
     COMMIT_WEIGHT_RATIO,
     ExactSizeError,
     RoundSolver,
+    RoundTable,
     SolverConfig,
     SolverRequest,
     _Heuristic,
@@ -528,11 +529,32 @@ def _golden_pairs_capacity_two():
     )
 
 
+def _golden_shared_best_deadline_drops():
+    """Four identical vehicles at one depot, so each insertion step finds
+    the same best offer on several paths and the first path in order
+    takes it; deadlines on every fourth task make some placements fail
+    the exact check after the screen picked them."""
+    rng = np.random.default_rng(6)
+    tasks = []
+    for i in range(24):
+        x, y = (float(v) for v in np.round(rng.uniform(-1200, 1200, 2), 1))
+        deadline = float(np.round(rng.uniform(120, 400), 1)) if i % 4 == 0 else None
+        tasks.append(Task(f"g{i:02d}", f"c{i % 3 + 1}", (x, y), 10.0, deadline=deadline))
+    vehicles = tuple(Vehicle(f"u{j}", (0.0, 0.0), speed=10.0) for j in range(4)) + (
+        Vehicle("w", (500.0, 500.0), speed=12.0, return_home=True),)
+    return SolverRequest(
+        tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID, budget=500.0,
+        customers=("c1", "c2", "c3"), weights=np.array([1.0, 0.5, 2.0]),
+        time_limit=0.2, seed=5,
+    )
+
+
 # Task-id sequences recorded from the full-rebuild evaluator the travel
 # table replaced; the matrix sequences were recorded again once the
 # insertion screen read each leg of an asymmetric table in its own
-# direction.  A change here changes which schedules the heuristic
-# returns.
+# direction.  The shared-best instance was recorded from the insertion
+# step that rescanned every path after each insertion.  A change here
+# changes which schedules the heuristic returns.
 GOLDEN = [
     (_golden_asymmetric_matrix, {
         "v0": ("m08", "m10", "m09", "m03", "m00", "m01", "m07", "m05"),
@@ -543,6 +565,13 @@ GOLDEN = [
         "fast": ("d02", "d04", "d14", "d21", "d10", "d16", "d11", "d00", "d12", "d05"),
         "slow": ("d20", "d15", "d09", "d07"),
         "late": ("d06", "d01", "d08", "d03", "d13"),
+    }),
+    (_golden_shared_best_deadline_drops, {
+        "u0": ("g02", "g10", "g14", "g01", "g23", "g19", "g06"),
+        "u1": ("g13", "g00", "g17", "g09", "g07", "g04"),
+        "u2": ("g21", "g08", "g16", "g12", "g18", "g11"),
+        "u3": ("g15", "g03", "g22", "g05"),
+        "w": (),
     }),
     (_golden_pairs_capacity_two, {
         "r0": ("s1", "p5", "s2", "s0", "p2", "q2", "p0", "q5", "p4", "q4", "q0", "s4"),
@@ -558,3 +587,102 @@ def test_heuristic_golden_schedules(build, expected):
     assert {p.vehicle_id: p.task_ids for p in sched.paths} == expected
     for v, p in zip(req.vehicles, sched.paths):
         assert path_violation(p.tasks, v, req.travel, req.budget) is None
+
+
+def test_golden_shared_best_exercises_verify_drops(monkeypatch):
+    """The shared-best golden instance does reach the drop of a
+    placement that fails its deadline check."""
+    verify = _Heuristic._verify_insert
+    dropped = []
+
+    def counted(self, state, task, pos):
+        trial = verify(self, state, task, pos)
+        if trial is None:
+            dropped.append(task.task_id)
+        return trial
+
+    monkeypatch.setattr(_Heuristic, "_verify_insert", counted)
+    heuristic_vrp(_golden_shared_best_deadline_drops())
+    assert dropped
+
+
+@st.composite
+def round_tables(draw):
+    """A round of tasks and vehicles with its table, and one request over
+    a subset of them: a dedicated-style sub-solve when the subset is
+    proper, with drawn pins, two speeds and Euclidean or matrix travel.
+    With `moved`, the table was built for one task at another point."""
+    coord = st.floats(min_value=-1500, max_value=1500, allow_nan=False)
+    n = draw(st.integers(min_value=1, max_value=9))
+    points = [(draw(coord), draw(coord)) for _ in range(n + 4)]
+    tasks = []
+    for i in range(n):
+        deadline = draw(st.one_of(st.none(), st.floats(min_value=100, max_value=600)))
+        tasks.append(Task(f"t{i}", f"c{i % 2 + 1}", points[i],
+                          draw(st.floats(min_value=0, max_value=40)), deadline=deadline))
+    if n >= 2 and draw(st.booleans()):
+        tasks[0] = replace(tasks[0], pickup_of="t1", deadline=None)
+        tasks[1] = replace(tasks[1], dropoff_of="t0")
+    vehicles = tuple(
+        Vehicle(f"v{j}", points[n + j], speed=(10.0, 7.5)[j % 2],
+                capacity=draw(st.integers(min_value=1, max_value=2)),
+                return_home=draw(st.booleans()))
+        for j in range(3)
+    )
+    moved = draw(st.booleans()) and points[n + 3] != tasks[-1].location
+    if draw(st.booleans()):
+        travel = TravelModel.euclidean()
+    else:
+        distinct = sorted(set(points) | {points[n + 3]})
+        k = len(distinct)
+        cells = draw(st.lists(st.floats(min_value=0, max_value=400),
+                              min_size=k * k, max_size=k * k))
+        seconds = np.array(cells).reshape(k, k)
+        np.fill_diagonal(seconds, 0.0)
+        travel = TravelModel.matrix([f"{x!r};{y!r}" for x, y in distinct], seconds)
+    in_table = list(tasks)
+    if moved:
+        in_table[-1] = replace(in_table[-1], location=points[n + 3])
+    table = RoundTable(in_table, vehicles, travel)
+    sub_tasks = tuple(t for t in tasks if draw(st.booleans())) or tuple(tasks)
+    sub_vehicles = tuple(v for v in vehicles if draw(st.booleans())) or vehicles[:1]
+    pinned = {
+        t.task_id: draw(st.sampled_from(sub_vehicles)).vehicle_id
+        for t in sub_tasks if draw(st.integers(min_value=0, max_value=3)) == 0
+    }
+    req = SolverRequest(
+        tasks=sub_tasks, vehicles=sub_vehicles, travel=travel, budget=600.0,
+        customers=("c1", "c2"),
+        weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
+        pinned=pinned or None, time_limit=0.05, seed=draw(st.integers(0, 9)),
+    )
+    return req, table, moved and tasks[-1] in sub_tasks
+
+
+class TestRoundTable:
+    @given(case=round_tables())
+    @settings(max_examples=120, deadline=None)
+    def test_round_table_gives_the_same_schedule(self, case):
+        req, table, moved = case
+        with_table = replace(req, table=table)
+        assert table.covers(with_table) is not moved
+        assert (_Heuristic(with_table).table is table) is not moved
+        ids = lambda s: {p.vehicle_id: p.task_ids for p in s.paths}
+        assert ids(heuristic_vrp(with_table)) == ids(heuristic_vrp(req))
+
+    def test_round_solver_shares_one_table(self, monkeypatch):
+        """Every heuristic solve of a round, the suite's included, reads
+        the table the RoundSolver built."""
+        inst = construction_instances()["pins_deadlines"][0]
+        seen = []
+        init = _Heuristic.__init__
+
+        def spy(self, req):
+            init(self, req)
+            seen.append(self.table)
+
+        monkeypatch.setattr(_Heuristic, "__init__", spy)
+        solver = RoundSolver(inst, SolverConfig(backend="heuristic", time_limit_s=0.1))
+        solver.solve(np.ones(len(inst.customers)))
+        assert len(seen) >= 3
+        assert all(t is solver._table for t in seen)
