@@ -17,7 +17,11 @@ throughput allocation.  Three entry points:
                      threshold, so results match evaluating every move
                      exactly.  Each path keeps its insertion offers until
                      it changes, so a step rescans only the path the last
-                     insertion changed.
+                     insertion changed.  The table also memoizes, for all
+                     solves of the round, each pair's best placement and
+                     each insertion screen per path: the round's solves
+                     differ in weights and pins, which neither reads, and
+                     mostly meet paths an earlier solve already screened.
 * greedy_alpha_heuristic -- fairness-guided construction by greatest
                      return-on-investment, then a final packing pass.
 
@@ -370,8 +374,28 @@ class RoundTable:
     ignores speed).  `screen` holds the same legs as one array per speed
     for the vectorized insertion screen: for Euclidean travel from
     `np.hypot` on the points' coordinates, for matrix travel the model's
-    own entries.  `vetted` memoizes each warm start's sanitized paths
-    and their feasibility for the solves over the whole round.
+    own entries.
+
+    The memos below serve every heuristic solve of the round.  Each one
+    keys an outcome by everything it reads besides the table, so a hit
+    gives the bits a fresh computation would:
+
+    * `vetted`: each warm start's sanitized paths and their feasibility,
+      per budget, round start and pins.
+    * `pair_fits`: where a pickup and its dropoff fit best on a path,
+      `(i, j, delta)`, or None if nowhere, per budget, round start,
+      vehicle and task sequence.  The outcome reads only the legs, the
+      path's cost (a function of its sequence), the vehicle's budget
+      slack and `path_violation`; weights, pins, the effort budget and
+      the random draws do not enter it.
+    * `screens`: the insertion screen's cheapest fitting delta and its
+      position for each plain candidate, per budget, vehicle, task
+      sequence and candidate rows.  The screen checks the budget only,
+      not the clock, so the round start does not enter it.
+
+    Most paths recur across the suite and the `|K| + stages` calls of a
+    round: every solve starts once from empty paths, and its seeded start
+    often repeats an earlier solve's.
     """
 
     def __init__(self, tasks: Sequence[Task], vehicles: Sequence[Vehicle], travel: TravelModel):
@@ -407,6 +431,8 @@ class RoundTable:
                 by_key[key] = ([wide[c] for c in col], legs)
             self.seconds[v.vehicle_id], self.screen[v.vehicle_id] = by_key[key]
         self.vetted: dict[tuple, tuple[Schedule, Optional[dict[str, list[Task]]]]] = {}
+        self.pair_fits: dict[tuple, Optional[tuple[int, int, float]]] = {}
+        self.screens: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def covers(self, req: SolverRequest) -> bool:
         """Whether `req` travels on this model between points of this
@@ -416,6 +442,14 @@ class RoundTable:
             and all(self.vehicles.get(v.vehicle_id) == v for v in req.vehicles)
             and all(self.tasks.get(t.task_id) == t for t in req.tasks)
         )
+
+    @staticmethod
+    def for_request(req: SolverRequest) -> "RoundTable":
+        """The request's table if it covers the request, else a new one
+        over the request's own tasks and vehicles."""
+        if req.table is not None and req.table.covers(req):
+            return req.table
+        return RoundTable(req.tasks, req.vehicles, req.travel)
 
 
 class _Route:
@@ -447,12 +481,14 @@ class _Route:
 class _Pool:
     """The plain insertion candidates of one insertion phase, in task-id
     order, with their table rows, service seconds and gains as arrays;
-    `up` marks a positive gain and `live` those still unscheduled."""
+    `up` marks a positive gain and `live` those still unscheduled.  `key`
+    names the rows in the table's screen memo."""
 
     def __init__(self, heur: "_Heuristic", tasks: list[Task]):
         self.tasks = tasks
         self.index = {t.task_id: u for u, t in enumerate(tasks)}
         self.rows = np.array([heur.row[t.task_id] for t in tasks], dtype=np.intp)
+        self.key = self.rows.tobytes()
         self.svc = heur.table.svc_array[self.rows][:, None]
         self.gain = np.array([heur.contrib[t.task_id] for t in tasks], dtype=float)
         self.up = self.gain > 0
@@ -490,7 +526,7 @@ class _Offers:
     An offer is (`_offer_key`, task, position, delta, trial), where
     `trial` is the whole new path for a pair and None for a plain task;
     no two offers share a key, as each names its own task.  The plain
-    placements are the screen's lists over the pool, with `order`
+    placements are the screen's arrays over the pool, with `order`
     indexing those that fit in descending key order; one becomes an
     offer only when it is the best still open.  `pairs` holds the pair
     offers in ascending order, so the best is last.
@@ -515,9 +551,9 @@ class _Offers:
                 u = self.order[self.k]
                 t = self.pool.tasks[u]
                 if t.task_id in unscheduled:
-                    d = self.delta[u]
+                    d = float(self.delta[u])
                     key = _offer_key(float(self.pool.gain[u]), d, t.task_id)
-                    head = (key, t, self.pos[u], d, None)
+                    head = (key, t, int(self.pos[u]), d, None)
                     break
                 self.k += 1
             self.head = head
@@ -544,10 +580,7 @@ class _Heuristic:
         self.by_id = {t.task_id: t for t in req.tasks}
         self.contrib = {t.task_id: _contribution(req, t, self.cindex) for t in req.tasks}
         self.count = {t.task_id: task_count(t, req.ride_counts_as) for t in req.tasks}
-        table = req.table
-        if table is None or not table.covers(req):
-            table = RoundTable(req.tasks, req.vehicles, req.travel)
-        self.table = table
+        self.table = table = RoundTable.for_request(req)
         self.row, self.svc, self.home = table.row, table.svc, table.home
 
     # -- path states --------------------------------------------------------
@@ -781,16 +814,34 @@ class _Heuristic:
 
     # -- insertion ----------------------------------------------------------
 
-    def _plain_offers(self, state: _Route, pool: _Pool) -> tuple:
+    def _plain_offers(self, state: _Route, pool: _Pool, seq_key: tuple) -> tuple:
         """Each live plain task's cheapest placement on this path that fits
-        the budget, vectorized: the order of those that fit, and the delta
-        and the position of every candidate."""
+        the budget: the order of those that fit, and the delta and the
+        position of every candidate.  `seq_key` is the path's sequence as
+        a tuple."""
         veh = state.vehicle
-        m = len(state.seq)
         slack = self.budget_slack[veh.vehicle_id] - state.cost
         if slack <= 0 or not pool.tasks:
             return [], [], []
+        key = (self.req.budget, veh.vehicle_id, seq_key, pool.key)
+        screen = self.table.screens.get(key)
+        if screen is None:
+            screen = self.table.screens[key] = self._screen(state, pool, slack)
+        best, pos = screen
+        ok = pool.live & (best < np.inf)
+        if self.req.pinned:
+            ok &= pool.pins(veh)
+        second = np.where(pool.up, pool.gain / np.maximum(best, 1e-9), -best)
+        # Those that fit first, in descending `_offer_key` order; the pool
+        # is in task-id order.
+        order = np.lexsort((pool.span, -best, second, pool.up, ok))[::-1]
+        return order[:np.count_nonzero(ok)].tolist(), best, pos
 
+    def _screen(self, state: _Route, pool: _Pool, slack: float) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized over the pool: each candidate's least delta over the
+        positions where it fits `slack` (inf if none) and that position,
+        as int32 to keep the round's memo of screens small."""
+        m = len(state.seq)
         prev = [state.home] + state.seq
         base_legs = np.array([
             0.0 if b is None else state.table[a][b]
@@ -807,21 +858,12 @@ class _Heuristic:
         # The leg out of position i ends where position i + 1 starts.
         d_next = np.zeros((len(pool.tasks), m + 1))
         d_next[:, :m] = d_out[:, 1:]
-        if veh.return_home:
+        if state.vehicle.return_home:
             d_next[:, m] = d_out[:, 0]
         delta = d_in + d_next - base_legs[None, :] + pool.svc
 
         fitting = np.where(delta <= slack + 1e-9, delta, np.inf)
-        pos = fitting.argmin(axis=1)
-        best = fitting.min(axis=1)
-        ok = pool.live & (best < np.inf)
-        if self.req.pinned:
-            ok &= pool.pins(veh)
-        second = np.where(pool.up, pool.gain / np.maximum(best, 1e-9), -best)
-        # Those that fit first, in descending `_offer_key` order; the pool
-        # is in task-id order.
-        order = np.lexsort((pool.span, -best, second, pool.up, ok))[::-1]
-        return order[:np.count_nonzero(ok)].tolist(), best.tolist(), pos.tolist()
+        return fitting.min(axis=1), fitting.argmin(axis=1).astype(np.int32)
 
     def _verify_insert(
         self, state: _Route, task: Task, pos: int
@@ -833,15 +875,33 @@ class _Heuristic:
         return trial
 
     def _try_insert_pair(
-        self, state: _Route, pickup: Task, dropoff: Task
+        self, state: _Route, pickup: Task, dropoff: Task, seq_key: tuple
     ) -> Optional[tuple[float, list[Task]]]:
-        """Cheapest feasible (pickup, dropoff) placement on this path: in
-        scan order, each placement that fits and costs more than 1e-12 less
-        than the best so far replaces it."""
+        """Cheapest feasible (pickup, dropoff) placement on this path, as
+        (delta, new path), from the table's memo when an earlier solve of
+        the round placed the pair on the same sequence.  `seq_key` is the
+        path's sequence as a tuple."""
         if not (self._pin_allows(pickup, state.vehicle) and self._pin_allows(dropoff, state.vehicle)):
             return None
-        seq, tasks = state.seq, state.tasks
         p, d = self.row[pickup.task_id], self.row[dropoff.task_id]
+        key = (self.req.budget, self.req.round_start, state.vehicle.vehicle_id, seq_key, p)
+        memo = self.table.pair_fits
+        if key not in memo:
+            memo[key] = self._place_pair(state, pickup, dropoff, p, d)
+        fit = memo[key]
+        if fit is None:
+            return None
+        i, j, delta = fit
+        tasks = state.tasks
+        return delta, tasks[:i] + [pickup] + tasks[i:j] + [dropoff] + tasks[j:]
+
+    def _place_pair(
+        self, state: _Route, pickup: Task, dropoff: Task, p: int, d: int
+    ) -> Optional[tuple[int, int, float]]:
+        """The placement `_try_insert_pair` takes, as (i, j, delta): in
+        scan order, each placement that fits and costs more than 1e-12
+        less than the best so far replaces it."""
+        seq, tasks = state.seq, state.tasks
         slack = self.budget_slack[state.vehicle.vehicle_id] - state.cost
         trials = sorted(
             (est, i, j)
@@ -864,13 +924,13 @@ class _Heuristic:
             trial = tasks[:i] + [pickup] + tasks[i:j] + [dropoff] + tasks[j:]
             if not self._feasible(state.vehicle, trial):
                 continue
-            fits.append((i, j, delta, trial))
+            fits.append((i, j, delta))
             if limit is None:
                 limit = est + _GUARD
-        best: Optional[tuple[float, list[Task]]] = None
-        for _, _, delta, trial in sorted(fits, key=lambda f: f[:2]):
-            if best is None or delta < best[0] - 1e-12:
-                best = (delta, trial)
+        best: Optional[tuple[int, int, float]] = None
+        for fit in sorted(fits):
+            if best is None or fit[2] < best[2] - 1e-12:
+                best = fit
         return best
 
     def _offers(
@@ -878,6 +938,7 @@ class _Heuristic:
     ) -> _Offers:
         """Every placement of a candidate on this path."""
         contrib = self.contrib
+        seq_key = tuple(state.seq)
         pairs = []
         for t in pickups:
             if t.task_id not in unscheduled:
@@ -885,12 +946,12 @@ class _Heuristic:
             drop = self.by_id.get(t.pickup_of)
             if drop is None or drop.task_id not in unscheduled:
                 continue
-            pres = self._try_insert_pair(state, t, drop)
+            pres = self._try_insert_pair(state, t, drop, seq_key)
             if pres is not None:
                 delta, trial = pres
                 gain = contrib[t.task_id] + contrib[drop.task_id]
                 pairs.append((_offer_key(gain, delta, t.task_id), t, None, delta, trial))
-        return _Offers(pool, self._plain_offers(state, pool), sorted(pairs))
+        return _Offers(pool, self._plain_offers(state, pool, seq_key), sorted(pairs))
 
     def _insertion_phase(self, states: list[_Route], unscheduled: dict[str, Task]) -> None:
         """Insert tasks until nothing fits or the effort budget runs out.
@@ -1148,13 +1209,29 @@ def greedy_alpha_heuristic(
     where x counts fulfilled tasks per customer over the budget.  In
     max-min mode the pick is the worst-off customer's cheapest task.  A
     final packing pass re-solves with very high weight on the selected
-    tasks to fill leftover capacity, on `table` if it covers them.
+    tasks to fill leftover capacity.  Both read their legs from `table`
+    if it covers the tasks and vehicles, else from a table of their own.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if customers is None:
         customers = sorted({t.customer_id for t in tasks})
     customers = tuple(customers)
+    req = SolverRequest(
+        tasks=tuple(tasks),
+        vehicles=tuple(vehicles),
+        travel=travel,
+        budget=budget,
+        customers=customers,
+        weights=np.ones(len(customers)),
+        round_start=round_start,
+        time_limit=1.0,
+        seed=seed,
+        ride_counts_as=ride_counts_as,
+        table=table,
+    )
+    table = RoundTable.for_request(req)
+    row = table.row
     cindex = {c: i for i, c in enumerate(customers)}
     minutes = budget / 60.0
 
@@ -1165,11 +1242,14 @@ def greedy_alpha_heuristic(
     # Each path's walk so far: a candidate is checked as one appended
     # step, not by re-walking the path.
     walks = {v.vehicle_id: PathState(v, travel, budget, round_start) for v in vehicles}
+    # The table row each path ends at: its last task, or its start.
+    ends = dict(table.home)
     active = sorted(vehicles, key=lambda v: v.vehicle_id)
 
     def candidates_for(veh: Vehicle) -> list[tuple[Task, Optional[Task], float, list[Task]]]:
         walk = walks[veh.vehicle_id]
-        last_loc = walk.loc
+        legs = table.seconds[veh.vehicle_id]
+        from_end = legs[ends[veh.vehicle_id]]
         out = []
         for t in unserved.values():
             if t.is_dropoff:
@@ -1179,9 +1259,9 @@ def greedy_alpha_heuristic(
                 extra = by_id.get(t.pickup_of)
                 if extra is None or extra.task_id not in unserved:
                     continue
-            cost = travel_time(last_loc, t.location, travel, veh)
+            cost = from_end[row[t.task_id]]
             if extra is not None:
-                cost += travel_time(t.location, extra.location, travel, veh)
+                cost += legs[row[t.task_id]][row[extra.task_id]]
             step = [t] if extra is None else [t, extra]
             if walk.violation(step) is not None:
                 continue
@@ -1221,6 +1301,7 @@ def greedy_alpha_heuristic(
             _, t, inc, step = best
             paths[veh.vehicle_id].extend(step)
             walks[veh.vehicle_id].advance(step)
+            ends[veh.vehicle_id] = row[step[-1].task_id]
             for done in step:
                 unserved.pop(done.task_id)
             h[cindex[t.customer_id]] += inc
@@ -1236,22 +1317,9 @@ def greedy_alpha_heuristic(
 
     committed = {t.task_id for p in built for t in p.tasks}
     overrides = {tid: COMMIT_WEIGHT_RATIO for tid in committed}
-    req = SolverRequest(
-        tasks=tuple(tasks),
-        vehicles=tuple(vehicles),
-        travel=travel,
-        budget=budget,
-        customers=customers,
-        weights=np.ones(len(customers)),
-        round_start=round_start,
-        weight_overrides=overrides,
-        warm_starts=(schedule,),
-        time_limit=1.0,
-        seed=seed,
-        ride_counts_as=ride_counts_as,
-        table=table,
+    return heuristic_vrp(
+        replace(req, table=table, weight_overrides=overrides, warm_starts=(schedule,))
     )
-    return heuristic_vrp(req)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Trace replay: task lifecycle, vehicle motion, baselines, metrics."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -657,6 +660,53 @@ class TestBuildMetrics:
         assert sim.counts()[COMPLETED] > 0
         assert any(ts.completion == round_s for ts in sim.tasks.values())
         assert_metrics_match_reference(metrics, sim, cfg, trace.customers)
+
+
+# Recorded before the planner memoized placements per round; the memo
+# must not move it.
+RIDE_TRACE_DIGEST = "56bec386298472586d8aef730ec71ff7e0d7f618b6dd0a7251f39377f18ce633"
+
+
+def ride_trace_digest(metrics):
+    """sha256 over the events and the metrics rows, one sorted-key JSON
+    line each, as the CLI writes them."""
+    h = hashlib.sha256()
+    for row in metrics.events + metrics.rounds:
+        h.update((json.dumps(row, sort_keys=True) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_ride_trace_golden_digest():
+    """A 3-round mobius replay of a ride trace on the heuristic backend,
+    with pairs, deadlines, capacity 2 and three replans a round, gives
+    the events and metrics rows recorded for it."""
+    rng = np.random.default_rng(5)
+    round_s, rounds = 600.0, 3
+    tasks = []
+    for r in range(rounds):
+        for j in range(8):
+            cust = f"c{j % 3 + 1}"
+            arrival = r * round_s + float(rng.integers(0, 500))
+            px, py, dx, dy = (float(v) for v in rng.uniform(-900, 900, 4))
+            if j % 2:
+                tasks.append(mk_task(f"r{r}-p{j}", cust, px, py, pickup_of=f"r{r}-d{j}",
+                                     arrival_time=arrival))
+                tasks.append(mk_task(f"r{r}-d{j}", cust, dx, dy, dropoff_of=f"r{r}-p{j}",
+                                     arrival_time=arrival,
+                                     deadline=arrival + float(rng.uniform(300, 900))))
+            else:
+                deadline = arrival + float(rng.uniform(300, 900)) if j % 4 == 0 else None
+                tasks.append(mk_task(f"r{r}-s{j}", cust, px, py, arrival_time=arrival,
+                                     deadline=deadline))
+    trace = Trace(tasks=tuple(tasks), duration=rounds * round_s, customers=())
+    vehicles = (mk_vehicle("v0", capacity=2), mk_vehicle("v1", 400.0, 0.0, capacity=2),
+                mk_vehicle("v2", -300.0, 200.0, capacity=2),
+                mk_vehicle("v3", 0.0, 0.0, capacity=2, return_home=True))
+    cfg = RoundConfig(round_s=round_s, replan_s=round_s / 3, expiry_s=400.0)
+    metrics = run_trace(trace, "mobius", cfg, vehicles, EUCLID,
+                        SolverConfig(backend="heuristic", time_limit_s=0.05))
+    assert len(metrics.rounds) == rounds * len(trace.customers)
+    assert ride_trace_digest(metrics) == RIDE_TRACE_DIGEST
 
 
 class TestMetricsHelpers:

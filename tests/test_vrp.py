@@ -659,7 +659,88 @@ def round_tables(draw):
     return req, table, moved and tasks[-1] in sub_tasks
 
 
+@st.composite
+def shared_rounds(draw):
+    """A round's tasks, vehicles and travel, and a few requests over them
+    in the order a round would solve them.  The requests differ in
+    budget, round start, pins, weights and seed, and some cover a subset
+    of the tasks; each later request carries the earlier results as warm
+    starts, as `RoundSolver` does.  The tasks hold pairs and, in half the
+    rounds, deadlines; the vehicles hold capacity 1 or 2; travel is
+    Euclidean or an asymmetric matrix."""
+    coord = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
+    service = st.floats(min_value=0, max_value=30)
+    if draw(st.booleans()):
+        window = st.floats(min_value=150, max_value=700)
+        deadline = st.one_of(st.none(), window, window)
+    else:
+        deadline = st.none()
+    n_pairs = draw(st.integers(min_value=1, max_value=3))
+    n_plain = draw(st.integers(min_value=1, max_value=5))
+    points = [(draw(coord), draw(coord)) for _ in range(2 * n_pairs + n_plain + 3)]
+    at = iter(points)
+    tasks = []
+    for k in range(n_pairs):
+        cust = f"c{k % 2 + 1}"
+        tasks.append(Task(f"p{k}", cust, next(at), draw(service), pickup_of=f"q{k}"))
+        tasks.append(Task(f"q{k}", cust, next(at), draw(service), deadline=draw(deadline),
+                          dropoff_of=f"p{k}"))
+    for k in range(n_plain):
+        tasks.append(Task(f"s{k}", f"c{k % 2 + 1}", next(at), draw(service),
+                          deadline=draw(deadline)))
+    vehicles = tuple(
+        Vehicle(f"v{j}", next(at), speed=(10.0, 7.5)[j % 2],
+                capacity=draw(st.integers(min_value=1, max_value=2)),
+                return_home=draw(st.booleans()))
+        for j in range(3)
+    )
+    if draw(st.booleans()):
+        travel = TravelModel.euclidean()
+    else:
+        distinct = sorted(set(points))
+        k = len(distinct)
+        cells = draw(st.lists(st.floats(min_value=0, max_value=250),
+                              min_size=k * k, max_size=k * k))
+        seconds = np.array(cells).reshape(k, k)
+        np.fill_diagonal(seconds, 0.0)
+        travel = TravelModel.matrix([f"{x!r};{y!r}" for x, y in distinct], seconds)
+    requests = []
+    for _ in range(draw(st.integers(min_value=3, max_value=6))):
+        sub = tuple(tasks)
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            sub = tuple(t for t in tasks if draw(st.booleans())) or sub
+        pinned = {}
+        if draw(st.booleans()):
+            pinned = {
+                t.task_id: draw(st.sampled_from(vehicles)).vehicle_id
+                for t in sub if draw(st.integers(min_value=0, max_value=2)) == 0
+            }
+        requests.append(SolverRequest(
+            tasks=sub, vehicles=vehicles, travel=travel,
+            budget=draw(st.sampled_from([200.0, 400.0, 600.0])),
+            customers=("c1", "c2"),
+            weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
+            round_start=draw(st.sampled_from([0.0, 150.0, 300.0])),
+            pinned=pinned or None, time_limit=0.05, seed=draw(st.integers(0, 9)),
+        ))
+    return RoundTable(tasks, vehicles, travel), requests
+
+
 class TestRoundTable:
+    @given(case=shared_rounds())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_table_matches_fresh_tables(self, case):
+        """Solves that share one table, and so its placement memos, in
+        drawn order give the paths each gives on a table of its own."""
+        table, requests = case
+        ids = lambda s: {p.vehicle_id: p.task_ids for p in s.paths}
+        done = []
+        for req in requests:
+            req = replace(req, warm_starts=tuple(done))
+            shared = heuristic_vrp(replace(req, table=table))
+            assert ids(shared) == ids(heuristic_vrp(req))
+            done.append(shared)
+
     @given(case=round_tables())
     @settings(max_examples=120, deadline=None)
     def test_round_table_gives_the_same_schedule(self, case):
