@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .fairness import is_leximin, utility_key
 from .model import Schedule
@@ -208,11 +207,27 @@ def opt_in_face(face: Face, alpha: float) -> tuple[Optional[np.ndarray], bool]:
         if alpha <= 0:
             raise ValueError("alpha must be > 0 for the stationary point")
         log_w = np.log(w)
-        log_s = logsumexp((1.0 - 1.0 / alpha) * log_w)
+        log_s = _logsumexp((1.0 - 1.0 / alpha) * log_w)
         log_lambda = -alpha * (math.log(c) - log_s)
         log_x = -(log_lambda + log_w) / alpha
         x_star = np.exp(log_x)
     return x_star, _inside(face, x_star)
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a finite 1-D array, step for step as
+    `scipy.special.logsumexp` computes it in SciPy 1.17.1 (after
+    Blanchard, Higham and Higham, IMA J. Numer. Anal. 41(4), 2021): the
+    maxima are split off the sum and counted.  Matching it bit for bit
+    keeps the boundary artifacts what they were with SciPy, and the
+    planner does not pay SciPy's import."""
+    a_max = np.max(a)
+    at_max = a == a_max
+    m = np.sum(at_max, dtype=np.float64)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + a_max
 
 
 def _inside(face: Face, point: np.ndarray) -> bool:

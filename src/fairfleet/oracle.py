@@ -3,7 +3,9 @@
 Enumerates every feasible allocation by trying all task subsets,
 vehicle assignments, and visit orders; derives the Pareto frontier and
 the convex-boundary corners from the enumeration.  Capped at 8 tasks
-and 2 vehicles; used by tests and the `oracle` CLI command.
+and 2 vehicles; used by tests and the `oracle` CLI command.  The hull
+tests load SciPy's HiGHS LP when they first run, so importing this
+module (as `fairfleet` and its CLI do) leaves SciPy unloaded.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import (
     Instance,
@@ -169,7 +170,10 @@ def pareto_frontier(fs: FeasibleSet) -> FeasibleSet:
 
 
 def _is_vertex(p: np.ndarray, others: Sequence[np.ndarray]) -> bool:
-    """True iff p is outside the convex hull of the other points."""
+    """True iff p is outside the convex hull of the other points: the
+    LP for convex weights that give p is infeasible."""
+    from scipy.optimize import linprog
+
     if not others:
         return True
     a_eq = np.vstack([np.stack(others, axis=1), np.ones(len(others))])
@@ -181,12 +185,16 @@ def _is_vertex(p: np.ndarray, others: Sequence[np.ndarray]) -> bool:
         bounds=[(0, None)] * len(others),
         method="highs",
     )
-    return not res.success
+    if res.status not in (0, 2):
+        raise _lp_failure(res)
+    return res.status == 2
 
 
 def _nonneg_supported(p: np.ndarray, others: Sequence[np.ndarray]) -> bool:
     """True iff some nonnegative weight vector attains its maximum over
     the set at p (p lies on a face with nonnegative outward normal)."""
+    from scipy.optimize import linprog
+
     if not others:
         return True
     k = len(p)
@@ -202,9 +210,16 @@ def _nonneg_supported(p: np.ndarray, others: Sequence[np.ndarray]) -> bool:
     c = np.append(np.zeros(k), -1.0)
     bounds = [(0, None)] * k + [(None, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not res.success:
-        return False
+    if res.status != 0:
+        raise _lp_failure(res)
     return float(res.x[-1]) >= -1e-9
+
+
+def _lp_failure(res) -> RuntimeError:
+    """An LP that ended without a verdict (iteration limit, numerical
+    trouble, or an outcome its formulation rules out) decides nothing
+    about the point."""
+    return RuntimeError(f"oracle LP failed: status {res.status}: {res.message}")
 
 
 def convex_boundary(fs: FeasibleSet) -> list[np.ndarray]:

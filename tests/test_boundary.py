@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from conftest import mk_vehicle
 from fairfleet.boundary import (
@@ -17,6 +18,7 @@ from fairfleet.boundary import (
     make_face,
     opt_in_face,
     search_boundary,
+    _logsumexp,
 )
 from fairfleet.model import Instance, empty_schedule
 from fairfleet.vrp import RoundSolver, SolverConfig
@@ -207,6 +209,19 @@ class TestOptInFace:
                            [DUMMY, DUMMY], (0, 1))
         x_star, inside = opt_in_face(narrow, 1.0)
         assert x_star is not None and not inside
+
+    @given(
+        w=st.lists(st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                             st.integers(min_value=1, max_value=4).map(float)),
+                   min_size=1, max_size=8),
+        alpha=st.one_of(st.just(1.0),
+                        st.floats(min_value=0.05, max_value=20.0,
+                                  exclude_min=True, exclude_max=True)),
+    )
+    @settings(max_examples=500)
+    def test_logsumexp_matches_scipy_bit_for_bit(self, w, alpha):
+        a = (1.0 - 1.0 / alpha) * np.log(np.array(w))
+        assert _logsumexp(a).tobytes() == np.float64(logsumexp(a)).tobytes()
 
 
 class TestSearchBoundary:

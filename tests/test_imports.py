@@ -1,0 +1,69 @@
+"""SciPy stays off the planning path: only the oracle loads it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fairfleet
+
+SRC = str(Path(fairfleet.__file__).resolve().parent.parent)
+
+
+def fresh_interpreter(tmp_path, body):
+    """Run `body` after `import fairfleet, fairfleet.cli` in a new
+    interpreter, with `out` set to `tmp_path`; returns the JSON object
+    the script prints last."""
+    script = (
+        "import json, sys\n"
+        "import fairfleet, fairfleet.cli\n"
+        "from fairfleet.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        f"{body}\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_planning_commands_never_import_scipy(tmp_path):
+    result = fresh_interpreter(tmp_path, """
+loaded = {"import": "scipy" in sys.modules}
+assert main(["gen", "--preset", "map_a_small", "--rounds", "2", "--out", out + "/b"]) == 0
+# A second vehicle, so that the dedicated policy can run too.
+with open(out + "/b/vehicles.json") as fh:
+    fleet = json.load(fh)
+fleet.append(dict(fleet[0], vehicle_id="v1"))
+with open(out + "/b/vehicles.json", "w") as fh:
+    json.dump(fleet, fh)
+cfg = out + "/b/config.json"
+# alpha=2 rather than the preset's max-min 64: the search then takes
+# the in-face optimum's log-sum-exp.
+opts = ["--set", "solver.backend=heuristic", "--set", "alpha=2"]
+assert main(["run", "--config", cfg, "--policy", "all", "--out", out + "/r", *opts]) == 0
+assert main(["compare", "--config", cfg, "--out", out + "/c", *opts]) == 0
+assert main(["boundary", "--config", cfg, "--out", out + "/d", *opts]) == 0
+loaded["commands"] = "scipy" in sys.modules
+print(json.dumps(loaded))
+""")
+    assert result == {"import": False, "commands": False}
+    for name in ("summary.json", "metrics_mobius.csv", "events_dedicated.jsonl"):
+        assert (tmp_path / "r" / name).is_file()
+    assert (tmp_path / "c" / "comparison.csv").is_file()
+    assert (tmp_path / "d" / "boundary.json").is_file()
+
+
+def test_oracle_loads_scipy_on_use(tmp_path):
+    result = fresh_interpreter(tmp_path, """
+assert main(["gen", "--preset", "map_a_small", "--set", "n_each=3", "--out", out + "/t"]) == 0
+before = "scipy" in sys.modules
+rc = main(["oracle", "--config", out + "/t/config.json", "--out", out + "/o"])
+print(json.dumps({"before": before, "rc": rc, "after": "scipy" in sys.modules}))
+""")
+    assert result == {"before": False, "rc": 0, "after": True}
+    report = json.loads((tmp_path / "o" / "oracle.json").read_text())
+    assert report["boundary_corners"]

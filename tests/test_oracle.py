@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import EUCLID, mk_task, mk_vehicle, random_instance
 from fairfleet.model import Instance, empty_schedule
@@ -147,6 +148,36 @@ class TestConvexBoundary:
                 over_all = max(float(w @ a) for a in fs.allocations())
                 over_corners = max(float(w @ c) for c in corners)
                 assert over_corners == pytest.approx(over_all, abs=1e-9)
+
+
+class TestLpFailure:
+    """An LP that stops without a verdict raises instead of deciding."""
+
+    @staticmethod
+    def failing(lp, status, monkeypatch):
+        """Make the hull LP (`lp="hull"`, no inequality rows) or the
+        support LP (`lp="support"`) end with `status`; the other one
+        reports infeasible, which reads as "vertex"."""
+        def linprog(c, A_ub=None, **kwargs):
+            if (A_ub is None) == (lp == "hull"):
+                return scipy.optimize.OptimizeResult(status=status, success=False,
+                                                     message="stopped")
+            return scipy.optimize.OptimizeResult(status=2, success=False,
+                                                 message="infeasible")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+
+    @pytest.mark.parametrize("status", [1, 3, 4])
+    def test_hull_lp_failure_raises(self, monkeypatch, status):
+        self.failing("hull", status, monkeypatch)
+        with pytest.raises(RuntimeError, match=f"status {status}: stopped"):
+            convex_boundary(fs_of([(2, 0), (0, 2), (1.5, 1.5)]))
+
+    @pytest.mark.parametrize("status", [1, 2, 3, 4])
+    def test_support_lp_failure_raises(self, monkeypatch, status):
+        self.failing("support", status, monkeypatch)
+        with pytest.raises(RuntimeError, match=f"status {status}: stopped"):
+            convex_boundary(fs_of([(2, 0), (0, 2), (1.5, 1.5)]))
 
 
 class TestOracleReport:
