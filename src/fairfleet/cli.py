@@ -364,8 +364,9 @@ def cmd_boundary(cfg: dict) -> int:
 
 
 def cmd_oracle(cfg: dict) -> int:
+    ride_counts_as = _round_config(cfg).ride_counts_as
     instance = _snapshot_instance(cfg, float(cfg["snapshot_s"]))
-    report = oracle_report(instance)
+    report = oracle_report(instance, ride_counts_as)
     report["config"] = cfg
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)

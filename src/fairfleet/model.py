@@ -284,50 +284,17 @@ def path_cost(path: Path, vehicle: Vehicle, model: TravelModel) -> float:
     return sequence_cost(path.tasks, vehicle, model)
 
 
-def _walk(
-    tasks: Sequence[Task],
-    vehicle: Vehicle,
-    model: TravelModel,
-    budget: float,
-    round_start: float,
-    clock: float,
-    loc: Point,
-    open_pairs: set[str],
-    seen: set[str],
-    seen_before: frozenset[str] | set[str],
-    served: int,
-) -> tuple[Optional[str], float, Point]:
-    """The path rules for `tasks` served from `clock` at `loc`, after
-    `served` earlier tasks with ids `seen_before` that left `open_pairs`
-    open.  Updates `open_pairs` and adds the walked ids to `seen`.
-
-    Returns the first broken rule's reason (None when there is none)
-    and the clock and location after the last task walked.
-    """
-    for t in tasks:
-        clock += travel_time(loc, t.location, model, vehicle)
-        clock += t.service_time
-        loc = t.location
-        if t.deadline is not None and clock > t.deadline + TIME_TOL:
-            return f"task {t.task_id} completes after its deadline", clock, loc
-        if t.pickup_of is not None:
-            if len(open_pairs) >= vehicle.capacity:
-                return f"pickup {t.task_id} exceeds capacity {vehicle.capacity}", clock, loc
-            open_pairs.add(t.task_id)
-        elif t.dropoff_of is not None:
-            if t.dropoff_of not in seen and t.dropoff_of not in seen_before:
-                return f"dropoff {t.task_id} precedes its pickup", clock, loc
-            open_pairs.discard(t.dropoff_of)
-        seen.add(t.task_id)
-    end = clock
-    if vehicle.return_home and (served or tasks):
-        end += travel_time(loc, vehicle.start_location, model, vehicle)
-    if end - round_start > budget + TIME_TOL:
-        return f"path cost {end - round_start:.3f}s exceeds budget {budget}s", clock, loc
-    return None, clock, loc
+def riders_on_board(tasks: Sequence[Task]) -> frozenset[str]:
+    """The pickups that the dropoffs among `tasks` name but `tasks`
+    lack: riders a vehicle already carries.  A path may serve their
+    dropoffs; they hold no capacity."""
+    ids = {t.task_id for t in tasks}
+    return frozenset(
+        t.dropoff_of for t in tasks if t.dropoff_of is not None and t.dropoff_of not in ids
+    )
 
 
-_NONE_SEEN: frozenset[str] = frozenset()
+_NONE_OPEN: frozenset[str] = frozenset()
 
 
 def path_violation(
@@ -340,27 +307,29 @@ def path_violation(
     """None when the ordered sequence is a valid path, else a reason.
 
     Checks the budget (including the vehicle's ready offset and return
-    leg), deadlines at schedule time, pickup-before-dropoff ordering, and
-    the concurrent open-pair capacity.
+    leg), deadlines at schedule time, pickup-before-dropoff ordering,
+    the concurrent open-pair capacity, and that every pair closes.
     """
-    return _walk(
-        tasks, vehicle, model, budget, round_start, round_start + vehicle.ready_offset,
-        vehicle.start_location, set(), set(), _NONE_SEEN, 0,
-    )[0]
+    return PathState(vehicle, model, budget, round_start).violation(tasks)
 
 
 class PathState:
-    """`path_violation`'s walk paused after a valid prefix: the clock,
-    location, open pairs, seen ids and length it reached.
+    """A walk of the path rules paused after a prefix that keeps every
+    per-task rule: the clock, location, open pickups and length it
+    reached.  `onboard` names riders the vehicle carries from the start
+    (see `riders_on_board`); their dropoffs need no pickup.
 
-    `violation(tasks)` equals `path_violation(prefix + tasks, ...)` and
-    leaves the state as it is; `advance(tasks)` appends accepted tasks.
-    Both cost O(len(tasks)), not O(len(prefix)), and the clock adds the
-    same floats in the same order as a walk from the start.
+    The rules live here alone.  `violation(tasks)` is the reason the
+    prefix plus `tasks` is no valid path, or None, and leaves the state
+    as it is; `advance(tasks)` appends accepted tasks; `step(task)`
+    returns the state one task further; `closes()` tells whether the
+    prefix is a valid path.  They cost O(len(tasks)), not O(len(prefix)),
+    and the clock adds the same floats in the same order as a walk from
+    the start.
     """
 
-    __slots__ = ("vehicle", "model", "budget", "round_start", "clock", "loc",
-                 "open_pairs", "seen", "length")
+    __slots__ = ("vehicle", "model", "budget", "round_start", "budget_end", "onboard",
+                 "clock", "loc", "open_pairs", "length")
 
     def __init__(
         self,
@@ -368,33 +337,109 @@ class PathState:
         model: TravelModel,
         budget: float,
         round_start: float = 0.0,
+        onboard: frozenset[str] = _NONE_OPEN,
     ) -> None:
         self.vehicle = vehicle
         self.model = model
         self.budget = budget
         self.round_start = round_start
+        # A valid path ends by this clock, back home if it returns there.
+        self.budget_end = round_start + budget + TIME_TOL
+        self.onboard = onboard
         self.clock = round_start + vehicle.ready_offset
         self.loc = vehicle.start_location
-        self.open_pairs: set[str] = set()
-        self.seen: set[str] = set()
+        self.open_pairs = _NONE_OPEN
         self.length = 0
+
+    def _walk(
+        self, tasks: Sequence[Task], leg: Optional[float] = None
+    ) -> tuple[Optional[str], float, Point, frozenset[str]]:
+        """The rules of each task after the prefix: it completes by the
+        budget's end and its deadline, a pickup fits the vehicle's
+        capacity, and a dropoff follows its pickup or a rider on board.
+        `leg`, if given, is the travel time to the first task.
+
+        Returns the first broken rule's reason (None when there is none)
+        and the clock, location and open pickups after the last task
+        walked.
+        """
+        vehicle, model, budget_end = self.vehicle, self.model, self.budget_end
+        clock, loc, open_pairs = self.clock, self.loc, self.open_pairs
+        for t in tasks:
+            clock += travel_time(loc, t.location, model, vehicle) if leg is None else leg
+            clock += t.service_time
+            loc, leg = t.location, None
+            if clock > budget_end:
+                return f"task {t.task_id} completes after the budget ends", clock, loc, open_pairs
+            if t.deadline is not None and clock > t.deadline + TIME_TOL:
+                return f"task {t.task_id} completes after its deadline", clock, loc, open_pairs
+            if t.pickup_of is not None:
+                if len(open_pairs) >= vehicle.capacity:
+                    reason = f"pickup {t.task_id} exceeds capacity {vehicle.capacity}"
+                    return reason, clock, loc, open_pairs
+                open_pairs = open_pairs | {t.task_id}
+            elif t.dropoff_of is not None:
+                if t.dropoff_of not in open_pairs and t.dropoff_of not in self.onboard:
+                    return f"dropoff {t.task_id} precedes its pickup", clock, loc, open_pairs
+                open_pairs = open_pairs - {t.dropoff_of}
+        return None, clock, loc, open_pairs
+
+    def _end(
+        self, clock: float, loc: Point, open_pairs: frozenset[str], served: int
+    ) -> Optional[str]:
+        """The rules of a whole path of `served` tasks whose last one
+        ends at `clock` and `loc` with `open_pairs` open.  A path with no
+        task breaks none; any other must be back home by the budget's end
+        if the vehicle returns there, with every pair closed."""
+        if not served:
+            return None
+        if self.vehicle.return_home:
+            end = clock + travel_time(loc, self.vehicle.start_location, self.model, self.vehicle)
+            if end > self.budget_end:
+                return f"path cost {end - self.round_start:.3f}s exceeds budget {self.budget}s"
+        if open_pairs:
+            return f"pickup {min(open_pairs)} is never dropped off"
+        return None
+
+    def _path(self, tasks: Sequence[Task]) -> tuple[Optional[str], float, Point, frozenset[str]]:
+        """`_walk`, then the rules of the whole path prefix + `tasks`."""
+        reason, clock, loc, open_pairs = self._walk(tasks)
+        if reason is None:
+            reason = self._end(clock, loc, open_pairs, self.length + len(tasks))
+        return reason, clock, loc, open_pairs
 
     def violation(self, tasks: Sequence[Task]) -> Optional[str]:
         """None when prefix + `tasks` is a valid path, else a reason."""
-        return _walk(
-            tasks, self.vehicle, self.model, self.budget, self.round_start, self.clock,
-            self.loc, set(self.open_pairs), set(), self.seen, self.length,
-        )[0]
+        return self._path(tasks)[0]
+
+    def closes(self) -> bool:
+        """Whether the prefix is a valid path: `violation(()) is None`."""
+        return not self.open_pairs and self._end(
+            self.clock, self.loc, self.open_pairs, self.length
+        ) is None
 
     def advance(self, tasks: Sequence[Task]) -> None:
         """Append `tasks`, which must keep the path valid."""
-        reason, self.clock, self.loc = _walk(
-            tasks, self.vehicle, self.model, self.budget, self.round_start, self.clock,
-            self.loc, self.open_pairs, self.seen, _NONE_SEEN, self.length,
-        )
+        reason, self.clock, self.loc, self.open_pairs = self._path(tasks)
         self.length += len(tasks)
         if reason is not None:
             raise ValueError(f"advanced past a broken rule: {reason}")
+
+    def step(self, task: Task, leg: Optional[float] = None) -> Optional["PathState"]:
+        """The state after `task`, reached by a leg of `leg` seconds (by
+        default the travel time to it), or None when the task breaks a
+        rule of its own.  The return leg is not checked here: under a
+        matrix model a later task can make it shorter.  The state itself
+        is left as it is."""
+        reason, clock, loc, open_pairs = self._walk((task,), leg)
+        if reason is not None:
+            return None
+        child = PathState.__new__(PathState)
+        child.vehicle, child.model, child.budget = self.vehicle, self.model, self.budget
+        child.round_start, child.budget_end = self.round_start, self.budget_end
+        child.onboard, child.clock, child.loc = self.onboard, clock, loc
+        child.open_pairs, child.length = open_pairs, self.length + 1
+        return child
 
 
 def sequence_feasible(

@@ -17,12 +17,13 @@ import numpy as np
 
 from .model import (
     Instance,
+    PathState,
     Schedule,
     Task,
     Vehicle,
     allocation_of,
     build_path,
-    travel_time,
+    riders_on_board,
 )
 
 ORACLE_TASK_CAP = 8
@@ -47,61 +48,28 @@ def _vehicle_feasible_orders(
     instance: Instance,
 ) -> dict[frozenset, tuple[int, ...]]:
     """Every servable task subset for one vehicle, with the first
-    feasible visit order found as witness.  Pairs must close on the
-    path; the return leg must fit when the vehicle returns home."""
-    n = len(tasks)
-    travel = instance.travel
-    budget_end = instance.round_start + instance.budget + 1e-9
-    tindex = {t.task_id: i for i, t in enumerate(tasks)}
-    pickup_of_dropoff = [
-        tindex.get(t.dropoff_of) if t.is_dropoff else None for t in tasks
-    ]
-    is_pickup = [t.is_pickup for t in tasks]
+    feasible visit order found as witness: every order `PathState.step`
+    reaches, kept where `PathState.closes`."""
+    out: dict[frozenset, tuple[int, ...]] = {}
 
-    out: dict[frozenset, tuple[int, ...]] = {frozenset(): ()}
+    def dfs(state: PathState, mask: int, seq: tuple[int, ...]) -> None:
+        if state.closes():
+            out.setdefault(frozenset(seq), seq)
+        for i, t in enumerate(tasks):
+            if not mask & (1 << i):
+                child = state.step(t)
+                if child is not None:
+                    dfs(child, mask | (1 << i), seq + (i,))
 
-    def closable(last: int, clock: float) -> bool:
-        if last < 0 or not vehicle.return_home:
-            return True
-        back = travel_time(tasks[last].location, vehicle.start_location, travel, vehicle)
-        return clock + back <= budget_end
-
-    def dfs(mask: int, last: int, clock: float, open_set: frozenset, seq: tuple):
-        for i in range(n):
-            if mask & (1 << i):
-                continue
-            t = tasks[i]
-            p = pickup_of_dropoff[i]
-            if p is not None and p not in open_set:
-                continue
-            if is_pickup[i] and len(open_set) >= vehicle.capacity:
-                continue
-            origin = tasks[last].location if last >= 0 else vehicle.start_location
-            hop = travel_time(origin, t.location, travel, vehicle)
-            t_clock = clock + hop + t.service_time
-            if t_clock > budget_end:
-                continue
-            if t.deadline is not None and t_clock > t.deadline + 1e-9:
-                continue
-            new_open = open_set
-            if is_pickup[i]:
-                new_open = new_open | {i}
-            if p is not None:
-                new_open = new_open - {p}
-            new_seq = seq + (i,)
-            if not new_open and closable(i, t_clock):
-                key = frozenset(new_seq)
-                if key not in out:
-                    out[key] = new_seq
-            dfs(mask | (1 << i), i, t_clock, new_open, new_seq)
-
-    start_clock = instance.round_start + vehicle.ready_offset
-    dfs(0, -1, start_clock, frozenset(), ())
+    onboard = riders_on_board(tasks)
+    start = PathState(vehicle, instance.travel, instance.budget, instance.round_start, onboard)
+    dfs(start, 0, ())
     return out
 
 
-def enumerate_feasible_allocations(instance: Instance) -> FeasibleSet:
-    """All distinct feasible allocations of the instance.
+def enumerate_feasible_allocations(instance: Instance, ride_counts_as: int = 1) -> FeasibleSet:
+    """All distinct feasible allocations of the instance, counting a
+    ride as `ride_counts_as`.
 
     Tries every subset of tasks, every split across vehicles, and every
     visit order; deduplicates allocations to 1e-9.  Refuses instances
@@ -129,7 +97,7 @@ def enumerate_feasible_allocations(instance: Instance) -> FeasibleSet:
             for v, order in zip(vehicles, orders)
         )
         schedule = Schedule(paths=paths, round_duration=instance.budget)
-        alloc = allocation_of(schedule, customers)
+        alloc = allocation_of(schedule, customers, ride_counts_as)
         key = tuple(np.round(alloc, _DEDUP_DECIMALS))
         if key not in seen:
             seen[key] = (alloc, schedule)
@@ -241,9 +209,9 @@ def convex_boundary(fs: FeasibleSet) -> list[np.ndarray]:
     return corners
 
 
-def oracle_report(instance: Instance) -> dict:
+def oracle_report(instance: Instance, ride_counts_as: int = 1) -> dict:
     """JSON-ready payload for the `oracle` CLI command."""
-    fs = enumerate_feasible_allocations(instance)
+    fs = enumerate_feasible_allocations(instance, ride_counts_as)
     pareto = pareto_frontier(fs)
     corners = convex_boundary(fs)
     return {

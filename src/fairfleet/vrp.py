@@ -51,6 +51,7 @@ from .model import (
     build_path,
     empty_schedule,
     path_violation,
+    riders_on_board,
     task_count,
     travel_time,
 )
@@ -70,7 +71,12 @@ _VALUE_TOL = 1e-9
 
 @dataclass
 class SolverConfig:
-    """Backend selection and limits (config keys under `solver.`)."""
+    """Backend selection and limits (config keys under `solver.`).
+
+    `time_limit_s` is an effort budget, not a wall-clock cap: a heuristic
+    solve makes `max(10_000, 60_000 * time_limit_s)` move evaluations.
+    The exact backend ignores it.
+    """
 
     backend: str = "auto"
     time_limit_s: float = 10.0
@@ -175,11 +181,13 @@ def exact_vrp(
     """Provably optimal weighted schedule by branch and bound.
 
     Branches append one task at a time to the current vehicle's path, in
-    canonical task order.  Pruning: budget/deadline/pair feasibility, the
-    admissible remaining-weight bound, and a dominance table keyed on
-    (vehicle, served-set, last-task) keeping the earliest completion
-    clock.  Ties on w . x resolve toward larger total task count, then
-    first-found in canonical order.
+    canonical task order, by `PathState.step`, and close a path where
+    `PathState.closes`; riders on board are those `riders_on_board`
+    finds in the request.  Pruning: the path rules, the admissible
+    remaining-weight bound, and a dominance table keyed on (vehicle,
+    served-set, last-task) keeping the earliest completion clock.  Ties
+    on w . x resolve toward larger total task count, then first-found in
+    canonical order.
     """
     if len(req.tasks) > task_limit or len(req.vehicles) > vehicle_limit:
         raise ExactSizeError(
@@ -202,16 +210,7 @@ def exact_vrp(
             if tid in tindex:
                 pin[tindex[tid]] = vid_index.get(vid)
 
-    # dropoff index -> its pickup index (same-path enforcement); pickup
-    # index -> dropoff index (to derive open pairs).
-    pickup_of_dropoff = [
-        tindex.get(t.dropoff_of) if t.is_dropoff else None for t in tasks
-    ]
-    dropoff_of_pickup = [
-        tindex.get(t.pickup_of) if t.is_pickup else None for t in tasks
-    ]
-
-    # Travel seconds: leg[v][i][j], from_start[v][i], to_home[v][i].
+    # Travel seconds: leg[v][i][j], from_start[v][i].
     leg = [
         [
             [travel_time(a.location, b.location, req.travel, v) for b in tasks]
@@ -223,13 +222,10 @@ def exact_vrp(
         [travel_time(v.start_location, t.location, req.travel, v) for t in tasks]
         for v in vehicles
     ]
-    to_home = [
-        [travel_time(t.location, v.start_location, req.travel, v) for t in tasks]
-        for v in vehicles
-    ]
+    onboard = riders_on_board(tasks)
 
-    total_contrib = sum(contrib)
-    total_count = sum(counts)
+    def start(v: int) -> PathState:
+        return PathState(vehicles[v], req.travel, req.budget, req.round_start, onboard)
 
     best = {
         "value": -np.inf,
@@ -239,8 +235,6 @@ def exact_vrp(
     seq_memo: dict[tuple[int, int, int], float] = {}
     closed_memo: set[tuple[int, int]] = set()
 
-    budget_end = req.round_start + req.budget + 1e-9
-
     def leaf(value: float, count: float, paths: tuple) -> None:
         if value > best["value"] + _VALUE_TOL or (
             value > best["value"] - _VALUE_TOL and count > best["count"]
@@ -249,29 +243,27 @@ def exact_vrp(
             best["count"] = count
             best["paths"] = paths
 
-    def remaining(mask: int) -> tuple[float, float]:
-        rv = rc = 0.0
-        for i in range(n):
-            if not mask & (1 << i):
-                rv += contrib[i]
-                rc += counts[i]
-        return rv, rc
+    # The bound's sums per served set, each summed once in index order.
+    rem_memo: dict[int, tuple[float, float]] = {}
 
-    def close_ok(v: int, last: int, clock: float) -> bool:
-        if last < 0:
-            return True
-        if vehicles[v].return_home:
-            return clock + to_home[v][last] <= budget_end
-        return True
+    def remaining(mask: int) -> tuple[float, float]:
+        rem = rem_memo.get(mask)
+        if rem is None:
+            rv = rc = 0.0
+            for i in range(n):
+                if not mask & (1 << i):
+                    rv += contrib[i]
+                    rc += counts[i]
+            rem = rem_memo[mask] = (rv, rc)
+        return rem
 
     def search(
         v: int,
         mask: int,
         last: int,
-        clock: float,
+        state: PathState,
         value: float,
         count: float,
-        open_pairs: int,
         paths: tuple,
         current: tuple,
     ) -> None:
@@ -282,57 +274,39 @@ def exact_vrp(
             return
 
         # Close this vehicle and move on (or finish).
-        if open_pairs == 0 and close_ok(v, last, clock):
+        if state.closes():
             done = paths + (current,)
             if v + 1 == nv:
                 leaf(value, count, done)
             elif (v + 1, mask) not in closed_memo:
                 closed_memo.add((v + 1, mask))
-                nxt = vehicles[v + 1]
-                search(
-                    v + 1, mask, -1,
-                    req.round_start + nxt.ready_offset,
-                    value, count, 0, done, (),
-                )
+                search(v + 1, mask, -1, start(v + 1), value, count, done, ())
 
-        veh = vehicles[v]
         for i in range(n):
             bit = 1 << i
             if mask & bit:
                 continue
             if pin[i] is not None and pin[i] != v:
                 continue
-            t = tasks[i]
-            p = pickup_of_dropoff[i]
-            if p is not None and not (open_pairs & (1 << p)):
-                continue  # dropoff before its pickup on this vehicle
-            if dropoff_of_pickup[i] is not None and bin(open_pairs).count("1") >= veh.capacity:
-                continue
             hop = from_start[v][i] if last < 0 else leg[v][last][i]
-            t_clock = clock + hop + t.service_time
-            if t_clock > budget_end:
-                continue
-            if t.deadline is not None and t_clock > t.deadline + 1e-9:
-                continue
+            # Dominance, from the child's clock before the child is built.
             key = (v, mask | bit, i)
+            t_clock = state.clock + hop + tasks[i].service_time
             prev_clock = seq_memo.get(key)
             if prev_clock is not None and prev_clock <= t_clock + 1e-12:
                 continue
-            seq_memo[key] = t_clock
-            new_open = open_pairs
-            if dropoff_of_pickup[i] is not None:
-                new_open |= bit
-            if p is not None:
-                new_open &= ~(1 << p)
+            child = state.step(tasks[i], hop)
+            if child is None:
+                continue
+            seq_memo[key] = child.clock
             search(
-                v, mask | bit, i, t_clock,
+                v, mask | bit, i, child,
                 value + contrib[i], count + counts[i],
-                new_open, paths, current + (i,),
+                paths, current + (i,),
             )
 
     if n and nv:
-        v0 = vehicles[0]
-        search(0, 0, -1, req.round_start + v0.ready_offset, 0.0, 0.0, 0, (), ())
+        search(0, 0, -1, start(0), 0.0, 0.0, (), ())
 
     if best["paths"] is None:
         return empty_schedule(req.vehicles, req.budget)

@@ -88,6 +88,56 @@ def random_instance(
     return Instance(tasks=tuple(tasks), vehicles=tuple(vehicles), travel=EUCLID, budget=b)
 
 
+def ride_instance(rng, max_tasks=5, max_vehicles=2):
+    """Small random instance with the hard cases of the path rules.
+
+    Plain tasks and pickup/dropoff pairs, deadlines on some, vehicles of
+    capacity 1 or 2 that may return home or start late, a round that
+    may start at 600 s, and budgets of 60-250 s; travel is Euclidean or
+    an asymmetric matrix.
+    """
+    round_start = float(rng.choice([0.0, 600.0]))
+    k = int(rng.integers(1, 4))
+    n_tasks = int(rng.integers(1, max_tasks + 1))
+    n_veh = int(rng.integers(1, max_vehicles + 1))
+    pts = [(float(x), float(y))
+           for x, y in np.round(rng.uniform(-500, 500, (n_tasks + n_veh, 2)), 1)]
+    if rng.random() < 0.4:
+        arr = np.array(pts)
+        base = np.hypot(arr[:, None, 0] - arr[None, :, 0], arr[:, None, 1] - arr[None, :, 1])
+        seconds = np.round(base / 10.0 * rng.uniform(0.6, 1.5, base.shape), 3)
+        np.fill_diagonal(seconds, 0.0)
+        travel = TravelModel.matrix([f"{x};{y}" for x, y in pts], seconds)
+    else:
+        travel = EUCLID
+
+    def deadline():
+        return round_start + float(rng.uniform(30, 250)) if rng.random() < 0.3 else None
+
+    tasks = []
+    t = 0
+    while t < n_tasks:
+        cust = f"c{t % k + 1}"
+        service = float(rng.uniform(0, 20))
+        if t + 1 < n_tasks and rng.random() < 0.5:
+            tasks.append(Task(f"t{t:02d}", cust, pts[t], service, deadline=deadline(),
+                              pickup_of=f"t{t + 1:02d}"))
+            tasks.append(Task(f"t{t + 1:02d}", cust, pts[t + 1], float(rng.uniform(0, 20)),
+                              deadline=deadline(), dropoff_of=f"t{t:02d}"))
+            t += 2
+        else:
+            tasks.append(Task(f"t{t:02d}", cust, pts[t], service, deadline=deadline()))
+            t += 1
+    vehicles = tuple(
+        Vehicle(f"v{v}", pts[n_tasks + v], speed=10.0, capacity=int(rng.integers(1, 3)),
+                return_home=bool(rng.integers(0, 2)),
+                ready_offset=float(rng.choice([0.0, 0.0, 25.0])))
+        for v in range(n_veh)
+    )
+    return Instance(tasks=tuple(tasks), vehicles=vehicles, travel=travel,
+                    budget=float(rng.uniform(60, 250)), round_start=round_start)
+
+
 def brute_best_value(instance, weights, ride_counts_as=1):
     """Best weighted objective over every assignment and visit order.
 

@@ -280,3 +280,20 @@ class TestOracle:
             assert tuple(corner) in feasible
         pareto = {tuple(a) for a in report["pareto"]}
         assert pareto <= feasible
+
+    @pytest.mark.parametrize("ride_counts_as", [1, 2])
+    def test_ride_counts_as_reaches_the_report(self, tmp_path, ride_counts_as):
+        # One ride for c1 and one errand for c2, both served in the round.
+        tasks = (
+            mk_task("p", "c1", 50.0, 0.0, pickup_of="d"),
+            mk_task("d", "c1", 100.0, 0.0, dropoff_of="p"),
+            mk_task("q", "c2", 150.0, 0.0),
+        )
+        scn = Scenario(name="ride", tasks=tasks, vehicles=(mk_vehicle(),), round_s=600.0)
+        write_scenario(scn, tmp_path / "ride", rounds=1)
+        out = tmp_path / "o"
+        rc = main(["oracle", "--config", str(tmp_path / "ride" / "config.json"),
+                   "--out", str(out), "--set", f"ride_counts_as={ride_counts_as}"])
+        assert rc == 0
+        report = json.loads((out / "oracle.json").read_text())
+        assert report["boundary_corners"] == [[ride_counts_as * 0.1, 0.1]]

@@ -709,6 +709,40 @@ def test_ride_trace_golden_digest():
     assert ride_trace_digest(metrics) == RIDE_TRACE_DIGEST
 
 
+# Recorded with the exact backend's own copy of the path rules, before
+# it stepped through `model.PathState`.
+EXACT_RIDE_TRACE_DIGEST = "e4e7c27c3cc7ae0fb208e3f421d5e726f67d6f75062188ae537ff4c95765f575"
+
+
+def test_exact_ride_trace_golden_digest():
+    """A 3-round mobius replay of a ride trace on the exact backend, with
+    two vehicles of capacity 2 and replans every 200 s.  Riders picked
+    up before a replan reach the next plan as lone dropoffs; the exact
+    backend keeps carrying them, so nothing is cancelled."""
+    rng = np.random.default_rng(9)
+    round_s, rounds = 600.0, 3
+    tasks = []
+    for r in range(rounds):
+        for j in range(6):
+            cust = f"c{j % 3 + 1}"
+            arrival = r * round_s + float(rng.integers(0, 400))
+            px, py, dx, dy = (float(v) for v in rng.uniform(-900, 900, 4))
+            if j % 2:
+                tasks.append(mk_task(f"r{r}-p{j}", cust, px, py, pickup_of=f"r{r}-d{j}",
+                                     arrival_time=arrival))
+                tasks.append(mk_task(f"r{r}-d{j}", cust, dx, dy, dropoff_of=f"r{r}-p{j}",
+                                     arrival_time=arrival,
+                                     deadline=arrival + float(rng.uniform(400, 900))))
+            else:
+                tasks.append(mk_task(f"r{r}-s{j}", cust, px, py, arrival_time=arrival))
+    trace = Trace(tasks=tuple(tasks), duration=rounds * round_s, customers=())
+    vehicles = (mk_vehicle("v0", capacity=2), mk_vehicle("v1", 400.0, 0.0, capacity=2))
+    cfg = RoundConfig(round_s=round_s, replan_s=200.0, expiry_s=400.0)
+    metrics = run_trace(trace, "mobius", cfg, vehicles, EUCLID, SolverConfig(backend="exact"))
+    assert metrics.cancellations == 0
+    assert ride_trace_digest(metrics) == EXACT_RIDE_TRACE_DIGEST
+
+
 class TestMetricsHelpers:
     def test_plot_rows_translate_round_to_time(self):
         m = Metrics(customers=("c1",),

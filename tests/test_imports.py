@@ -1,5 +1,7 @@
-"""SciPy stays off the planning path: only the oracle loads it."""
+"""SciPy stays off the planning path: only the oracle loads it.  The
+path rules stay in `model`: no other module reads what they check."""
 
+import ast
 import json
 import os
 import subprocess
@@ -67,3 +69,21 @@ print(json.dumps({"before": before, "rc": rc, "after": "scipy" in sys.modules}))
     assert result == {"before": False, "rc": 0, "after": True}
     report = json.loads((tmp_path / "o" / "oracle.json").read_text())
     assert report["boundary_corners"]
+
+
+def attribute_reads(path):
+    """Names of the attributes a module reads, as `x.name`."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_path_rules_live_in_model_alone():
+    """Capacity is read by `model` alone, and the oracle reads no
+    deadline: both searches take their rules from `model.PathState`."""
+    package = Path(fairfleet.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert {m.name for m in modules} >= {"model.py", "oracle.py", "vrp.py"}
+    readers = [m.name for m in modules if "capacity" in attribute_reads(m)]
+    assert readers == ["model.py"]
+    assert "deadline" not in attribute_reads(package / "oracle.py")

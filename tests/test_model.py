@@ -197,14 +197,28 @@ class TestPathViolation:
         assert path_violation(seq, v, EUCLID, budget=30.0) is not None
         assert path_violation(seq, v, EUCLID, budget=35.0) is None
 
+    def test_empty_path_breaks_no_rule(self):
+        # A vehicle busy past the round's end still has a valid plan:
+        # no new task.
+        v = mk_vehicle(ready_offset=45.0, return_home=True)
+        assert path_violation([], v, EUCLID, budget=30.0) is None
+        assert PathState(v, EUCLID, 30.0).closes()
+
+    def test_pair_left_open(self):
+        v = mk_vehicle()
+        p = mk_task("p", "c1", 10, 0, pickup_of="d")
+        assert "never dropped off" in path_violation([p], v, EUCLID, budget=600.0)
 
 
-def _walk_case(seed, travel_kind, return_home, ready_offset, capacity, round_start):
+
+def _walk_case(seed, travel_kind, return_home, ready_offset, capacity, round_start,
+               lone_pickup=False):
     """A shuffled mix of plain tasks and pickup/dropoff pairs, some with
-    deadlines, and a vehicle and budget that some prefixes break."""
+    deadlines, and a vehicle and budget that some prefixes break.  With
+    `lone_pickup`, one more pickup whose dropoff is not in the mix."""
     rng = np.random.default_rng(seed)
     n_plain, n_pairs = int(rng.integers(1, 5)), int(rng.integers(0, 4))
-    n_points = n_plain + 2 * n_pairs + 1
+    n_points = n_plain + 2 * n_pairs + 2
     pts = [(float(x), float(y)) for x, y in np.round(rng.uniform(-600, 600, (n_points, 2)), 1)]
     speed = 13.0
     if travel_kind == "matrix":
@@ -227,6 +241,8 @@ def _walk_case(seed, travel_kind, return_home, ready_offset, capacity, round_sta
                           deadline=deadline()))
         tasks.append(Task(f"d{j}", "c1", pts[n_plain + 2 * j + 1], 5.0, dropoff_of=f"p{j}",
                           deadline=deadline()))
+    if lone_pickup:
+        tasks.append(Task("lone", "c1", pts[-2], 10.0, pickup_of="gone", deadline=deadline()))
     order = rng.permutation(len(tasks))
     seq = [tasks[i] for i in order]
     vehicle = Vehicle("v0", pts[-1], speed=speed, capacity=capacity,
@@ -236,7 +252,29 @@ def _walk_case(seed, travel_kind, return_home, ready_offset, capacity, round_sta
 
 
 def _snapshot(state):
-    return (state.clock, state.loc, set(state.open_pairs), set(state.seen), state.length)
+    return (state.clock, state.loc, state.open_pairs, state.length)
+
+
+def _first_stop(seq, vehicle, travel, budget, round_start):
+    """Index of the first task that misses its deadline, exceeds the
+    capacity, precedes its pickup or completes past the budget's end;
+    len(seq) if none does."""
+    completions = build_path(vehicle, seq, travel, round_start).completions
+    open_pairs = set()
+    for k, (t, done) in enumerate(zip(seq, completions)):
+        if done > round_start + budget + 1e-9:
+            return k
+        if t.deadline is not None and done > t.deadline + 1e-9:
+            return k
+        if t.pickup_of is not None:
+            if len(open_pairs) >= vehicle.capacity:
+                return k
+            open_pairs.add(t.task_id)
+        elif t.dropoff_of is not None:
+            if t.dropoff_of not in open_pairs:
+                return k
+            open_pairs.discard(t.dropoff_of)
+    return len(seq)
 
 
 class TestPathState:
@@ -244,15 +282,41 @@ class TestPathState:
         seed=st.integers(min_value=0, max_value=10**6),
         travel_kind=st.sampled_from(["fast", "slow", "matrix"]),
         return_home=st.booleans(),
-        ready_offset=st.sampled_from([0.0, 37.5]),
-        capacity=st.integers(min_value=1, max_value=2),
+        # 800 s puts every task past the end of any budget drawn.
+        ready_offset=st.sampled_from([0.0, 37.5, 800.0]),
+        capacity=st.integers(min_value=1, max_value=3),
         round_start=st.sampled_from([0.0, 600.0]),
+        lone_pickup=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
     def test_resumed_walk_equals_full_walk(self, seed, travel_kind, return_home,
-                                           ready_offset, capacity, round_start):
+                                           ready_offset, capacity, round_start,
+                                           lone_pickup):
         seq, vehicle, travel, budget = _walk_case(seed, travel_kind, return_home,
-                                                  ready_offset, capacity, round_start)
+                                                  ready_offset, capacity, round_start,
+                                                  lone_pickup)
+        # Stepping task by task stops at the first task that breaks a
+        # per-task rule or completes past the budget's end.  Every state
+        # it reaches closes exactly when its prefix is a valid path, and
+        # has the clock and location a walk of that prefix reaches.
+        stop = _first_stop(seq, vehicle, travel, budget, round_start)
+        state = PathState(vehicle, travel, budget, round_start)
+        for k in range(stop + 1):
+            assert state.closes() == (
+                path_violation(seq[:k], vehicle, travel, budget, round_start) is None
+            )
+            if k == len(seq):
+                break
+            child = state.step(seq[k])
+            if k == stop:
+                assert child is None
+                break
+            assert (child.length, child.loc) == (k + 1, seq[k].location)
+            assert child.clock == build_path(vehicle, seq[:k + 1], travel,
+                                             round_start).completions[-1]
+            assert state.length == k  # stepping leaves the state as it is
+            state = child
+
         valid = [k for k in range(len(seq) + 1)
                  if path_violation(seq[:k], vehicle, travel, budget, round_start) is None]
         for k in valid:

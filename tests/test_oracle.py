@@ -6,6 +6,7 @@ import scipy.optimize
 
 from conftest import EUCLID, mk_task, mk_vehicle, random_instance
 from fairfleet.model import Instance, empty_schedule
+from fairfleet.vrp import RoundSolver, SolverConfig
 from fairfleet.oracle import (
     ORACLE_TASK_CAP,
     ORACLE_VEHICLE_CAP,
@@ -180,7 +181,26 @@ class TestLpFailure:
             convex_boundary(fs_of([(2, 0), (0, 2), (1.5, 1.5)]))
 
 
+def ride_and_errand():
+    """One vehicle, a ride p->d for c1 and a plain task q for c2, all
+    served within the one-minute round."""
+    p = mk_task("p", "c1", 50, 0, service=5.0, pickup_of="d")
+    d = mk_task("d", "c1", 100, 0, service=5.0, dropoff_of="p")
+    q = mk_task("q", "c2", 150, 0, service=5.0)
+    return Instance(tasks=(p, d, q), vehicles=(mk_vehicle(),), travel=EUCLID, budget=60.0)
+
+
 class TestOracleReport:
+    @pytest.mark.parametrize("ride_counts_as", [1, 2])
+    def test_ride_counts_as_matches_the_planner(self, ride_counts_as):
+        inst = ride_and_errand()
+        report = oracle_report(inst, ride_counts_as=ride_counts_as)
+        solver = RoundSolver(inst, SolverConfig(backend="exact"),
+                             ride_counts_as=ride_counts_as)
+        planned, _ = solver.solve(np.ones(2))
+        assert report["boundary_corners"] == [[float(ride_counts_as), 1.0]]
+        assert planned.tolist() == report["boundary_corners"][0]
+
     def test_payload_shape(self):
         report = oracle_report(tiny_instance())
         assert report["customers"] == ["c1", "c2"]

@@ -14,6 +14,7 @@ from conftest import (
     mk_task,
     mk_vehicle,
     random_instance,
+    ride_instance,
 )
 from fairfleet.model import (
     Instance,
@@ -60,14 +61,23 @@ def request_for(instance, weights, **kw):
 
 class TestExact:
     def test_matches_independent_brute_force(self):
+        # Plain random instances, then the hard cases of the path rules:
+        # pairs, deadlines, capacity, return home, asymmetric matrix
+        # travel, late vehicles, a late round start and both ride counts.
         rng = np.random.default_rng(11)
-        for _ in range(12):
-            inst = random_instance(rng, max_tasks=5, max_vehicles=2)
+        cases = [(random_instance(rng, max_tasks=5, max_vehicles=2), 1) for _ in range(12)]
+        rng = np.random.default_rng(7)
+        cases += [(ride_instance(rng), 1 + i % 2) for i in range(60)]
+        for inst, ride_counts_as in cases:
             w = rng.uniform(0.1, 2.0, len(inst.customers))
-            req = request_for(inst, w)
+            req = request_for(inst, w, ride_counts_as=ride_counts_as)
             sched = exact_vrp(req)
+            by_id = {v.vehicle_id: v for v in inst.vehicles}
+            for p in sched.paths:
+                assert path_violation(p.tasks, by_id[p.vehicle_id], inst.travel,
+                                      inst.budget, inst.round_start) is None
             got = schedule_value(req, sched)[0]
-            want = brute_best_value(inst, w)
+            want = brute_best_value(inst, w, ride_counts_as)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_schedules_always_feasible(self):
