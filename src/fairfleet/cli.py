@@ -16,12 +16,12 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .boundary import full_boundary
-from .emulator import POLICIES, Trace, run_trace
+from .emulator import POLICIES, Metrics, Trace, run_trace
 from .gen import PRESETS, generate, write_scenario
 from .model import (
     Instance,
@@ -220,22 +220,38 @@ def _policy_summary(metrics) -> dict:
 METRICS_COLUMNS = ["round", "customer", "xbar", "completed", "expired", "jain_total"]
 
 
-def cmd_run(cfg: dict) -> int:
+def _replay(cfg: dict, policy: str, summary: dict) -> Iterator[tuple[str, Metrics]]:
+    """Replay the trace under `policy`, or under each policy for "all",
+    yielding each policy with its metrics and noting its summary in
+    `summary`.  Under "all", a policy the fleet cannot run (a ValueError,
+    e.g. dedicated with fewer vehicles than customers) is skipped with a
+    line on stderr and an error entry; a single policy's error stands."""
     trace = _load_trace(cfg)
     vehicles = _load_vehicles(cfg)
     travel = _travel_model(cfg)
-    policy = cfg["policy"]
     if policy != "all" and policy not in POLICIES:
         raise UsageError(f"unknown policy {policy!r}; expected one of {POLICIES + ('all',)}")
-    policies = list(POLICIES) if policy == "all" else [policy]
     round_cfg = _round_config(cfg)
     solver_cfg = _solver_config(cfg)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
+    for p in POLICIES if policy == "all" else (policy,):
+        try:
+            metrics = run_trace(trace, p, round_cfg, vehicles, travel, solver_cfg)
+        except ValueError as exc:
+            if policy != "all":
+                raise
+            print(f"fairfleet: skipping {p}: {exc}", file=sys.stderr)
+            summary["policies"][p] = {"error": str(exc)}
+            continue
+        summary["policies"][p] = _policy_summary(metrics)
+        yield p, metrics
 
+
+def cmd_run(cfg: dict) -> int:
+    policy = cfg["policy"]
+    out = Path(cfg["out_dir"])
     summary: dict = {"config": cfg, "policies": {}}
-    for p in policies:
-        metrics = run_trace(trace, p, round_cfg, vehicles, travel, solver_cfg)
+    for p, metrics in _replay(cfg, policy, summary):
         suffix = f"_{p}" if policy == "all" else ""
         _write_csv(out / f"metrics{suffix}.csv", METRICS_COLUMNS, metrics.rounds)
         with open(out / f"events{suffix}.jsonl", "w", encoding="utf-8") as fh:
@@ -245,7 +261,7 @@ def cmd_run(cfg: dict) -> int:
             _write_csv(
                 out / f"plot{suffix}.csv",
                 ["t_s", "customer", "xbar"],
-                metrics.plot_rows(round_cfg.round_s),
+                metrics.plot_rows(float(cfg["round_s"])),
             )
         if cfg["emit.wait_histogram"]:
             _write_csv(
@@ -253,32 +269,16 @@ def cmd_run(cfg: dict) -> int:
                 ["customer", "bin_start_s", "bin_end_s", "count"],
                 metrics.wait_histogram(),
             )
-        summary["policies"][p] = _policy_summary(metrics)
     _write_json(out / "summary.json", summary)
     print(f"wrote {out / 'summary.json'}")
     return 0
 
 
 def cmd_compare(cfg: dict) -> int:
-    trace = _load_trace(cfg)
-    vehicles = _load_vehicles(cfg)
-    travel = _travel_model(cfg)
-    round_cfg = _round_config(cfg)
-    solver_cfg = _solver_config(cfg)
     out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-
     rows = []
     summary: dict = {"config": cfg, "policies": {}}
-    for p in POLICIES:
-        try:
-            metrics = run_trace(trace, p, round_cfg, vehicles, travel, solver_cfg)
-        except ValueError as exc:
-            # e.g. dedicated with fewer vehicles than customers
-            print(f"fairfleet: skipping {p}: {exc}", file=sys.stderr)
-            summary["policies"][p] = {"error": str(exc)}
-            continue
-        summary["policies"][p] = _policy_summary(metrics)
+    for p, metrics in _replay(cfg, "all", summary):
         for i, c in enumerate(metrics.customers):
             rows.append(
                 {

@@ -22,8 +22,8 @@ from .model import (
     Task,
     TravelModel,
     Vehicle,
-    build_path,
     empty_schedule,
+    step_of,
     task_count,
     travel_time,
 )
@@ -32,6 +32,7 @@ from .vrp import (
     COMMIT_WEIGHT_RATIO,
     SolverConfig,
     SolverRequest,
+    construct,
     dedicated_partition,
     solve_weighted_vrp,
 )
@@ -75,14 +76,12 @@ class _Stop:
     depart: float
     arrive: float
     complete: float
-    origin: Point
 
 
 @dataclass
 class _TaskState:
     task: Task
     status: str = PENDING
-    committed_at: Optional[float] = None
     vehicle_id: Optional[str] = None
     service_start: Optional[float] = None
     completion: Optional[float] = None
@@ -292,22 +291,17 @@ def _commit(
     """Replace future plans with `schedule`; stops in progress stay."""
     for path in schedule.paths:
         vs = sim.vehicles[path.vehicle_id]
-        keep = [locked[path.vehicle_id]] if path.vehicle_id in locked else []
-        stops = list(keep)
-        origin = stops[-1].task.location if stops else vs.position_at(now)
+        stops = [locked[path.vehicle_id]] if path.vehicle_id in locked else []
         for task, dep, arr, comp in zip(
             path.tasks, path.departures, path.arrivals, path.completions
         ):
-            stops.append(_Stop(task=task, depart=dep, arrive=arr, complete=comp, origin=origin))
-            origin = task.location
+            stops.append(_Stop(task=task, depart=dep, arrive=arr, complete=comp))
         vs.position = vs.position_at(now)
         vs.stops = stops
         vs.home_leg = _plan_home_leg(vs, stops, now, travel, home_flags[path.vehicle_id])
         for task in path.tasks:
             ts = sim.tasks[task.task_id]
             ts.status = COMMITTED
-            if ts.committed_at is None:
-                ts.committed_at = now
             ts.vehicle_id = path.vehicle_id
     planned = {p.vehicle_id for p in schedule.paths}
     for vid, vs in sim.vehicles.items():
@@ -477,71 +471,44 @@ def baseline_round_robin(instance: Instance, pinned: Optional[dict[str, str]] = 
     task of the current customer; customers with nothing feasible are
     skipped.  Needs no solver."""
     customers = instance.customers
-    unserved = {t.task_id: t for t in sorted(instance.tasks, key=lambda t: t.task_id)}
-    by_id = dict(unserved)
     # Candidates per customer, in task-id order: pickups and plain tasks.
     offered: dict[str, dict[str, Task]] = {c: {} for c in customers}
-    for tid, t in unserved.items():
+    for t in sorted(instance.tasks, key=lambda t: t.task_id):
         if not t.is_dropoff:
-            offered[t.customer_id][tid] = t
-    vehicles = sorted(instance.vehicles, key=lambda v: v.vehicle_id)
-    paths: dict[str, list[Task]] = {v.vehicle_id: [] for v in vehicles}
-    # Each path's walk so far: a candidate is checked as one appended
-    # step, not by re-walking the path.
-    walks = {
-        v.vehicle_id: PathState(v, instance.travel, instance.budget, instance.round_start)
-        for v in vehicles
-    }
-    cycle: dict[str, int] = {v.vehicle_id: 0 for v in vehicles}
+            offered[t.customer_id][t.task_id] = t
+    cycle: dict[str, int] = {v.vehicle_id: 0 for v in instance.vehicles}
 
-    def nearest_feasible(veh: Vehicle, customer: str) -> Optional[tuple]:
-        walk = walks[veh.vehicle_id]
+    def nearest_feasible(
+        walk: PathState, customer: str, unserved: dict[str, Task]
+    ) -> Optional[tuple]:
+        veh = walk.vehicle
         best = None
         for t in offered[customer].values():
             if pinned and pinned.get(t.task_id) not in (None, veh.vehicle_id):
                 continue
-            extra = None
-            if t.is_pickup:
-                extra = by_id.get(t.pickup_of)
-                if extra is None or extra.task_id not in unserved:
-                    continue
             d = travel_time(walk.loc, t.location, instance.travel, veh)
             # A candidate that cannot displace `best` needs no check.
             if best is not None and not d < best[0] - 1e-12:
                 continue
-            step = [t] if extra is None else [t, extra]
-            if walk.violation(step) is None:
+            step = step_of(t, unserved)
+            if step is not None and walk.violation(step) is None:
                 best = (d, step)
         return best
 
-    active = list(vehicles)
-    while active:
-        still = []
-        for veh in active:
-            found = None
-            k = len(customers)
-            for off in range(k):
-                c = customers[(cycle[veh.vehicle_id] + off) % k]
-                found = nearest_feasible(veh, c)
-                if found is not None:
-                    cycle[veh.vehicle_id] = (cycle[veh.vehicle_id] + off + 1) % k
-                    break
-            if found is None:
-                continue
-            _, step = found
-            paths[veh.vehicle_id].extend(step)
-            walks[veh.vehicle_id].advance(step)
-            offered[step[0].customer_id].pop(step[0].task_id)
-            for t in step:
-                unserved.pop(t.task_id)
-            still.append(veh)
-        active = still
+    def pick(walk: PathState, unserved: dict[str, Task]) -> Optional[tuple[Task, ...]]:
+        vid = walk.vehicle.vehicle_id
+        k = len(customers)
+        for off in range(k):
+            c = customers[(cycle[vid] + off) % k]
+            found = nearest_feasible(walk, c, unserved)
+            if found is not None:
+                cycle[vid] = (cycle[vid] + off + 1) % k
+                _, step = found
+                offered[c].pop(step[0].task_id)
+                return step
+        return None
 
-    built = tuple(
-        build_path(v, paths[v.vehicle_id], instance.travel, instance.round_start)
-        for v in vehicles
-    )
-    return Schedule(paths=built, round_duration=instance.budget)
+    return construct(instance, pick)
 
 
 def run_trace(

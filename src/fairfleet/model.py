@@ -16,7 +16,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -292,6 +292,19 @@ def riders_on_board(tasks: Sequence[Task]) -> frozenset[str]:
     return frozenset(
         t.dropoff_of for t in tasks if t.dropoff_of is not None and t.dropoff_of not in ids
     )
+
+
+def step_of(task: Task, unserved: Mapping[str, Task]) -> Optional[tuple[Task, ...]]:
+    """The tasks a path appends when it takes `task`: a plain task
+    alone, a pickup together with its dropoff.  None for a pickup whose
+    dropoff is not among `unserved`, and for a dropoff: it goes with its
+    pickup, never alone."""
+    if task.dropoff_of is not None:
+        return None
+    if task.pickup_of is None:
+        return (task,)
+    drop = unserved.get(task.pickup_of)
+    return None if drop is None else (task, drop)
 
 
 _NONE_OPEN: frozenset[str] = frozenset()

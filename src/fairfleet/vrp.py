@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .model import (
     empty_schedule,
     path_violation,
     riders_on_board,
+    step_of,
     task_count,
     travel_time,
 )
@@ -103,8 +104,8 @@ class SolverRequest:
     weights are clamped to zero before solving.  `weight_overrides` maps a
     task_id to an absolute weight replacing its customer's; `pinned` maps
     a task_id to the only vehicle allowed to serve it.  `table` is the
-    round's shared travel table; a heuristic solve it does not cover
-    builds its own.
+    round's shared travel table; a solve it does not cover builds its
+    own.
     """
 
     tasks: tuple[Task, ...]
@@ -181,7 +182,8 @@ def exact_vrp(
     """Provably optimal weighted schedule by branch and bound.
 
     Branches append one task at a time to the current vehicle's path, in
-    canonical task order, by `PathState.step`, and close a path where
+    canonical task order, by `PathState.step` with the leg from the
+    round's `RoundTable`, and close a path where
     `PathState.closes`; riders on board are those `riders_on_board`
     finds in the request.  Pruning: the path rules, the admissible
     remaining-weight bound, and a dominance table keyed on (vehicle,
@@ -210,18 +212,12 @@ def exact_vrp(
             if tid in tindex:
                 pin[tindex[tid]] = vid_index.get(vid)
 
-    # Travel seconds: leg[v][i][j], from_start[v][i].
-    leg = [
-        [
-            [travel_time(a.location, b.location, req.travel, v) for b in tasks]
-            for a in tasks
-        ]
-        for v in vehicles
-    ]
-    from_start = [
-        [travel_time(v.start_location, t.location, req.travel, v) for t in tasks]
-        for v in vehicles
-    ]
+    # Travel seconds from the round's table: legs[v][row][row], where a
+    # path starts at its vehicle's home row and moves to rows[i].
+    table = RoundTable.for_request(req)
+    legs = [table.seconds[v.vehicle_id] for v in vehicles]
+    homes = [table.home[v.vehicle_id] for v in vehicles]
+    rows = [table.row[t.task_id] for t in tasks]
     onboard = riders_on_board(tasks)
 
     def start(v: int) -> PathState:
@@ -280,7 +276,7 @@ def exact_vrp(
                 leaf(value, count, done)
             elif (v + 1, mask) not in closed_memo:
                 closed_memo.add((v + 1, mask))
-                search(v + 1, mask, -1, start(v + 1), value, count, done, ())
+                search(v + 1, mask, homes[v + 1], start(v + 1), value, count, done, ())
 
         for i in range(n):
             bit = 1 << i
@@ -288,7 +284,7 @@ def exact_vrp(
                 continue
             if pin[i] is not None and pin[i] != v:
                 continue
-            hop = from_start[v][i] if last < 0 else leg[v][last][i]
+            hop = legs[v][last][rows[i]]
             # Dominance, from the child's clock before the child is built.
             key = (v, mask | bit, i)
             t_clock = state.clock + hop + tasks[i].service_time
@@ -300,13 +296,13 @@ def exact_vrp(
                 continue
             seq_memo[key] = child.clock
             search(
-                v, mask | bit, i, child,
+                v, mask | bit, rows[i], child,
                 value + contrib[i], count + counts[i],
                 paths, current + (i,),
             )
 
     if n and nv:
-        search(0, 0, -1, start(0), 0.0, 0.0, (), ())
+        search(0, 0, homes[0], start(0), 0.0, 0.0, (), ())
 
     if best["paths"] is None:
         return empty_schedule(req.vehicles, req.budget)
@@ -915,11 +911,10 @@ class _Heuristic:
         seq_key = tuple(state.seq)
         pairs = []
         for t in pickups:
-            if t.task_id not in unscheduled:
+            step = step_of(t, unscheduled) if t.task_id in unscheduled else None
+            if step is None:
                 continue
-            drop = self.by_id.get(t.pickup_of)
-            if drop is None or drop.task_id not in unscheduled:
-                continue
+            _, drop = step
             pres = self._try_insert_pair(state, t, drop, seq_key)
             if pres is not None:
                 delta, trial = pres
@@ -1158,8 +1153,47 @@ def heuristic_vrp(req: SolverRequest) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# Greedy fairness-guided construction
+# Constructive loops: the greedy construction and the round-robin baseline
 # ---------------------------------------------------------------------------
+
+# A chooser of the next step for a vehicle: given its walk so far and the
+# unserved tasks, a `step_of` that keeps the walk valid, or None.
+Pick = Callable[[PathState, dict[str, Task]], Optional[tuple[Task, ...]]]
+
+
+def construct(instance: Instance, pick: Pick) -> Schedule:
+    """A schedule built one step at a time.  The vehicles take turns in
+    id order; on its turn a vehicle asks `pick` for its next step, given
+    its walk so far and the unserved tasks in task-id order, and takes it
+    at once, so `pick` may note the step as taken.  A vehicle that gets
+    None takes no further turn; the loop ends when none is left.  Paths
+    come back in the instance's vehicle order."""
+    unserved = {t.task_id: t for t in sorted(instance.tasks, key=lambda t: t.task_id)}
+    # Each path's walk so far: a candidate is checked as one appended
+    # step, not by re-walking the path.
+    walks = {
+        v.vehicle_id: PathState(v, instance.travel, instance.budget, instance.round_start)
+        for v in instance.vehicles
+    }
+    paths: dict[str, list[Task]] = {vid: [] for vid in walks}
+    active = sorted(walks)
+    while active:
+        still = []
+        for vid in active:
+            step = pick(walks[vid], unserved)
+            if step is None:
+                continue
+            walks[vid].advance(step)
+            paths[vid].extend(step)
+            for t in step:
+                del unserved[t.task_id]
+            still.append(vid)
+        active = still
+    built = tuple(
+        build_path(v, paths[v.vehicle_id], instance.travel, instance.round_start)
+        for v in instance.vehicles
+    )
+    return Schedule(paths=built, round_duration=instance.budget)
 
 
 def greedy_alpha_heuristic(
@@ -1176,15 +1210,16 @@ def greedy_alpha_heuristic(
     table: Optional[RoundTable] = None,
 ) -> Schedule:
     """Fairness-guided construction: each vehicle repeatedly appends the
-    feasible task with greatest return-on-investment
+    feasible step with greatest return-on-investment
 
         R(l) = (U_alpha(x after l) - U_alpha(x)) / travel cost to l,
 
-    where x counts fulfilled tasks per customer over the budget.  In
-    max-min mode the pick is the worst-off customer's cheapest task.  A
-    final packing pass re-solves with very high weight on the selected
-    tasks to fill leftover capacity.  Both read their legs from `table`
-    if it covers the tasks and vehicles, else from a table of their own.
+    where x counts fulfilled tasks per customer over the budget, the
+    first such step in task-id order on a tie.  In max-min mode the pick
+    is the worst-off customer's cheapest step.  A final packing pass
+    re-solves with very high weight on the selected tasks to fill
+    leftover capacity.  Both read their legs from `table` if it covers
+    the tasks and vehicles, else from a table of their own.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -1208,89 +1243,57 @@ def greedy_alpha_heuristic(
     row = table.row
     cindex = {c: i for i, c in enumerate(customers)}
     minutes = budget / 60.0
-
-    by_id = {t.task_id: t for t in tasks}
-    unserved = dict(sorted(by_id.items()))
+    maxmin = is_leximin(alpha)
     h = np.zeros(len(customers))
-    paths: dict[str, list[Task]] = {v.vehicle_id: [] for v in vehicles}
-    # Each path's walk so far: a candidate is checked as one appended
-    # step, not by re-walking the path.
-    walks = {v.vehicle_id: PathState(v, travel, budget, round_start) for v in vehicles}
     # The table row each path ends at: its last task, or its start.
     ends = dict(table.home)
-    active = sorted(vehicles, key=lambda v: v.vehicle_id)
 
-    def candidates_for(veh: Vehicle) -> list[tuple[Task, Optional[Task], float, list[Task]]]:
-        walk = walks[veh.vehicle_id]
-        legs = table.seconds[veh.vehicle_id]
-        from_end = legs[ends[veh.vehicle_id]]
-        out = []
+    def pick(walk: PathState, unserved: dict[str, Task]) -> Optional[tuple[Task, ...]]:
+        vid = walk.vehicle.vehicle_id
+        legs = table.seconds[vid]
+        from_end = legs[ends[vid]]
+        best = None
+        # The utility gain depends on the candidate only through its
+        # customer and count, so it is computed once per pair of them.
+        gains: dict[tuple[int, float], float] = {}
         for t in unserved.values():
-            if t.is_dropoff:
+            step = step_of(t, unserved)
+            if step is None:
                 continue
-            extra: Optional[Task] = None
-            if t.is_pickup:
-                extra = by_id.get(t.pickup_of)
-                if extra is None or extra.task_id not in unserved:
-                    continue
             cost = from_end[row[t.task_id]]
-            if extra is not None:
-                cost += legs[row[t.task_id]][row[extra.task_id]]
-            step = [t] if extra is None else [t, extra]
-            if walk.violation(step) is not None:
-                continue
-            out.append((t, extra, cost, step))
-        return out
+            inc = task_count(t, ride_counts_as)
+            if len(step) == 2:
+                cost += legs[row[t.task_id]][row[step[1].task_id]]
+                inc += task_count(step[1], ride_counts_as)
+            k = cindex[t.customer_id]
+            if maxmin:
+                key = (-h[k], -cost)
+            else:
+                du = gains.get((k, inc))
+                if du is None:
+                    x_new = h.copy()
+                    x_new[k] += inc
+                    du = gains[k, inc] = alpha_fair_utility(
+                        x_new / minutes, alpha
+                    ) - alpha_fair_utility(h / minutes, alpha)
+                key = (du / max(cost, 1e-9), -cost)
+            # A candidate that cannot displace `best` needs no check.
+            if (best is None or key > best[0]) and walk.violation(step) is None:
+                best = (key, k, inc, step)
+        if best is None:
+            return None
+        _, k, inc, step = best
+        h[k] += inc
+        ends[vid] = row[step[-1].task_id]
+        return step
 
-    while active:
-        still = []
-        for veh in active:
-            cands = candidates_for(veh)
-            if not cands:
-                continue
-            best = None
-            # The utility gain depends on the candidate only through its
-            # customer and count, so it is computed once per pair of them.
-            gains: dict[tuple[int, float], float] = {}
-            for t, extra, cost, step in cands:
-                k = cindex[t.customer_id]
-                inc = task_count(t, ride_counts_as) + (
-                    task_count(extra, ride_counts_as) if extra is not None else 0.0
-                )
-                if is_leximin(alpha):
-                    key = (-h[k], -cost)
-                else:
-                    du = gains.get((k, inc))
-                    if du is None:
-                        x_new = h.copy()
-                        x_new[k] += inc
-                        du = gains[k, inc] = alpha_fair_utility(
-                            x_new / minutes, alpha
-                        ) - alpha_fair_utility(h / minutes, alpha)
-                    key = (du / max(cost, 1e-9), -cost)
-                if best is None or key > best[0]:
-                    best = (key, t, inc, step)
-            if best is None:
-                continue
-            _, t, inc, step = best
-            paths[veh.vehicle_id].extend(step)
-            walks[veh.vehicle_id].advance(step)
-            ends[veh.vehicle_id] = row[step[-1].task_id]
-            for done in step:
-                unserved.pop(done.task_id)
-            h[cindex[t.customer_id]] += inc
-            still.append(veh)
-        active = still
-
-    built = tuple(
-        build_path(v, paths[v.vehicle_id], travel, round_start) for v in vehicles
+    schedule = construct(
+        Instance(req.tasks, req.vehicles, travel, budget, round_start), pick
     )
-    schedule = Schedule(paths=built, round_duration=budget)
     if not pack:
         return schedule
 
-    committed = {t.task_id for p in built for t in p.tasks}
-    overrides = {tid: COMMIT_WEIGHT_RATIO for tid in committed}
+    overrides = {tid: COMMIT_WEIGHT_RATIO for tid in schedule.task_ids()}
     return heuristic_vrp(
         replace(req, table=table, weight_overrides=overrides, warm_starts=(schedule,))
     )
@@ -1384,9 +1387,9 @@ class RoundSolver:
     overrides/pins to each call, and keeps every result as a warm start
     for the next.
 
-    A heuristic-backed round builds one travel table for the suite and
-    every call, and starts from the warm-start suite; the call counter
-    verifies the |K| + stages budget per round.
+    Every call of a round reads one travel table, whichever backend
+    solves it; a heuristic-backed round also builds the warm-start suite
+    on it.  The call counter verifies the |K| + stages budget per round.
     """
 
     def __init__(
@@ -1408,9 +1411,8 @@ class RoundSolver:
         self.customers = tuple(customers) if customers is not None else instance.customers
         self.calls = 0
         self._cache: list[Schedule] = []
-        self._table: Optional[RoundTable] = None
+        self._table = RoundTable(instance.tasks, instance.vehicles, instance.travel)
         if not self.config.picks_exact(len(instance.tasks), len(instance.vehicles)):
-            self._table = RoundTable(instance.tasks, instance.vehicles, instance.travel)
             self._cache.extend(
                 build_warm_start_suite(
                     instance, alpha, self.config.seed, ride_counts_as, table=self._table

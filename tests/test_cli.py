@@ -237,6 +237,38 @@ class TestCompare:
         summary = json.loads((out / "summary.json").read_text())
         assert "error" in summary["policies"]["dedicated"]
 
+    def test_run_all_skips_what_compare_skips(self, tmp_path, capsys):
+        """`run --policy all` on a fleet too small for the dedicated
+        policy skips it as `compare` does: same stderr line, same
+        summary entries; the other policies' files are written."""
+        cfg = gen_bundle(tmp_path)  # one vehicle, two customers
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--policy", "all"]) == 0
+        run_err = capsys.readouterr().err
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 0
+        cmp_err = capsys.readouterr().err
+        assert run_err == cmp_err
+        assert run_err.count("fairfleet: skipping dedicated: ") == 1
+        ran = json.loads((tmp_path / "run" / "summary.json").read_text())["policies"]
+        compared = json.loads((tmp_path / "cmp" / "summary.json").read_text())["policies"]
+        assert ran == compared
+        assert ran["dedicated"] == {
+            "error": "dedicated baseline needs at least one vehicle per customer"}
+        for p in ("mobius", "max_throughput", "round_robin"):
+            assert "error" not in ran[p]
+            assert (tmp_path / "run" / f"metrics_{p}.csv").is_file()
+        assert not (tmp_path / "run" / "metrics_dedicated.csv").exists()
+        assert not (tmp_path / "run" / "events_dedicated.jsonl").exists()
+
+    def test_single_policy_the_fleet_cannot_run_fails(self, tmp_path, capsys):
+        cfg = gen_bundle(tmp_path)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--policy", "dedicated"]) == 1
+        assert "ValueError: dedicated baseline needs" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
 
 class TestBoundary:
     def test_geometry_payload(self, tmp_path):

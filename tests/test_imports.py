@@ -87,3 +87,41 @@ def test_path_rules_live_in_model_alone():
     readers = [m.name for m in modules if "capacity" in attribute_reads(m)]
     assert readers == ["model.py"]
     assert "deadline" not in attribute_reads(package / "oracle.py")
+
+
+def package_modules():
+    """The package's modules but `__init__.py`, with their parsed trees."""
+    package = Path(fairfleet.__file__).resolve().parent
+    return {m.name: ast.parse(m.read_text(encoding="utf-8"))
+            for m in sorted(package.glob("*.py")) if m.name != "__init__.py"}
+
+
+def test_path_states_are_built_in_the_loops_alone():
+    """Only `model`, the oracle, `vrp.construct` and `vrp.exact_vrp`
+    build a `PathState`: the constructive loops share `construct`."""
+    builders = {}
+    for name, tree in package_modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "PathState"):
+                    builders.setdefault(name, set()).add(getattr(top, "name", None))
+    assert set(builders) <= {"model.py", "oracle.py", "vrp.py"}
+    assert builders["vrp.py"] == {"construct", "exact_vrp"}
+    assert "emulator.py" not in builders
+
+
+def test_every_import_is_used():
+    """Each top-level name a module imports is read in that module."""
+    unused = []
+    for name, tree in package_modules().items():
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.add((alias.asname or alias.name).split(".")[0])
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(f"{name}: {n}" for n in sorted(imported - read))
+    assert unused == []

@@ -29,6 +29,7 @@ from fairfleet.model import (
     read_vehicles_json,
     sequence_cost,
     sequence_feasible,
+    step_of,
     travel_time,
     validate_pairs,
     write_tasks_jsonl,
@@ -497,3 +498,15 @@ class TestFileFormats:
         assert np.array_equal(back.seconds, m.seconds)
         v = mk_vehicle()
         assert travel_time((100, 0), (0, 100), back, v) == 12.0
+
+
+def test_step_of_takes_a_pair_whole_and_no_lone_dropoff():
+    plain = mk_task("a", "c1", 10.0, 0.0)
+    pick = mk_task("p", "c1", 20.0, 0.0, pickup_of="d")
+    drop = mk_task("d", "c1", 30.0, 0.0, dropoff_of="p")
+    unserved = {t.task_id: t for t in (plain, pick, drop)}
+    assert step_of(plain, unserved) == (plain,)
+    assert step_of(pick, unserved) == (pick, drop)
+    assert step_of(drop, unserved) is None
+    assert step_of(pick, {"a": plain, "p": pick}) is None
+    assert step_of(drop, {"d": drop}) is None

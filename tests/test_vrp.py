@@ -16,8 +16,11 @@ from conftest import (
     random_instance,
     ride_instance,
 )
+from fairfleet.emulator import baseline_round_robin
+from fairfleet.fairness import LEXIMIN_ALPHA, alpha_fair_utility
 from fairfleet.model import (
     Instance,
+    PathState,
     Schedule,
     Task,
     TravelModel,
@@ -26,6 +29,7 @@ from fairfleet.model import (
     build_path,
     path_violation,
     sequence_cost,
+    task_count,
     travel_time,
 )
 from fairfleet.vrp import (
@@ -280,6 +284,162 @@ def test_greedy_golden_schedules(name, alpha, expected):
     assert {p.vehicle_id: p.task_ids for p in sched.paths} == expected
     for v, p in zip(inst.vehicles, sched.paths):
         assert path_violation(p.tasks, v, inst.travel, inst.budget, inst.round_start) is None
+
+
+# Reference copies of the constructive loops as they were before they
+# shared `construct`: each turn checks every candidate step against the
+# path rules first, then takes the first best one.
+
+
+def _eager_turns(inst, choose):
+    """Vehicles take turns in id order; `choose(vehicle, end, feasible,
+    unserved)` picks one of the feasible steps or None."""
+    by_id = {t.task_id: t for t in inst.tasks}
+    unserved = dict(sorted(by_id.items()))
+    paths = {v.vehicle_id: [] for v in inst.vehicles}
+    walks = {v.vehicle_id: PathState(v, inst.travel, inst.budget, inst.round_start)
+             for v in inst.vehicles}
+    active = sorted(inst.vehicles, key=lambda v: v.vehicle_id)
+    while active:
+        still = []
+        for veh in active:
+            path = paths[veh.vehicle_id]
+            feasible = []
+            for t in unserved.values():
+                if t.is_dropoff:
+                    continue
+                step = [t]
+                if t.is_pickup:
+                    extra = by_id.get(t.pickup_of)
+                    if extra is None or extra.task_id not in unserved:
+                        continue
+                    step.append(extra)
+                if walks[veh.vehicle_id].violation(step) is None:
+                    feasible.append(step)
+            end = path[-1].location if path else veh.start_location
+            step = choose(veh, end, feasible)
+            if step is None:
+                continue
+            path.extend(step)
+            walks[veh.vehicle_id].advance(step)
+            for t in step:
+                unserved.pop(t.task_id)
+            still.append(veh)
+        active = still
+    return {v.vehicle_id: build_path(v, paths[v.vehicle_id], inst.travel, inst.round_start)
+            for v in inst.vehicles}
+
+
+def eager_greedy(inst, alpha, ride_counts_as=1):
+    customers = inst.customers
+    cindex = {c: i for i, c in enumerate(customers)}
+    minutes = inst.budget / 60.0
+    h = np.zeros(len(customers))
+
+    def choose(veh, end, feasible):
+        best = None
+        for step in feasible:
+            t = step[0]
+            cost = travel_time(end, t.location, inst.travel, veh)
+            inc = task_count(t, ride_counts_as)
+            if len(step) == 2:
+                cost += travel_time(t.location, step[1].location, inst.travel, veh)
+                inc += task_count(step[1], ride_counts_as)
+            k = cindex[t.customer_id]
+            if alpha > LEXIMIN_ALPHA:
+                key = (-h[k], -cost)
+            else:
+                x_new = h.copy()
+                x_new[k] += inc
+                du = (alpha_fair_utility(x_new / minutes, alpha)
+                      - alpha_fair_utility(h / minutes, alpha))
+                key = (du / max(cost, 1e-9), -cost)
+            if best is None or key > best[0]:
+                best = (key, k, inc, step)
+        if best is None:
+            return None
+        _, k, inc, step = best
+        h[k] += inc
+        return step
+
+    return _eager_turns(inst, choose)
+
+
+def eager_round_robin(inst, pinned=None):
+    customers = inst.customers
+    cycle = {v.vehicle_id: 0 for v in inst.vehicles}
+
+    def choose(veh, end, feasible):
+        allowed = [s for s in feasible
+                   if (pinned or {}).get(s[0].task_id) in (None, veh.vehicle_id)]
+        k = len(customers)
+        for off in range(k):
+            c = customers[(cycle[veh.vehicle_id] + off) % k]
+            best = None
+            for step in allowed:
+                if step[0].customer_id != c:
+                    continue
+                d = travel_time(end, step[0].location, inst.travel, veh)
+                if best is None or d < best[0] - 1e-12:
+                    best = (d, step)
+            if best is not None:
+                cycle[veh.vehicle_id] = (cycle[veh.vehicle_id] + off + 1) % k
+                return best[1]
+        return None
+
+    return _eager_turns(inst, choose)
+
+
+def _timed(paths):
+    return {vid: (p.task_ids, p.completions) for vid, p in paths.items()}
+
+
+@st.composite
+def construction_cases(draw):
+    """A random instance, plain and paired (`random_instance`), perhaps
+    on a 100 m lattice where many steps tie, or with deadlines, ready
+    offsets, a late round start and matrix travel (`ride_instance`); its
+    fleet in drawn order, and drawn pins."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        inst = random_instance(rng, max_tasks=12, max_vehicles=3, allow_pairs=True)
+        if draw(st.booleans()):
+            snap = lambda p: (round(p[0], -2), round(p[1], -2))
+            inst = replace(
+                inst,
+                tasks=tuple(replace(t, location=snap(t.location)) for t in inst.tasks),
+                vehicles=tuple(replace(v, start_location=snap(v.start_location))
+                               for v in inst.vehicles),
+            )
+    else:
+        inst = ride_instance(rng, max_tasks=9, max_vehicles=3)
+    inst = replace(inst, vehicles=tuple(draw(st.permutations(list(inst.vehicles)))))
+    ids = [v.vehicle_id for v in inst.vehicles]
+    pins = {t.task_id: draw(st.sampled_from(ids)) for t in inst.tasks if draw(st.booleans())}
+    return inst, pins or None
+
+
+class TestConstruct:
+    @given(case=construction_cases(), rides=st.sampled_from([1, 2]))
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_matches_the_eager_loop(self, case, rides):
+        inst, _ = case
+        for alpha in (0.0, 1.0, 64.0):
+            sched = greedy_alpha_heuristic(inst.tasks, inst.vehicles, inst.budget, alpha,
+                                           inst.travel, inst.round_start,
+                                           ride_counts_as=rides, pack=False)
+            assert [p.vehicle_id for p in sched.paths] == [v.vehicle_id for v in inst.vehicles]
+            got = {p.vehicle_id: p for p in sched.paths}
+            assert _timed(got) == _timed(eager_greedy(inst, alpha, rides))
+
+    @given(case=construction_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_round_robin_matches_the_eager_loop(self, case):
+        inst, pins = case
+        sched = baseline_round_robin(inst, pins)
+        assert [p.vehicle_id for p in sched.paths] == [v.vehicle_id for v in inst.vehicles]
+        got = {p.vehicle_id: p for p in sched.paths}
+        assert _timed(got) == _timed(eager_round_robin(inst, pins))
 
 
 class TestWarmStarts:
