@@ -342,7 +342,6 @@ def cmd_boundary(cfg: dict) -> int:
     solver = RoundSolver(
         instance,
         _solver_config(cfg),
-        alpha=round_cfg.alpha,
         ride_counts_as=round_cfg.ride_counts_as,
         customers=customers,
     )

@@ -279,11 +279,6 @@ def sequence_cost(
     return cost
 
 
-def path_cost(path: Path, vehicle: Vehicle, model: TravelModel) -> float:
-    """c(P_v): total travel and service time of the path."""
-    return sequence_cost(path.tasks, vehicle, model)
-
-
 def riders_on_board(tasks: Sequence[Task]) -> frozenset[str]:
     """The pickups that the dropoffs among `tasks` name but `tasks`
     lack: riders a vehicle already carries.  A path may serve their
@@ -453,16 +448,6 @@ class PathState:
         child.onboard, child.clock, child.loc = self.onboard, clock, loc
         child.open_pairs, child.length = open_pairs, self.length + 1
         return child
-
-
-def sequence_feasible(
-    tasks: Sequence[Task],
-    vehicle: Vehicle,
-    model: TravelModel,
-    budget: float,
-    round_start: float = 0.0,
-) -> bool:
-    return path_violation(tasks, vehicle, model, budget, round_start) is None
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,6 @@ def run_round(
     solver = RoundSolver(
         instance,
         solver_config,
-        alpha=cfg.alpha,
         weight_overrides=weight_overrides,
         pinned=pinned,
         ride_counts_as=cfg.ride_counts_as,

@@ -23,7 +23,7 @@ throughput allocation.  Three entry points:
                      differ in weights and pins, which neither reads, and
                      mostly meet paths an earlier solve already screened.
 * greedy_alpha_heuristic -- fairness-guided construction by greatest
-                     return-on-investment, then a final packing pass.
+                     return-on-investment.
 
 Ties on the weighted objective are broken toward larger unweighted total
 throughput.  All solvers are deterministic for a fixed (instance, weights,
@@ -59,8 +59,8 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-# Weight ratio used to force inclusion of committed tasks during packing
-# and replanning.
+# Weight ratio used to force inclusion of committed tasks during
+# replanning.
 COMMIT_WEIGHT_RATIO = 1e6
 
 # Local-search effort per configured solver second; the budget is derived
@@ -1204,10 +1204,6 @@ def greedy_alpha_heuristic(
     travel: TravelModel,
     round_start: float = 0.0,
     ride_counts_as: int = 1,
-    customers: Optional[Sequence[str]] = None,
-    pack: bool = True,
-    seed: int = 0,
-    table: Optional[RoundTable] = None,
 ) -> Schedule:
     """Fairness-guided construction: each vehicle repeatedly appends the
     feasible step with greatest return-on-investment
@@ -1216,35 +1212,17 @@ def greedy_alpha_heuristic(
 
     where x counts fulfilled tasks per customer over the budget, the
     first such step in task-id order on a tie.  In max-min mode the pick
-    is the worst-off customer's cheapest step.  A final packing pass
-    re-solves with very high weight on the selected tasks to fill
-    leftover capacity.  Both read their legs from `table` if it covers
-    the tasks and vehicles, else from a table of their own.
+    is the worst-off customer's cheapest step.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    if customers is None:
-        customers = sorted({t.customer_id for t in tasks})
-    customers = tuple(customers)
-    req = SolverRequest(
-        tasks=tuple(tasks),
-        vehicles=tuple(vehicles),
-        travel=travel,
-        budget=budget,
-        customers=customers,
-        weights=np.ones(len(customers)),
-        round_start=round_start,
-        time_limit=1.0,
-        seed=seed,
-        ride_counts_as=ride_counts_as,
-        table=table,
-    )
-    table = RoundTable.for_request(req)
+    instance = Instance(tasks, vehicles, travel, budget, round_start)
+    table = RoundTable(instance.tasks, instance.vehicles, travel)
     row = table.row
-    cindex = {c: i for i, c in enumerate(customers)}
+    cindex = {c: i for i, c in enumerate(instance.customers)}
     minutes = budget / 60.0
     maxmin = is_leximin(alpha)
-    h = np.zeros(len(customers))
+    h = np.zeros(len(cindex))
     # The table row each path ends at: its last task, or its start.
     ends = dict(table.home)
 
@@ -1287,16 +1265,7 @@ def greedy_alpha_heuristic(
         ends[vid] = row[step[-1].task_id]
         return step
 
-    schedule = construct(
-        Instance(req.tasks, req.vehicles, travel, budget, round_start), pick
-    )
-    if not pack:
-        return schedule
-
-    overrides = {tid: COMMIT_WEIGHT_RATIO for tid in schedule.task_ids()}
-    return heuristic_vrp(
-        replace(req, table=table, weight_overrides=overrides, warm_starts=(schedule,))
-    )
+    return construct(instance, pick)
 
 
 # ---------------------------------------------------------------------------
@@ -1317,15 +1286,13 @@ def dedicated_partition(vehicles: Sequence[Vehicle], customers: Sequence[str]) -
 
 def build_warm_start_suite(
     instance: Instance,
-    alpha: float,
     seed: int = 0,
     ride_counts_as: int = 1,
     table: Optional[RoundTable] = None,
 ) -> list[Schedule]:
-    """Constructive schedules: max-throughput insertion, a dedicated
-    vehicle partition (omitted when |V| < |K|), and the fairness-guided
-    greedy construction, all counting a ride as `ride_counts_as`.  Every
-    heuristic solve reads `table` if it covers the solve."""
+    """Warm starts: the max-throughput insertion solve, then a dedicated
+    vehicle partition when |V| >= |K|, both counting a ride as
+    `ride_counts_as`.  Every solve reads `table` if it covers the solve."""
     customers = instance.customers
     suite: list[Schedule] = []
     base = SolverRequest(
@@ -1351,21 +1318,6 @@ def build_warm_start_suite(
             sub = replace(base, tasks=own, vehicles=tuple(groups[cust]))
             paths.extend(heuristic_vrp(sub).paths)
         suite.append(Schedule(paths=tuple(paths), round_duration=instance.budget))
-
-    suite.append(
-        greedy_alpha_heuristic(
-            instance.tasks,
-            instance.vehicles,
-            instance.budget,
-            alpha,
-            instance.travel,
-            instance.round_start,
-            ride_counts_as=ride_counts_as,
-            customers=customers,
-            seed=seed,
-            table=table,
-        )
-    )
     return suite
 
 
@@ -1388,15 +1340,15 @@ class RoundSolver:
     for the next.
 
     Every call of a round reads one travel table, whichever backend
-    solves it; a heuristic-backed round also builds the warm-start suite
-    on it.  The call counter verifies the |K| + stages budget per round.
+    solves it.  A heuristic-backed round first seeds the cache with the
+    warm-start suite, built on the same table and outside the call
+    count.  The call counter verifies the |K| + stages budget per round.
     """
 
     def __init__(
         self,
         instance: Instance,
         config: Optional[SolverConfig] = None,
-        alpha: float = 1.0,
         weight_overrides: Optional[dict[str, float]] = None,
         pinned: Optional[dict[str, str]] = None,
         ride_counts_as: int = 1,
@@ -1404,7 +1356,6 @@ class RoundSolver:
     ):
         self.instance = instance
         self.config = config or SolverConfig()
-        self.alpha = alpha
         self.weight_overrides = dict(weight_overrides or {})
         self.pinned = dict(pinned or {})
         self.ride_counts_as = ride_counts_as
@@ -1415,7 +1366,7 @@ class RoundSolver:
         if not self.config.picks_exact(len(instance.tasks), len(instance.vehicles)):
             self._cache.extend(
                 build_warm_start_suite(
-                    instance, alpha, self.config.seed, ride_counts_as, table=self._table
+                    instance, self.config.seed, ride_counts_as, table=self._table
                 )
             )
 

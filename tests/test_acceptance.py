@@ -266,7 +266,7 @@ def test_08_greedy_construction_contract():
         veh = inst.vehicles[0]
 
         sched = greedy_alpha_heuristic(
-            inst.tasks, (veh,), inst.budget, 0.0, inst.travel, pack=False,
+            inst.tasks, (veh,), inst.budget, 0.0, inst.travel,
         )
         picked = sched.paths[0].tasks
         reachable = [
@@ -287,7 +287,7 @@ def test_08_greedy_construction_contract():
             assert not picked
 
         w = rng.uniform(0.1, 1.0, len(inst.customers))
-        suite = build_warm_start_suite(inst, alpha=1.0, seed=3)
+        suite = build_warm_start_suite(inst, seed=3)
         req = SolverRequest(
             tasks=inst.tasks,
             vehicles=inst.vehicles,

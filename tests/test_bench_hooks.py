@@ -53,7 +53,10 @@ def test_traced_ride_replay(perfbench):
     assert rec.round_calls == sum(e["calls"] for e in planned)
     assert rec.round_stages == sum(e["stages"] for e in planned)
     assert rec.cancelled <= metrics.cancellations
-    for name in ("boundary.init_face", "boundary.search", "scheduler.select"):
+    # The suite and the solves are called through their module attributes,
+    # so the spans that time them are recorded.
+    for name in ("boundary.init_face", "boundary.search", "scheduler.select",
+                 "vrp.suite", "vrp.solve"):
         assert rec.named(name)
     after = attributes()
     assert after.keys() == before.keys()

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, config handling, exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,66 @@ class TestGen:
         cfg = gen_bundle(tmp_path, "--set", "n_each=3")
         lines = (cfg.parent / "tasks.jsonl").read_text().strip().splitlines()
         assert len(lines) == 6
+
+
+# sha256 of each `run --policy all` artifact on two rounds of a map under
+# the heuristic backend (`solver.time_limit_s=0.1`, `solver.seed=11`).
+MAPS_ARTIFACT_SHA256 = {
+    "map_a": {
+        "events_dedicated.jsonl":
+            "1c83904d038ebc9d8fdcbd895c4bb422e79bb7d0c01d4a5f19d477b44d33993e",
+        "events_max_throughput.jsonl":
+            "a9168747cfc97c1f59513974c00138be33e8c8f315a9c7a9ab95f49780271bdf",
+        "events_mobius.jsonl":
+            "ab15d26353b1065eb62bc19ddc8f1b48548d9e1153b597721a79427c43e04d8d",
+        "events_round_robin.jsonl":
+            "9e88aa0d9b8b82a40606a4a9bc32e7af324f64a6104f098dcc7bf2c68c618eea",
+        "metrics_dedicated.csv":
+            "4dc913102b3ca2f188b612c06c016f43331a824c5ab1f4e8124bf8c4962f97f6",
+        "metrics_max_throughput.csv":
+            "ba0e383bd14a4bf505c4cd1ef4dae7c2190f43f0b9e819e13fc210db9adc23b3",
+        "metrics_mobius.csv":
+            "4026e51bd4edf9a41c531c33ed373166f10943e6cdb03068aa6195319a7e92bf",
+        "metrics_round_robin.csv":
+            "4dc913102b3ca2f188b612c06c016f43331a824c5ab1f4e8124bf8c4962f97f6",
+    },
+    "map_b": {
+        "events_dedicated.jsonl":
+            "060361285ea8d7f3760ac62e3fa052a0c424fe510cd532189cd0a0a1c99e61d1",
+        "events_max_throughput.jsonl":
+            "1e3b1b2e8b66235f4e6a561bf3adb43b84f09b206d5b2892d9d6f74e54e506f1",
+        "events_mobius.jsonl":
+            "4974101770136f3ab50f777259293a09089cb027c975f58498bd145ab115eb50",
+        "events_round_robin.jsonl":
+            "9d7e31d46d7f2d2c3da304a48ceb0afc878cc31312fc9d2bd554cb9ea04fbd5e",
+        "metrics_dedicated.csv":
+            "3a69476949082e99dd5d4de5556cfa592cf8749865aaff7fc2072bd5b7dadd0e",
+        "metrics_max_throughput.csv":
+            "11e7804527dc46c30da74b1ed5a911b5b93751e8c1caedd4f81290a2c60fbcaf",
+        "metrics_mobius.csv":
+            "11e7804527dc46c30da74b1ed5a911b5b93751e8c1caedd4f81290a2c60fbcaf",
+        "metrics_round_robin.csv":
+            "3a69476949082e99dd5d4de5556cfa592cf8749865aaff7fc2072bd5b7dadd0e",
+    },
+    "map_c": {
+        "events_dedicated.jsonl":
+            "c3f921103b24de1abdcf3e01a6a84689c257d1051bc699f407c021a159719e2f",
+        "events_max_throughput.jsonl":
+            "555af84edf08475f85071027ed3095c7e075c69089767b7f03cdff43ba4fa3cd",
+        "events_mobius.jsonl":
+            "106577284f425cdee6c7a30d54efd50259c19d19ad3296cf5cf7bfbfd191387b",
+        "events_round_robin.jsonl":
+            "51ac16d636113cf1d9639364cf317d72f481a29095ad6f044e2fcd36c2b6c799",
+        "metrics_dedicated.csv":
+            "7c1c80dbaf3c393d7a43d435dcaf72ce94d38357b144f6dd4a9359497862b848",
+        "metrics_max_throughput.csv":
+            "4d18fbd7495f96613aa805564a057012394f159fac76626fb8853cd1effea1c2",
+        "metrics_mobius.csv":
+            "1f955095a8700de4f614f41821a44c35272fc25e5ab46ce974b86278ce9ea4a0",
+        "metrics_round_robin.csv":
+            "7c1c80dbaf3c393d7a43d435dcaf72ce94d38357b144f6dd4a9359497862b848",
+    },
+}
 
 
 class TestRun:
@@ -128,6 +189,23 @@ class TestRun:
         for p in ("mobius", "max_throughput", "dedicated", "round_robin"):
             for name in (f"metrics_{p}.csv", f"events_{p}.jsonl"):
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("preset", sorted(MAPS_ARTIFACT_SHA256))
+    def test_heuristic_maps_artifacts_are_pinned(self, tmp_path, preset):
+        """`run --policy all` on a two-round map under the heuristic
+        writes the recorded bytes: every artifact but `summary.json`,
+        which holds the output paths."""
+        bundle = tmp_path / "bundle"
+        assert main(["gen", "--preset", preset, "--rounds", "2", "--out", str(bundle)]) == 0
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(bundle / "config.json"), "--out", str(out),
+                     "--policy", "all",
+                     "--set", "solver.backend=heuristic",
+                     "--set", "solver.time_limit_s=0.1",
+                     "--set", "solver.seed=11"]) == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in sorted(out.iterdir()) if f.name != "summary.json"}
+        assert digests == MAPS_ARTIFACT_SHA256[preset]
 
     def test_optional_artifacts_behind_emit_keys(self, tmp_path):
         cfg = gen_bundle(tmp_path)

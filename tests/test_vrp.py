@@ -142,7 +142,7 @@ class TestHeuristic:
         for _ in range(10):
             inst = random_instance(rng, max_tasks=14, max_vehicles=3, span=1600.0)
             w = rng.uniform(0.0, 2.0, len(inst.customers))
-            suite = build_warm_start_suite(inst, alpha=1.0, seed=0)
+            suite = build_warm_start_suite(inst, seed=0)
             req = request_for(inst, w, warm_starts=tuple(suite), time_limit=1.0)
             hval = schedule_value(req, heuristic_vrp(req))[0]
             best_start = max(schedule_value(req, s)[0] for s in suite)
@@ -195,8 +195,7 @@ class TestGreedy:
         for _ in range(10):
             inst = random_instance(rng, max_tasks=10, max_vehicles=1, span=1500.0)
             v0 = inst.vehicles[0]
-            sched = greedy_alpha_heuristic(inst.tasks, [v0], inst.budget, 0.0,
-                                           EUCLID, pack=False)
+            sched = greedy_alpha_heuristic(inst.tasks, [v0], inst.budget, 0.0, EUCLID)
             first = sched.paths[0].tasks[0]
             feasible = [
                 t for t in inst.tasks
@@ -210,7 +209,7 @@ class TestGreedy:
             got = travel_time(v0.start_location, first.location, EUCLID, v0)
             assert got == pytest.approx(nearest, abs=1e-9)
 
-    def test_feasible_with_packing(self):
+    def test_construction_paths_feasible(self):
         rng = np.random.default_rng(17)
         for _ in range(6):
             inst = random_instance(rng, max_tasks=12, max_vehicles=3,
@@ -222,15 +221,6 @@ class TestGreedy:
                 assert path_violation(p.tasks, by_id[p.vehicle_id], EUCLID,
                                       inst.budget) is None
 
-    def test_packing_only_adds_tasks(self):
-        rng = np.random.default_rng(18)
-        inst = random_instance(rng, max_tasks=12, max_vehicles=2, span=1200.0)
-        bare = greedy_alpha_heuristic(inst.tasks, inst.vehicles, inst.budget,
-                                      1.0, EUCLID, pack=False)
-        packed = greedy_alpha_heuristic(inst.tasks, inst.vehicles, inst.budget,
-                                        1.0, EUCLID, pack=True)
-        assert bare.task_ids() <= packed.task_ids()
-
     def test_maxmin_mode_serves_worst_off_customer(self):
         # c2 has the distant tasks; max-min still alternates customers
         # because the worst-off customer is picked each step.
@@ -240,12 +230,12 @@ class TestGreedy:
         )
         inst = Instance(tasks=tasks, vehicles=(mk_vehicle(),), travel=EUCLID, budget=200.0)
         sched = greedy_alpha_heuristic(inst.tasks, inst.vehicles, inst.budget,
-                                       64.0, EUCLID, pack=False)
+                                       64.0, EUCLID)
         alloc = allocation_of(sched, inst.customers)
         assert alloc[1] > 0
 
 
-# Task-id sequences of the unpacked construction, recorded from the loop
+# Task-id sequences of the construction, recorded from the loop
 # that re-checked the whole path for every candidate.
 GREEDY_GOLDEN = [
     ("ties", 0.0, {"v0": ("a2", "a3", "a1", "a7", "b2", "a8", "b0", "a4", "a6", "a5", "b1")}),
@@ -280,7 +270,7 @@ GREEDY_GOLDEN = [
 def test_greedy_golden_schedules(name, alpha, expected):
     inst, _ = construction_instances()[name]
     sched = greedy_alpha_heuristic(inst.tasks, inst.vehicles, inst.budget, alpha,
-                                   inst.travel, inst.round_start, pack=False)
+                                   inst.travel, inst.round_start)
     assert {p.vehicle_id: p.task_ids for p in sched.paths} == expected
     for v, p in zip(inst.vehicles, sched.paths):
         assert path_violation(p.tasks, v, inst.travel, inst.budget, inst.round_start) is None
@@ -427,7 +417,7 @@ class TestConstruct:
         for alpha in (0.0, 1.0, 64.0):
             sched = greedy_alpha_heuristic(inst.tasks, inst.vehicles, inst.budget, alpha,
                                            inst.travel, inst.round_start,
-                                           ride_counts_as=rides, pack=False)
+                                           ride_counts_as=rides)
             assert [p.vehicle_id for p in sched.paths] == [v.vehicle_id for v in inst.vehicles]
             got = {p.vehicle_id: p for p in sched.paths}
             assert _timed(got) == _timed(eager_greedy(inst, alpha, rides))
@@ -448,8 +438,8 @@ class TestWarmStarts:
         # than the suite member best under its weights.
         rng = np.random.default_rng(19)
         inst = random_instance(rng, max_tasks=10, max_vehicles=2, span=1200.0)
-        suite = build_warm_start_suite(inst, alpha=1.0, seed=0)
-        assert len(suite) >= 2
+        suite = build_warm_start_suite(inst, seed=0)
+        assert len(suite) >= 1
         w = np.ones(len(inst.customers))
         req = request_for(inst, w, warm_starts=tuple(suite), time_limit=0.5)
         best_member = max(schedule_value(req, s)[0] for s in suite)
@@ -458,8 +448,8 @@ class TestWarmStarts:
     def test_dedicated_member_skipped_when_fleet_small(self):
         tasks = (mk_task("a", "c1", 10, 0), mk_task("b", "c2", 20, 0))
         inst = Instance(tasks=tasks, vehicles=(mk_vehicle(),), travel=EUCLID, budget=600.0)
-        suite = build_warm_start_suite(inst, alpha=1.0)
-        assert len(suite) == 2
+        suite = build_warm_start_suite(inst)
+        assert len(suite) == 1
 
     def test_dedicated_member_covers_multi_vehicle_groups(self):
         # More vehicles than customers: each customer's tasks are solved
@@ -467,8 +457,8 @@ class TestWarmStarts:
         tasks = tuple(mk_task(f"t{i}", f"c{i % 2 + 1}", 30 * i, 10) for i in range(8))
         vehicles = tuple(mk_vehicle(f"v{i}", 0, -10 * i) for i in range(5))
         inst = Instance(tasks=tasks, vehicles=vehicles, travel=EUCLID, budget=600.0)
-        suite = build_warm_start_suite(inst, alpha=1.0)
-        assert len(suite) == 3
+        suite = build_warm_start_suite(inst)
+        assert len(suite) == 2
 
 
 class TestDispatchAndFacade:
