@@ -314,15 +314,10 @@ def _snapshot_instance(cfg: dict, snapshot_s: float) -> Instance:
     tasks = _load(read_tasks_jsonl, source)
     vehicles = _load_vehicles(cfg)
     expiry = float(cfg["expiry_s"])
-    live = []
-    for t in tasks:
-        if t.arrival_time > snapshot_s + 1e-9:
-            continue
-        if snapshot_s >= t.arrival_time + expiry - 1e-9:
-            continue
-        if t.deadline is not None and snapshot_s >= t.deadline - 1e-9:
-            continue
-        live.append(t)
+    live = [
+        t for t in tasks
+        if t.arrival_time <= snapshot_s + 1e-9 and snapshot_s < t.expires_at(expiry) - 1e-9
+    ]
     return Instance(
         tasks=tuple(live),
         vehicles=tuple(vehicles),

@@ -9,7 +9,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,11 +29,11 @@ from .model import (
 )
 from .scheduler import RoundConfig, Scheduler
 from .vrp import (
-    COMMIT_WEIGHT_RATIO,
     SolverConfig,
     SolverRequest,
     construct,
     dedicated_partition,
+    may_serve,
     solve_weighted_vrp,
 )
 
@@ -81,6 +81,7 @@ class _Stop:
 @dataclass
 class _TaskState:
     task: Task
+    expires_at: float  # `Task.expires_at`, fixed at arrival
     status: str = PENDING
     vehicle_id: Optional[str] = None
     service_start: Optional[float] = None
@@ -166,7 +167,7 @@ class SimState:
 
     def arrive(self, task: Task) -> _TaskState:
         """Enter `task` as pending."""
-        ts = _TaskState(task=task)
+        ts = _TaskState(task=task, expires_at=task.expires_at(self.expiry_s))
         self.tasks[task.task_id] = ts
         self.live[task.task_id] = ts
         return ts
@@ -184,8 +185,9 @@ class SimState:
 
 def step(sim: SimState, until: float) -> SimState:
     """Advance the world to `until`: record completions along committed
-    paths, inject arrivals, and expire pending tasks that have waited
-    `expiry_s` since arrival (or whose deadline has passed)."""
+    paths, inject arrivals, and expire pending tasks at
+    `Task.expires_at`: `expiry_s` after arrival or at the deadline,
+    whichever comes first."""
     if until < sim.clock - 1e-9:
         raise ValueError("cannot step backwards")
 
@@ -214,18 +216,10 @@ def step(sim: SimState, until: float) -> SimState:
         sim.cursor += 1
 
     for tid, ts in list(sim.live.items()):
-        if ts.status != PENDING:
-            continue
-        t = ts.task
-        if until >= t.arrival_time + sim.expiry_s - 1e-9:
+        if ts.status == PENDING and until >= ts.expires_at - 1e-9:
             ts.status = EXPIRED
-            ts.expired_at = t.arrival_time + sim.expiry_s
-        elif t.deadline is not None and until >= t.deadline - 1e-9:
-            ts.status = EXPIRED
-            ts.expired_at = t.deadline
-        else:
-            continue
-        del sim.live[tid]
+            ts.expired_at = ts.expires_at
+            del sim.live[tid]
 
     sim.clock = until
     return sim
@@ -411,11 +405,11 @@ def _return_home_now(cfg: RoundConfig, now: float) -> Optional[bool]:
 def baseline_max_throughput(
     instance: Instance,
     solver_config: Optional[SolverConfig] = None,
-    weight_overrides: Optional[dict[str, float]] = None,
-    pinned: Optional[dict[str, str]] = None,
+    committed: Optional[Mapping[str, str]] = None,
     ride_counts_as: int = 1,
 ) -> Schedule:
-    """Uniform-weight solve: pure throughput, fairness-blind."""
+    """Uniform-weight solve: pure throughput, fairness-blind, honouring
+    `committed` (task_id -> vehicle_id) as `vrp.SolverRequest` does."""
     customers = instance.customers
     if not customers:
         return empty_schedule(instance.vehicles, instance.budget)
@@ -427,20 +421,17 @@ def baseline_max_throughput(
         customers=customers,
         weights=np.full(len(customers), 1.0 / len(customers)),
         round_start=instance.round_start,
-        weight_overrides=weight_overrides,
-        pinned=pinned,
-        time_limit=(solver_config or SolverConfig()).time_limit_s,
-        seed=(solver_config or SolverConfig()).seed,
+        committed=committed,
+        config=solver_config or SolverConfig(),
         ride_counts_as=ride_counts_as,
     )
-    return solve_weighted_vrp(req, solver_config)
+    return solve_weighted_vrp(req)
 
 
 def baseline_dedicated(
     instance: Instance,
     solver_config: Optional[SolverConfig] = None,
-    weight_overrides: Optional[dict[str, float]] = None,
-    pinned: Optional[dict[str, str]] = None,
+    committed: Optional[Mapping[str, str]] = None,
     ride_counts_as: int = 1,
 ) -> Schedule:
     """Vehicles split evenly among customers; per-customer max-throughput
@@ -459,17 +450,15 @@ def baseline_dedicated(
             budget=instance.budget,
             round_start=instance.round_start,
         )
-        sched = baseline_max_throughput(
-            sub, solver_config, weight_overrides, pinned, ride_counts_as
-        )
+        sched = baseline_max_throughput(sub, solver_config, committed, ride_counts_as)
         paths.extend(sched.paths)
     return Schedule(paths=tuple(paths), round_duration=instance.budget)
 
 
-def baseline_round_robin(instance: Instance, pinned: Optional[dict[str, str]] = None) -> Schedule:
+def baseline_round_robin(instance: Instance, committed: Optional[Mapping[str, str]] = None) -> Schedule:
     """Each vehicle cycles customers, appending the nearest feasible
-    task of the current customer; customers with nothing feasible are
-    skipped.  Needs no solver."""
+    task of the current customer that `vrp.may_serve` lets it take;
+    customers with nothing feasible are skipped.  Needs no solver."""
     customers = instance.customers
     # Candidates per customer, in task-id order: pickups and plain tasks.
     offered: dict[str, dict[str, Task]] = {c: {} for c in customers}
@@ -484,7 +473,8 @@ def baseline_round_robin(instance: Instance, pinned: Optional[dict[str, str]] = 
         veh = walk.vehicle
         best = None
         for t in offered[customer].values():
-            if pinned and pinned.get(t.task_id) not in (None, veh.vehicle_id):
+            # The first test spares the hot loop a call when nothing is committed.
+            if committed and not may_serve(committed, t, veh):
                 continue
             d = travel_time(walk.loc, t.location, instance.travel, veh)
             # A candidate that cannot displace `best` needs no check.
@@ -584,15 +574,13 @@ def run_trace(
             event["allocation"] = [float(v) for v in result.allocation]
             event["xbar"] = [float(v) for v in mobius.history.xbar]
         else:
-            overrides = {tid: COMMIT_WEIGHT_RATIO for tid in live_committed} or None
-            pins = dict(live_committed) or None
             rides = cfg.ride_counts_as
             if policy == "max_throughput":
-                schedule = baseline_max_throughput(instance, solver_config, overrides, pins, rides)
+                schedule = baseline_max_throughput(instance, solver_config, live_committed, rides)
             elif policy == "dedicated":
-                schedule = baseline_dedicated(instance, solver_config, overrides, pins, rides)
+                schedule = baseline_dedicated(instance, solver_config, live_committed, rides)
             else:
-                schedule = baseline_round_robin(instance, pins)
+                schedule = baseline_round_robin(instance, live_committed)
         scheduled = schedule.task_ids()
         _cancel(sim, [tid for tid in sorted(live_committed) if tid not in scheduled], now)
         home_flags = {v.vehicle_id: v.return_home for v in snapshot}

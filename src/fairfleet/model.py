@@ -81,6 +81,12 @@ class Task:
         """Task id of the other half of the pair, if any."""
         return self.pickup_of if self.pickup_of is not None else self.dropoff_of
 
+    def expires_at(self, expiry_s: float) -> float:
+        """When a task still waiting for a plan expires: `expiry_s` after
+        its arrival or at its deadline, whichever comes first."""
+        patience = self.arrival_time + expiry_s
+        return patience if self.deadline is None else min(patience, self.deadline)
+
 
 @dataclass(frozen=True)
 class InterestMap:

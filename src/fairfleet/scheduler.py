@@ -21,7 +21,7 @@ import numpy as np
 from .boundary import EmptyRoundError, Face, embed, init_face, search_boundary
 from .fairness import utility_key
 from .model import Instance, Schedule, empty_schedule
-from .vrp import COMMIT_WEIGHT_RATIO, RoundSolver, SolverConfig
+from .vrp import RoundSolver, SolverConfig
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,11 @@ def run_round(
     cfg: RoundConfig,
     solver_config: Optional[SolverConfig] = None,
     customers: Optional[Sequence[str]] = None,
-    weight_overrides: Optional[dict[str, float]] = None,
-    pinned: Optional[dict[str, str]] = None,
+    committed: Optional[Mapping[str, str]] = None,
 ) -> RoundResult:
-    """Boundary search and corner pick for one round; an empty round
-    plans nothing and allocates zero.  The history is read, not folded."""
+    """Boundary search and corner pick for one round, every solve
+    honouring `committed` (task_id -> vehicle_id); an empty round plans
+    nothing and allocates zero.  The history is read, not folded."""
     customers = tuple(customers if customers is not None else instance.customers)
     k = len(customers)
     if k != len(history.xbar):
@@ -160,8 +160,7 @@ def run_round(
     solver = RoundSolver(
         instance,
         solver_config,
-        weight_overrides=weight_overrides,
-        pinned=pinned,
+        committed=committed,
         ride_counts_as=cfg.ride_counts_as,
         customers=customers,
     )
@@ -225,9 +224,9 @@ class Scheduler:
         committed: Optional[Mapping[str, str]] = None,
     ) -> RoundResult:
         """Plan one round over the geometry and fold its allocation into
-        the full-roster history.  Committed tasks are forced in with
-        COMMIT_WEIGHT_RATIO and pinned to their vehicles; those the plan
-        leaves out are reported, sorted, in `last_cancelled`."""
+        the full-roster history.  Every solve honours `committed`
+        (`vrp.SolverRequest`); committed tasks the plan leaves out are
+        reported, sorted, in `last_cancelled`."""
         present = {t.customer_id for t in instance.tasks}
         self.observe(present)
         for c in self.roster:
@@ -235,14 +234,11 @@ class Scheduler:
         geom = self.geometry(instance)
         gidx = [self.roster.index(c) for c in geom]
         sub_history = replace(self.history, xbar=self.history.xbar[gidx])
-        pins = dict(sorted((committed or {}).items()))
         result = run_round(
             instance, sub_history, self.cfg, self.solver_config, customers=geom,
-            weight_overrides=dict.fromkeys(pins, COMMIT_WEIGHT_RATIO),
-            pinned=pins,
+            committed=committed,
         )
-        scheduled = result.schedule.task_ids()
-        self.last_cancelled = tuple(tid for tid in pins if tid not in scheduled)
+        self.last_cancelled = tuple(sorted(set(committed or ()) - result.schedule.task_ids()))
         full_alloc = np.zeros(len(self.roster))
         full_alloc[gidx] = result.allocation
         self.history = update_history(self.history, full_alloc, duration=instance.budget)

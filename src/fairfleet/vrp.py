@@ -20,14 +20,19 @@ throughput allocation.  Three entry points:
                      insertion changed.  The table also memoizes, for all
                      solves of the round, each pair's best placement and
                      each insertion screen per path: the round's solves
-                     differ in weights and pins, which neither reads, and
-                     mostly meet paths an earlier solve already screened.
+                     differ in weights and commitments, which neither
+                     reads, and mostly meet paths an earlier solve already
+                     screened.
 * greedy_alpha_heuristic -- fairness-guided construction by greatest
                      return-on-investment.
 
+A `SolverRequest` holds each solve setting once: its commitments, whose
+two rules only this module reads (`_task_weight`, `may_serve`), and its
+`SolverConfig`.
+
 Ties on the weighted objective are broken toward larger unweighted total
 throughput.  All solvers are deterministic for a fixed (instance, weights,
-seed, backend, time limit).
+commitments, config).
 """
 
 from __future__ import annotations
@@ -35,10 +40,11 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .boundary import TOL_FACE
 from .fairness import alpha_fair_utility, is_leximin
 from .model import (
     Instance,
@@ -59,12 +65,11 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-# Weight ratio used to force inclusion of committed tasks during
-# replanning.
+# The weight of a committed task, which forces it into a replan.
 COMMIT_WEIGHT_RATIO = 1e6
 
 # Local-search effort per configured solver second; the budget is derived
-# numerically from time_limit so results never depend on wall-clock speed.
+# numerically from time_limit_s so results never depend on wall-clock speed.
 _EVALS_PER_SECOND = 60_000
 
 _VALUE_TOL = 1e-9
@@ -101,11 +106,12 @@ class SolverRequest:
     """One weighted-VRP instance.
 
     `weights` aligns with `customers` (canonical sorted order).  Negative
-    weights are clamped to zero before solving.  `weight_overrides` maps a
-    task_id to an absolute weight replacing its customer's; `pinned` maps
-    a task_id to the only vehicle allowed to serve it.  `table` is the
-    round's shared travel table; a solve it does not cover builds its
-    own.
+    weights are clamped to zero before solving.  `committed` maps a
+    task_id to the vehicle it was promised to: the task weighs
+    COMMIT_WEIGHT_RATIO in place of its customer's weight, and only that
+    vehicle may serve it (`may_serve`).  `config` names the backend, the
+    effort budget, the seed and the exact cutoff.  `table` is the round's
+    shared travel table; a solve it does not cover builds its own.
     """
 
     tasks: tuple[Task, ...]
@@ -115,11 +121,9 @@ class SolverRequest:
     customers: tuple[str, ...]
     weights: np.ndarray
     round_start: float = 0.0
-    weight_overrides: Optional[dict[str, float]] = None
-    pinned: Optional[dict[str, str]] = None
+    committed: Optional[Mapping[str, str]] = None
     warm_starts: tuple[Schedule, ...] = ()
-    time_limit: float = 10.0
-    seed: int = 0
+    config: SolverConfig = field(default_factory=SolverConfig)
     ride_counts_as: int = 1
     table: Optional["RoundTable"] = field(default=None, repr=False, compare=False)
 
@@ -141,9 +145,16 @@ def _customer_index(req: SolverRequest) -> dict[str, int]:
     return {c: i for i, c in enumerate(req.customers)}
 
 
+def may_serve(committed: Optional[Mapping[str, str]], task: Task, vehicle: Vehicle) -> bool:
+    """Whether the commitments let `vehicle` serve `task`: a committed
+    task only on its own vehicle, any other task anywhere."""
+    want = committed.get(task.task_id) if committed else None
+    return want is None or want == vehicle.vehicle_id
+
+
 def _task_weight(req: SolverRequest, task: Task, cindex: dict[str, int]) -> float:
-    if req.weight_overrides and task.task_id in req.weight_overrides:
-        return float(req.weight_overrides[task.task_id])
+    if req.committed and task.task_id in req.committed:
+        return COMMIT_WEIGHT_RATIO
     idx = cindex.get(task.customer_id)
     return float(req.weights[idx]) if idx is not None else 0.0
 
@@ -174,11 +185,7 @@ class ExactSizeError(ValueError):
     """Instance exceeds the exact solver's size cutoff."""
 
 
-def exact_vrp(
-    req: SolverRequest,
-    task_limit: int = 10,
-    vehicle_limit: int = 3,
-) -> Schedule:
+def exact_vrp(req: SolverRequest) -> Schedule:
     """Provably optimal weighted schedule by branch and bound.
 
     Branches append one task at a time to the current vehicle's path, in
@@ -191,6 +198,7 @@ def exact_vrp(
     on w . x resolve toward larger total task count, then first-found in
     canonical order.
     """
+    task_limit, vehicle_limit = req.config.exact_task_limit, req.config.exact_vehicle_limit
     if len(req.tasks) > task_limit or len(req.vehicles) > vehicle_limit:
         raise ExactSizeError(
             f"{len(req.tasks)} tasks / {len(req.vehicles)} vehicles exceed the "
@@ -206,9 +214,9 @@ def exact_vrp(
     contrib = [_contribution(req, t, cindex) for t in tasks]
     counts = [task_count(t, req.ride_counts_as) for t in tasks]
     pin: list[Optional[int]] = [None] * n
-    if req.pinned:
+    if req.committed:
         vid_index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
-        for tid, vid in req.pinned.items():
+        for tid, vid in req.committed.items():
             if tid in tindex:
                 pin[tindex[tid]] = vid_index.get(vid)
 
@@ -351,12 +359,12 @@ class RoundTable:
     gives the bits a fresh computation would:
 
     * `vetted`: each warm start's sanitized paths and their feasibility,
-      per budget, round start and pins.
+      per budget, round start and commitments.
     * `pair_fits`: where a pickup and its dropoff fit best on a path,
       `(i, j, delta)`, or None if nowhere, per budget, round start,
       vehicle and task sequence.  The outcome reads only the legs, the
       path's cost (a function of its sequence), the vehicle's budget
-      slack and `path_violation`; weights, pins, the effort budget and
+      slack and `path_violation`; weights, commitments, the effort budget and
       the random draws do not enter it.
     * `screens`: the insertion screen's cheapest fitting delta and its
       position for each plain candidate, per budget, vehicle, task
@@ -464,7 +472,7 @@ class _Pool:
         self.up = self.gain > 0
         self.span = np.arange(len(tasks))
         self.live = np.ones(len(tasks), dtype=bool)
-        self._allows = heur._pin_allows
+        self.committed = heur.req.committed
         self._pins: dict[str, np.ndarray] = {}
         self._legs: dict[int, np.ndarray] = {}
 
@@ -482,10 +490,10 @@ class _Pool:
         return legs
 
     def pins(self, vehicle: Vehicle) -> np.ndarray:
-        """Which candidates the pins let `vehicle` serve."""
+        """Which candidates the commitments let `vehicle` serve."""
         mask = self._pins.get(vehicle.vehicle_id)
         if mask is None:
-            mask = np.array([self._allows(t, vehicle) for t in self.tasks], dtype=bool)
+            mask = np.array([may_serve(self.committed, t, vehicle) for t in self.tasks], dtype=bool)
             self._pins[vehicle.vehicle_id] = mask
         return mask
 
@@ -539,8 +547,8 @@ class _Heuristic:
     def __init__(self, req: SolverRequest):
         self.req = req
         self.cindex = _customer_index(req)
-        self.rng = random.Random(req.seed)
-        self.evals = max(10_000, int(req.time_limit * _EVALS_PER_SECOND))
+        self.rng = random.Random(req.config.seed)
+        self.evals = max(10_000, int(req.config.time_limit_s * _EVALS_PER_SECOND))
         self.budget_slack = {
             v.vehicle_id: req.budget - v.ready_offset for v in req.vehicles
         }
@@ -697,12 +705,6 @@ class _Heuristic:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _pin_allows(self, task: Task, vehicle: Vehicle) -> bool:
-        if not self.req.pinned:
-            return True
-        want = self.req.pinned.get(task.task_id)
-        return want is None or want == vehicle.vehicle_id
-
     def _feasible(self, vehicle: Vehicle, tasks: list[Task]) -> bool:
         return (
             path_violation(
@@ -724,7 +726,7 @@ class _Heuristic:
     # -- seeding ------------------------------------------------------------
 
     def _sanitize_seed(self, schedule: Schedule) -> dict[str, list[Task]]:
-        """Seed paths filtered to live tasks, pin-respecting, whole pairs."""
+        """Seed paths filtered to live tasks, commitment-respecting, whole pairs."""
         live = {t.task_id: t for t in self.req.tasks}
         out: dict[str, list[Task]] = {v.vehicle_id: [] for v in self.req.vehicles}
         vmap = {v.vehicle_id: v for v in self.req.vehicles}
@@ -735,7 +737,7 @@ class _Heuristic:
             kept = [
                 live[t.task_id]
                 for t in p.tasks
-                if t.task_id in live and self._pin_allows(live[t.task_id], veh)
+                if t.task_id in live and may_serve(self.req.committed, live[t.task_id], veh)
             ]
             ids = {t.task_id for t in kept}
             kept = [t for t in kept if t.pair_id is None or t.pair_id in ids]
@@ -753,10 +755,10 @@ class _Heuristic:
         req, table = self.req, self.table
         # A solve over all of the table's tasks and vehicles shares the
         # table's verdicts with the other solves of the round that have
-        # the same budget, start and pins.
+        # the same budget, start and commitments.
         full = len(req.tasks) == len(table.tasks) and len(req.vehicles) == len(table.vehicles)
         memo = table.vetted if full else {}
-        context = (req.budget, req.round_start, tuple(sorted((req.pinned or {}).items())))
+        context = (req.budget, req.round_start, tuple(sorted((req.committed or {}).items())))
         best_paths: Optional[dict[str, list[Task]]] = None
         best_key = (-np.inf, -np.inf, 0)
         for order, s in enumerate(req.warm_starts):
@@ -799,7 +801,7 @@ class _Heuristic:
             screen = self.table.screens[key] = self._screen(state, pool, slack)
         best, pos = screen
         ok = pool.live & (best < np.inf)
-        if self.req.pinned:
+        if self.req.committed:
             ok &= pool.pins(veh)
         second = np.where(pool.up, pool.gain / np.maximum(best, 1e-9), -best)
         # Those that fit first, in descending `_offer_key` order; the pool
@@ -851,7 +853,8 @@ class _Heuristic:
         (delta, new path), from the table's memo when an earlier solve of
         the round placed the pair on the same sequence.  `seq_key` is the
         path's sequence as a tuple."""
-        if not (self._pin_allows(pickup, state.vehicle) and self._pin_allows(dropoff, state.vehicle)):
+        committed = self.req.committed
+        if not (may_serve(committed, pickup, state.vehicle) and may_serve(committed, dropoff, state.vehicle)):
             return None
         p, d = self.row[pickup.task_id], self.row[dropoff.task_id]
         key = (self.req.budget, self.req.round_start, state.vehicle.vehicle_id, seq_key, p)
@@ -1012,6 +1015,7 @@ class _Heuristic:
             if t.pair_id is None
         ]
         self.rng.shuffle(order)
+        committed = self.req.committed
         for s_i, t_i in order:
             src = states[s_i]
             task = src.tasks[t_i]
@@ -1020,7 +1024,7 @@ class _Heuristic:
             removal = self._removal_delta(src, t_i)
             removed_cost: Optional[float] = None
             for d_i, dst in enumerate(states):
-                if not self._pin_allows(task, dst.vehicle):
+                if not may_serve(committed, task, dst.vehicle):
                     continue
                 same = d_i == s_i
                 base = removed if same else dst.seq
@@ -1071,14 +1075,15 @@ class _Heuristic:
             for b_i in range(a_i + 1, len(states)):
                 pairs.append((a_i, b_i))
         self.rng.shuffle(pairs)
+        committed = self.req.committed
         for a_i, b_i in pairs:
             a, b = states[a_i], states[b_i]
             deltas = self._swap_deltas(a, b)
             for i, ta in enumerate(a.tasks):
-                if ta.pair_id is not None or not self._pin_allows(ta, b.vehicle):
+                if ta.pair_id is not None or not may_serve(committed, ta, b.vehicle):
                     continue
                 for j, tb in enumerate(b.tasks):
-                    if tb.pair_id is not None or not self._pin_allows(tb, a.vehicle):
+                    if tb.pair_id is not None or not may_serve(committed, tb, a.vehicle):
                         continue
                     self.evals -= 1
                     if self.evals <= 0:
@@ -1303,8 +1308,7 @@ def build_warm_start_suite(
         customers=customers,
         weights=np.ones(max(len(customers), 1)),
         round_start=instance.round_start,
-        time_limit=0.5,
-        seed=seed,
+        config=SolverConfig(time_limit_s=0.5, seed=seed),
         ride_counts_as=ride_counts_as,
         table=table,
     )
@@ -1326,18 +1330,17 @@ def build_warm_start_suite(
 # ---------------------------------------------------------------------------
 
 
-def solve_weighted_vrp(req: SolverRequest, config: Optional[SolverConfig] = None) -> Schedule:
-    """Dispatch to the backend `SolverConfig.picks_exact` names."""
-    config = config or SolverConfig()
-    if config.picks_exact(len(req.tasks), len(req.vehicles)):
-        return exact_vrp(req, config.exact_task_limit, config.exact_vehicle_limit)
+def solve_weighted_vrp(req: SolverRequest) -> Schedule:
+    """Dispatch to the backend `req.config.picks_exact` names."""
+    if req.config.picks_exact(len(req.tasks), len(req.vehicles)):
+        return exact_vrp(req)
     return heuristic_vrp(req)
 
 
 class RoundSolver:
-    """Per-round solver facade: counts calls, applies commitment
-    overrides/pins to each call, and keeps every result as a warm start
-    for the next.
+    """Per-round solver facade: counts calls, passes the round's
+    commitments (task_id -> vehicle_id) and config with each call, and
+    keeps every result as a warm start for the next.
 
     Every call of a round reads one travel table, whichever backend
     solves it.  A heuristic-backed round first seeds the cache with the
@@ -1349,15 +1352,13 @@ class RoundSolver:
         self,
         instance: Instance,
         config: Optional[SolverConfig] = None,
-        weight_overrides: Optional[dict[str, float]] = None,
-        pinned: Optional[dict[str, str]] = None,
+        committed: Optional[Mapping[str, str]] = None,
         ride_counts_as: int = 1,
         customers: Optional[Sequence[str]] = None,
     ):
         self.instance = instance
         self.config = config or SolverConfig()
-        self.weight_overrides = dict(weight_overrides or {})
-        self.pinned = dict(pinned or {})
+        self.committed = dict(committed or {})
         self.ride_counts_as = ride_counts_as
         self.customers = tuple(customers) if customers is not None else instance.customers
         self.calls = 0
@@ -1378,7 +1379,9 @@ class RoundSolver:
         """One counted weighted-VRP call; returns (allocation, schedule)."""
         w = np.asarray(weights, dtype=float)
         if np.any(w < 0):
-            logger.warning("clamping negative face weights to 0: %s", w)
+            # Entries within TOL_FACE of zero are rounding noise.
+            if np.any(w < -TOL_FACE):
+                logger.warning("clamping negative face weights to 0: %s", w)
             w = np.maximum(w, 0.0)
         total = w.sum()
         if total > 0:
@@ -1391,15 +1394,13 @@ class RoundSolver:
             customers=self.customers,
             weights=w,
             round_start=self.instance.round_start,
-            weight_overrides=self.weight_overrides or None,
-            pinned=self.pinned or None,
+            committed=self.committed,
             warm_starts=tuple(self._cache),
-            time_limit=self.config.time_limit_s,
-            seed=self.config.seed,
+            config=self.config,
             ride_counts_as=self.ride_counts_as,
             table=self._table,
         )
-        schedule = solve_weighted_vrp(req, self.config)
+        schedule = solve_weighted_vrp(req)
         self.calls += 1
         self._cache.append(schedule)
         allocation = allocation_of(schedule, self.customers, self.ride_counts_as)

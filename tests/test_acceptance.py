@@ -296,8 +296,7 @@ def test_08_greedy_construction_contract():
             customers=inst.customers,
             weights=w,
             warm_starts=tuple(suite),
-            time_limit=0.5,
-            seed=3,
+            config=SolverConfig(time_limit_s=0.5, seed=3),
         )
         full = heuristic_vrp(req)
         by_id = {v.vehicle_id: v for v in inst.vehicles}

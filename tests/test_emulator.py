@@ -97,6 +97,13 @@ class TestStep:
         assert sim.tasks["t1"].status == EXPIRED
         assert sim.tasks["t1"].expired_at == 200.0
 
+    def test_one_step_past_both_expires_at_the_earlier(self):
+        tasks = (mk_task("t1", "c1", 0.0, 0.0, arrival_time=0.0, deadline=200.0),)
+        sim = SimState(Trace(tasks=tasks, duration=2000.0, customers=()), [], expiry_s=600.0)
+        step(sim, 700.0)
+        assert sim.tasks["t1"].status == EXPIRED
+        assert sim.tasks["t1"].expired_at == 200.0
+
     def test_committed_tasks_complete_on_schedule(self):
         trace = one_task_trace()
         veh = mk_vehicle()

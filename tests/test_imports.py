@@ -1,5 +1,6 @@
 """SciPy stays off the planning path: only the oracle loads it.  The
-path rules stay in `model`: no other module reads what they check."""
+path rules stay in `model`: no other module reads what they check.  The
+commitment rules stay in `vrp`."""
 
 import ast
 import json
@@ -109,6 +110,19 @@ def test_path_states_are_built_in_the_loops_alone():
     assert set(builders) <= {"model.py", "oracle.py", "vrp.py"}
     assert builders["vrp.py"] == {"construct", "exact_vrp"}
     assert "emulator.py" not in builders
+
+
+def test_commit_weight_is_read_in_vrp_alone():
+    """Callers pass commitments as `SolverRequest.committed`; only `vrp`
+    turns one into a weight."""
+    readers = sorted(
+        name for name, tree in package_modules().items()
+        if any(isinstance(node, ast.Name) and node.id == "COMMIT_WEIGHT_RATIO"
+               or isinstance(node, ast.Attribute) and node.attr == "COMMIT_WEIGHT_RATIO"
+               or isinstance(node, ast.alias) and node.name == "COMMIT_WEIGHT_RATIO"
+               for node in ast.walk(tree))
+    )
+    assert readers == ["vrp.py"]
 
 
 def test_every_import_is_used():

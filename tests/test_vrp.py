@@ -1,5 +1,6 @@
 """Weighted-VRP backends: exact branch and bound, heuristic, greedy."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,6 @@ from fairfleet.model import (
 )
 from fairfleet.vrp import (
     _GUARD,
-    COMMIT_WEIGHT_RATIO,
     ExactSizeError,
     RoundSolver,
     RoundTable,
@@ -111,29 +111,18 @@ class TestExact:
         v_near = mk_vehicle("near", 90, 0)
         v_far = mk_vehicle("far", -200, 0)
         inst = Instance(tasks=tasks, vehicles=(v_near, v_far), travel=EUCLID, budget=600.0)
-        sched = exact_vrp(request_for(inst, [1.0], pinned={"a": "far"}))
+        sched = exact_vrp(request_for(inst, [1.0], committed={"a": "far"}))
         by_vehicle = {p.vehicle_id: p.task_ids for p in sched.paths}
         assert by_vehicle["far"] == ("a",)
         assert by_vehicle.get("near", ()) == ()
-
-    def test_weight_override_forces_inclusion(self):
-        # Budget fits one task; the override outweighs the near one.
-        tasks = (
-            mk_task("near", "c1", 100, 0, service=10.0),
-            mk_task("far", "c2", 400, 0, service=10.0),
-        )
-        inst = Instance(tasks=tasks, vehicles=(mk_vehicle(),), travel=EUCLID, budget=55.0)
-        plain = exact_vrp(request_for(inst, [1.0, 0.1]))
-        assert plain.task_ids() == {"near"}
-        forced = exact_vrp(request_for(inst, [1.0, 0.1],
-                                       weight_overrides={"far": COMMIT_WEIGHT_RATIO}))
-        assert forced.task_ids() == {"far"}
 
     def test_size_cutoff(self):
         tasks = tuple(mk_task(f"t{i}", "c1", i * 10, 0) for i in range(11))
         inst = Instance(tasks=tasks, vehicles=(mk_vehicle(),), travel=EUCLID, budget=600.0)
         with pytest.raises(ExactSizeError):
-            exact_vrp(request_for(inst, [1.0]), task_limit=10)
+            exact_vrp(request_for(inst, [1.0], config=SolverConfig(exact_task_limit=10)))
+        # The cutoff is the request's config, not a default.
+        exact_vrp(request_for(inst, [1.0], config=SolverConfig(exact_task_limit=11)))
 
 
 class TestHeuristic:
@@ -143,7 +132,8 @@ class TestHeuristic:
             inst = random_instance(rng, max_tasks=14, max_vehicles=3, span=1600.0)
             w = rng.uniform(0.0, 2.0, len(inst.customers))
             suite = build_warm_start_suite(inst, seed=0)
-            req = request_for(inst, w, warm_starts=tuple(suite), time_limit=1.0)
+            req = request_for(inst, w, warm_starts=tuple(suite),
+                              config=SolverConfig(time_limit_s=1.0))
             hval = schedule_value(req, heuristic_vrp(req))[0]
             best_start = max(schedule_value(req, s)[0] for s in suite)
             assert hval >= best_start - 1e-9
@@ -151,7 +141,8 @@ class TestHeuristic:
     def test_deterministic(self):
         rng = np.random.default_rng(14)
         inst = random_instance(rng, max_tasks=14, max_vehicles=3, span=1600.0)
-        req = request_for(inst, np.ones(len(inst.customers)), time_limit=1.0, seed=5)
+        req = request_for(inst, np.ones(len(inst.customers)),
+                          config=SolverConfig(time_limit_s=1.0, seed=5))
         a = heuristic_vrp(req)
         b = heuristic_vrp(req)
         assert [p.task_ids for p in a.paths] == [p.task_ids for p in b.paths]
@@ -172,7 +163,8 @@ class TestHeuristic:
             by_id = {v.vehicle_id: v for v in inst.vehicles}
             for travel in (EUCLID, asymmetric):
                 req = request_for(replace(inst, travel=travel),
-                                  np.ones(len(inst.customers)), time_limit=0.5)
+                                  np.ones(len(inst.customers)),
+                                  config=SolverConfig(time_limit_s=0.5))
                 sched = heuristic_vrp(req)
                 for p in sched.paths:
                     assert path_violation(p.tasks, by_id[p.vehicle_id], travel,
@@ -182,7 +174,8 @@ class TestHeuristic:
         tasks = (mk_task("a", "c1", 100, 0), mk_task("b", "c1", -100, 0))
         v1, v2 = mk_vehicle("v1", 90, 0), mk_vehicle("v2", -90, 0)
         inst = Instance(tasks=tasks, vehicles=(v1, v2), travel=EUCLID, budget=600.0)
-        req = request_for(inst, [1.0], pinned={"a": "v2", "b": "v1"}, time_limit=0.2)
+        req = request_for(inst, [1.0], committed={"a": "v2", "b": "v1"},
+                          config=SolverConfig(time_limit_s=0.2))
         sched = heuristic_vrp(req)
         placed = {t.task_id: p.vehicle_id for p in sched.paths for t in p.tasks}
         assert placed.get("a") in (None, "v2")
@@ -441,7 +434,8 @@ class TestWarmStarts:
         suite = build_warm_start_suite(inst, seed=0)
         assert len(suite) >= 1
         w = np.ones(len(inst.customers))
-        req = request_for(inst, w, warm_starts=tuple(suite), time_limit=0.5)
+        req = request_for(inst, w, warm_starts=tuple(suite),
+                          config=SolverConfig(time_limit_s=0.5))
         best_member = max(schedule_value(req, s)[0] for s in suite)
         assert schedule_value(req, heuristic_vrp(req))[0] >= best_member - 1e-12
 
@@ -467,11 +461,31 @@ class TestDispatchAndFacade:
         inst = random_instance(rng, max_tasks=5, max_vehicles=2)
         w = np.ones(len(inst.customers))
         req = request_for(inst, w)
-        auto = solve_weighted_vrp(req, SolverConfig(backend="auto"))
+        auto = solve_weighted_vrp(replace(req, config=SolverConfig(backend="auto")))
         exact = exact_vrp(req)
         assert schedule_value(req, auto)[0] == pytest.approx(
             schedule_value(req, exact)[0], abs=1e-12
         )
+
+    def test_committed_task_is_forced_in_on_its_vehicle(self):
+        # Each vehicle's budget fits one task.  Left alone, both serve a
+        # near task; committed to v1, the far one outweighs them there.
+        tasks = (
+            mk_task("near1", "c1", 100, 0, service=20.0),
+            mk_task("near2", "c1", -100, 0, service=20.0),
+            mk_task("far", "c2", 400, 0, service=20.0),
+        )
+        inst = Instance(tasks=tasks, vehicles=(mk_vehicle("v0"), mk_vehicle("v1")),
+                        travel=EUCLID, budget=65.0)
+        for backend in ("exact", "heuristic"):
+            config = SolverConfig(backend=backend, time_limit_s=0.1)
+            plain = solve_weighted_vrp(request_for(inst, [1.0, 0.1], config=config))
+            assert plain.task_ids() == {"near1", "near2"}
+            forced = solve_weighted_vrp(
+                request_for(inst, [1.0, 0.1], committed={"far": "v1"}, config=config))
+            by_vehicle = {p.vehicle_id: p.task_ids for p in forced.paths}
+            assert by_vehicle["v1"] == ("far",)
+            assert by_vehicle["v0"] in (("near1",), ("near2",))
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
@@ -502,6 +516,22 @@ class TestDispatchAndFacade:
         w[0] = -0.5
         alloc, _ = solver.solve(w)
         assert np.all(alloc >= 0)
+
+    def test_round_solver_warns_on_negative_weights_beyond_noise(self, caplog):
+        # Rounding noise is clamped as before but silently; a real
+        # negative entry, as in a face found on a ride replay, warns.
+        tasks = tuple(mk_task(f"t{i}", f"c{i % 3 + 1}", 60 * i - 150, 40) for i in range(6))
+        inst = Instance(tasks=tasks, vehicles=(mk_vehicle(),), travel=EUCLID, budget=90.0)
+        solver = RoundSolver(inst, SolverConfig(backend="exact"))
+        ids = lambda s: {p.vehicle_id: p.task_ids for p in s.paths}
+        with caplog.at_level(logging.WARNING, logger="fairfleet.vrp"):
+            _, noisy = solver.solve(np.array([0.473, 0.527, -8.7e-16]))
+            assert caplog.records == []
+            _, clean = solver.solve(np.array([0.473, 0.527, 0.0]))
+            assert ids(noisy) == ids(clean)
+            solver.solve(np.array([-0.0196, 0.0196, 1.0]))
+        assert [r.getMessage().startswith("clamping negative face weights")
+                for r in caplog.records] == [True]
 
     def test_heuristic_facade_seeds_cache_with_suite(self):
         rng = np.random.default_rng(24)
@@ -617,8 +647,8 @@ class TestTravelTable:
 
 
 def _golden_asymmetric_matrix():
-    """Asymmetric matrix travel, no return home, a pinned task and a warm
-    start."""
+    """Asymmetric matrix travel, no return home, a committed task and a
+    warm start."""
     rng = np.random.default_rng(101)
     pts = [(float(x), float(y)) for x, y in np.round(rng.uniform(-900, 900, (20, 2)), 1)]
     arr = np.array(pts)
@@ -639,7 +669,8 @@ def _golden_asymmetric_matrix():
     return SolverRequest(
         tasks=tasks, vehicles=vehicles, travel=travel, budget=420.0,
         customers=("c1", "c2", "c3"), weights=np.array([1.0, 0.6, 1.7]),
-        pinned={"m04": "v2"}, warm_starts=(warm,), time_limit=0.3, seed=3,
+        committed={"m04": "v2"}, warm_starts=(warm,),
+        config=SolverConfig(time_limit_s=0.3, seed=3),
     )
 
 
@@ -660,7 +691,8 @@ def _golden_deadlines_two_speeds():
     )
     return SolverRequest(
         tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID, budget=600.0,
-        customers=("c1", "c2"), weights=np.array([0.4, 1.0]), time_limit=0.4, seed=9,
+        customers=("c1", "c2"), weights=np.array([0.4, 1.0]),
+        config=SolverConfig(time_limit_s=0.4, seed=9),
     )
 
 
@@ -684,7 +716,8 @@ def _golden_pairs_capacity_two():
     )
     return SolverRequest(
         tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID, budget=900.0,
-        customers=("c1", "c2"), weights=np.array([1.0, 1.0]), time_limit=0.3, seed=1,
+        customers=("c1", "c2"), weights=np.array([1.0, 1.0]),
+        config=SolverConfig(time_limit_s=0.3, seed=1),
         ride_counts_as=2,
     )
 
@@ -705,7 +738,7 @@ def _golden_shared_best_deadline_drops():
     return SolverRequest(
         tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID, budget=500.0,
         customers=("c1", "c2", "c3"), weights=np.array([1.0, 0.5, 2.0]),
-        time_limit=0.2, seed=5,
+        config=SolverConfig(time_limit_s=0.2, seed=5),
     )
 
 
@@ -713,13 +746,15 @@ def _golden_shared_best_deadline_drops():
 # table replaced; the matrix sequences were recorded again once the
 # insertion screen read each leg of an asymmetric table in its own
 # direction.  The shared-best instance was recorded from the insertion
-# step that rescanned every path after each insertion.  A change here
+# step that rescanned every path after each insertion.  The matrix
+# instance was recorded again when its pin became a commitment, which
+# also weighs COMMIT_WEIGHT_RATIO, so m04 is now served.  A change here
 # changes which schedules the heuristic returns.
 GOLDEN = [
     (_golden_asymmetric_matrix, {
-        "v0": ("m08", "m10", "m09", "m03", "m00", "m01", "m07", "m05"),
+        "v0": ("m10", "m08", "m15", "m11", "m06"),
         "v1": ("m02", "m12", "m16", "m14"),
-        "v2": ("m13", "m15", "m11", "m06"),
+        "v2": ("m09", "m13", "m01", "m05", "m07", "m00", "m03", "m04"),
     }),
     (_golden_deadlines_two_speeds, {
         "fast": ("d02", "d04", "d14", "d21", "d10", "d16", "d11", "d00", "d12", "d05"),
@@ -770,7 +805,7 @@ def test_golden_shared_best_exercises_verify_drops(monkeypatch):
 def round_tables(draw):
     """A round of tasks and vehicles with its table, and one request over
     a subset of them: a dedicated-style sub-solve when the subset is
-    proper, with drawn pins, two speeds and Euclidean or matrix travel.
+    proper, with drawn commitments, two speeds and Euclidean or matrix travel.
     With `moved`, the table was built for one task at another point."""
     coord = st.floats(min_value=-1500, max_value=1500, allow_nan=False)
     n = draw(st.integers(min_value=1, max_value=9))
@@ -806,7 +841,7 @@ def round_tables(draw):
     table = RoundTable(in_table, vehicles, travel)
     sub_tasks = tuple(t for t in tasks if draw(st.booleans())) or tuple(tasks)
     sub_vehicles = tuple(v for v in vehicles if draw(st.booleans())) or vehicles[:1]
-    pinned = {
+    committed = {
         t.task_id: draw(st.sampled_from(sub_vehicles)).vehicle_id
         for t in sub_tasks if draw(st.integers(min_value=0, max_value=3)) == 0
     }
@@ -814,7 +849,8 @@ def round_tables(draw):
         tasks=sub_tasks, vehicles=sub_vehicles, travel=travel, budget=600.0,
         customers=("c1", "c2"),
         weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
-        pinned=pinned or None, time_limit=0.05, seed=draw(st.integers(0, 9)),
+        committed=committed or None,
+        config=SolverConfig(time_limit_s=0.05, seed=draw(st.integers(0, 9))),
     )
     return req, table, moved and tasks[-1] in sub_tasks
 
@@ -823,7 +859,7 @@ def round_tables(draw):
 def shared_rounds(draw):
     """A round's tasks, vehicles and travel, and a few requests over them
     in the order a round would solve them.  The requests differ in
-    budget, round start, pins, weights and seed, and some cover a subset
+    budget, round start, commitments, weights and seed, and some cover a subset
     of the tasks; each later request carries the earlier results as warm
     starts, as `RoundSolver` does.  The tasks hold pairs and, in half the
     rounds, deadlines; the vehicles hold capacity 1 or 2; travel is
@@ -869,9 +905,9 @@ def shared_rounds(draw):
         sub = tuple(tasks)
         if draw(st.integers(min_value=0, max_value=3)) == 0:
             sub = tuple(t for t in tasks if draw(st.booleans())) or sub
-        pinned = {}
+        committed = {}
         if draw(st.booleans()):
-            pinned = {
+            committed = {
                 t.task_id: draw(st.sampled_from(vehicles)).vehicle_id
                 for t in sub if draw(st.integers(min_value=0, max_value=2)) == 0
             }
@@ -881,7 +917,8 @@ def shared_rounds(draw):
             customers=("c1", "c2"),
             weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
             round_start=draw(st.sampled_from([0.0, 150.0, 300.0])),
-            pinned=pinned or None, time_limit=0.05, seed=draw(st.integers(0, 9)),
+            committed=committed or None,
+            config=SolverConfig(time_limit_s=0.05, seed=draw(st.integers(0, 9))),
         ))
     return RoundTable(tasks, vehicles, travel), requests
 
