@@ -22,7 +22,13 @@ throughput allocation.  Three entry points:
                      each insertion screen per path: the round's solves
                      differ in weights and commitments, which neither
                      reads, and mostly meet paths an earlier solve already
-                     screened.
+                     screened.  Local search is first-improvement, so a
+                     scan that ends without a move proves a path, or a
+                     pair of paths, void for its pass; the table keeps
+                     those verdicts for the round, and a later scan of
+                     the same paths under the same budget, round start
+                     and commitments only replays the scan's effort
+                     charge and random draws (`RoundTable.void`).
 * greedy_alpha_heuristic -- fairness-guided construction by greatest
                      return-on-investment.
 
@@ -218,7 +224,9 @@ def exact_vrp(req: SolverRequest) -> Schedule:
         vid_index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
         for tid, vid in req.committed.items():
             if tid in tindex:
-                pin[tindex[tid]] = vid_index.get(vid)
+                # A vehicle outside the request serves nothing, so its
+                # task takes no vehicle's index (as in `may_serve`).
+                pin[tindex[tid]] = vid_index.get(vid, -1)
 
     # Travel seconds from the round's table: legs[v][row][row], where a
     # path starts at its vehicle's home row and moves to rows[i].
@@ -371,6 +379,21 @@ class RoundTable:
       sequence and candidate rows.  The screen checks the budget only,
       not the clock, so the round start does not enter it.
 
+    * `void`: every local-search scan that ended without a move: one
+      path under 2-opt, one ordered pair of paths under swap, and every
+      (from, to) pair of paths a relocate pass screened when the whole
+      pass found nothing.  A key names its pass, the solve's context and
+      each path's id.  `contexts` interns the context, the budget, round
+      start and sorted commitments, as one int per solve, and `path_ids`
+      interns a path, its vehicle id and task sequence, as one int when
+      local search first reads it.  A move reads its paths, the legs,
+      the budget, the round start and the commitments, never the
+      weights, so a void scan stays void for the round.  A skipped scan
+      still charges the evaluations it would have charged, and its pass
+      still shuffles, whose draws depend on the list's length alone:
+      the effort budget and the random stream, and so every later
+      choice, come out as if the scan had run.
+
     Most paths recur across the suite and the `|K| + stages` calls of a
     round: every solve starts once from empty paths, and its seeded start
     often repeats an earlier solve's.
@@ -411,6 +434,9 @@ class RoundTable:
         self.vetted: dict[tuple, tuple[Schedule, Optional[dict[str, list[Task]]]]] = {}
         self.pair_fits: dict[tuple, Optional[tuple[int, int, float]]] = {}
         self.screens: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self.void: set[tuple] = set()
+        self.contexts: dict[tuple, int] = {}
+        self.path_ids: dict[tuple, int] = {}
 
     def covers(self, req: SolverRequest) -> bool:
         """Whether `req` travels on this model between points of this
@@ -436,10 +462,11 @@ class _Route:
     `seq` holds the tasks' rows in `table`, the vehicle's travel-seconds
     table, and `home` the row of its start location; `screen` is the
     vehicle's array of the same legs; `cost` is the exact cost of the
-    sequence.
+    sequence; `key` is its id in the round table's `path_ids`, None
+    until local search reads it.
     """
 
-    __slots__ = ("vehicle", "table", "screen", "home", "tasks", "seq", "cost")
+    __slots__ = ("vehicle", "table", "screen", "home", "tasks", "seq", "cost", "key")
 
     def __init__(self, vehicle: Vehicle, table: list, screen: np.ndarray, home: int):
         self.vehicle = vehicle
@@ -449,6 +476,7 @@ class _Route:
         self.tasks: list[Task] = []
         self.seq: list[int] = []
         self.cost = 0.0
+        self.key: Optional[int] = None
 
     @property
     def tail(self) -> Optional[int]:
@@ -501,13 +529,13 @@ class _Pool:
 class _Offers:
     """One path's insertion offers until the path changes.
 
-    An offer is (`_offer_key`, task, position, delta, trial), where
-    `trial` is the whole new path for a pair and None for a plain task;
-    no two offers share a key, as each names its own task.  The plain
-    placements are the screen's arrays over the pool, with `order`
-    indexing those that fit in descending key order; one becomes an
-    offer only when it is the best still open.  `pairs` holds the pair
-    offers in ascending order, so the best is last.
+    An offer is (`_offer_key`, task, position), where the position of a
+    pair is the (i, j) of `_place_pair`; no two offers share a key, as
+    each names its own task.  The plain placements are the screen's
+    arrays over the pool, with `order` indexing those that fit in
+    descending key order; one becomes an offer only when it is the best
+    still open.  `pairs` holds the pair offers in ascending order, so the
+    best is last.
     """
 
     __slots__ = ("pool", "order", "delta", "pos", "k", "head", "pairs")
@@ -529,9 +557,8 @@ class _Offers:
                 u = self.order[self.k]
                 t = self.pool.tasks[u]
                 if t.task_id in unscheduled:
-                    d = float(self.delta[u])
-                    key = _offer_key(float(self.pool.gain[u]), d, t.task_id)
-                    head = (key, t, int(self.pos[u]), d, None)
+                    key = _offer_key(float(self.pool.gain[u]), float(self.delta[u]), t.task_id)
+                    head = (key, t, int(self.pos[u]))
                     break
                 self.k += 1
             self.head = head
@@ -560,6 +587,8 @@ class _Heuristic:
         self.count = {t.task_id: task_count(t, req.ride_counts_as) for t in req.tasks}
         self.table = table = RoundTable.for_request(req)
         self.row, self.svc, self.home = table.row, table.svc, table.home
+        context = (req.budget, req.round_start, tuple(sorted((req.committed or {}).items())))
+        self.context = table.contexts.setdefault(context, len(table.contexts))
 
     # -- path states --------------------------------------------------------
 
@@ -579,6 +608,15 @@ class _Heuristic:
         state.tasks = tasks
         state.seq = [self.row[t.task_id] for t in tasks] if seq is None else seq
         state.cost = self._cost(state, state.seq) if cost is None else cost
+        state.key = None
+
+    def _path_id(self, state: _Route) -> int:
+        """The state's path as an int, the same for every solve of the
+        round."""
+        if state.key is None:
+            ids = self.table.path_ids
+            state.key = ids.setdefault((state.vehicle.vehicle_id, tuple(state.seq)), len(ids))
+        return state.key
 
     def _cost(self, state: _Route, seq: Sequence[int]) -> float:
         """Travel plus service seconds of `seq` on the state's vehicle.
@@ -608,12 +646,12 @@ class _Heuristic:
         """Inserting row `x` at each position of `base` on the state's
         vehicle."""
         table, sx, from_x = state.table, self.svc[x], state.table[x]
-        out = []
-        for prev, nxt in zip([state.home] + base, base + [state.tail]):
-            d = table[prev][x] + sx
-            if nxt is not None:
-                d += from_x[nxt] - table[prev][nxt]
-            out.append(d)
+        prevs = [state.home] + base
+        out = [table[prev][x] + sx + (from_x[nxt] - table[prev][nxt])
+               for prev, nxt in zip(prevs, base)]
+        # After the last position the path ends, or returns home.
+        last, tail = table[prevs[-1]], state.tail
+        out.append(last[x] + sx if tail is None else last[x] + sx + (from_x[tail] - last[tail]))
         return out
 
     def _removal_delta(self, state: _Route, pos: int) -> float:
@@ -758,11 +796,10 @@ class _Heuristic:
         # the same budget, start and commitments.
         full = len(req.tasks) == len(table.tasks) and len(req.vehicles) == len(table.vehicles)
         memo = table.vetted if full else {}
-        context = (req.budget, req.round_start, tuple(sorted((req.committed or {}).items())))
         best_paths: Optional[dict[str, list[Task]]] = None
         best_key = (-np.inf, -np.inf, 0)
         for order, s in enumerate(req.warm_starts):
-            key = (id(s),) + context
+            key = (id(s), self.context)
             if key not in memo:
                 memo[key] = (s, self._vet(s))  # holding s keeps its id unique
             paths = memo[key][1]
@@ -803,11 +840,14 @@ class _Heuristic:
         ok = pool.live & (best < np.inf)
         if self.req.committed:
             ok &= pool.pins(veh)
+        fit = np.count_nonzero(ok)
+        if not fit:
+            return [], best, pos
         second = np.where(pool.up, pool.gain / np.maximum(best, 1e-9), -best)
         # Those that fit first, in descending `_offer_key` order; the pool
         # is in task-id order.
         order = np.lexsort((pool.span, -best, second, pool.up, ok))[::-1]
-        return order[:np.count_nonzero(ok)].tolist(), best, pos
+        return order[:fit].tolist(), best, pos
 
     def _screen(self, state: _Route, pool: _Pool, slack: float) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized over the pool: each candidate's least delta over the
@@ -848,11 +888,11 @@ class _Heuristic:
 
     def _try_insert_pair(
         self, state: _Route, pickup: Task, dropoff: Task, seq_key: tuple
-    ) -> Optional[tuple[float, list[Task]]]:
+    ) -> Optional[tuple[int, int, float]]:
         """Cheapest feasible (pickup, dropoff) placement on this path, as
-        (delta, new path), from the table's memo when an earlier solve of
-        the round placed the pair on the same sequence.  `seq_key` is the
-        path's sequence as a tuple."""
+        `_place_pair` gives it, from the table's memo when an earlier solve
+        of the round placed the pair on the same sequence.  `seq_key` is
+        the path's sequence as a tuple."""
         committed = self.req.committed
         if not (may_serve(committed, pickup, state.vehicle) and may_serve(committed, dropoff, state.vehicle)):
             return None
@@ -861,12 +901,7 @@ class _Heuristic:
         memo = self.table.pair_fits
         if key not in memo:
             memo[key] = self._place_pair(state, pickup, dropoff, p, d)
-        fit = memo[key]
-        if fit is None:
-            return None
-        i, j, delta = fit
-        tasks = state.tasks
-        return delta, tasks[:i] + [pickup] + tasks[i:j] + [dropoff] + tasks[j:]
+        return memo[key]
 
     def _place_pair(
         self, state: _Route, pickup: Task, dropoff: Task, p: int, d: int
@@ -918,11 +953,11 @@ class _Heuristic:
             if step is None:
                 continue
             _, drop = step
-            pres = self._try_insert_pair(state, t, drop, seq_key)
-            if pres is not None:
-                delta, trial = pres
+            fit = self._try_insert_pair(state, t, drop, seq_key)
+            if fit is not None:
+                i, j, delta = fit
                 gain = contrib[t.task_id] + contrib[drop.task_id]
-                pairs.append((_offer_key(gain, delta, t.task_id), t, None, delta, trial))
+                pairs.append((_offer_key(gain, delta, t.task_id), t, (i, j)))
         return _Offers(pool, self._plain_offers(state, pool, seq_key), sorted(pairs))
 
     def _insertion_phase(self, states: list[_Route], unscheduled: dict[str, Task]) -> None:
@@ -954,10 +989,16 @@ class _Heuristic:
                     best = (s_i, top)
             if best is None:
                 break
-            s_i, (_, task, pos, _, trial) = best
+            s_i, (_, task, pos) = best
             state = states[s_i]
             del offers[s_i]
-            if trial is None:
+            if task.is_pickup:
+                i, j = pos
+                drop = self.by_id[task.pickup_of]
+                tasks = state.tasks
+                trial = tasks[:i] + [task] + tasks[i:j] + [drop] + tasks[j:]
+                inserted = [task, drop]
+            else:
                 trial = self._verify_insert(state, task, pos)
                 if trial is None:
                     # deadline push-forward made this placement invalid;
@@ -967,8 +1008,6 @@ class _Heuristic:
                     left -= 1
                     continue
                 inserted = [task]
-            else:
-                inserted = [task, self.by_id[task.pickup_of]]
             self._assign(state, trial)
             for t in inserted:
                 unscheduled.pop(t.task_id, None)
@@ -980,6 +1019,16 @@ class _Heuristic:
 
     # -- local search -------------------------------------------------------
 
+    def _spend(self, n: int) -> bool:
+        """Charge a skipped scan's `n` >= 1 unit evaluations as the scan
+        would have, one at a time, stopping at the first that leaves
+        none; False if they ran out."""
+        if self.evals > n:
+            self.evals -= n
+            return True
+        self.evals = min(self.evals - 1, 0)
+        return False
+
     def _two_opt_pass(self, state: _Route) -> bool:
         """First-improvement segment reversal; cost-only (membership fixed)."""
         seq = state.seq
@@ -988,6 +1037,10 @@ class _Heuristic:
             return False
         idx = list(range(m - 1))
         self.rng.shuffle(idx)
+        key = ("2-opt", self.context, self._path_id(state))
+        if key in self.table.void:
+            self._spend((m - 1) * (m - 2) // 2)
+            return False
         deltas = self._reversal_deltas(state)
         for i in idx:
             for j, est in enumerate(deltas[i], start=i + 2):
@@ -1004,6 +1057,7 @@ class _Heuristic:
                     if self._feasible(state.vehicle, trial):
                         self._assign(state, trial, trial_seq, cost)
                         return True
+        self.table.void.add(key)
         return False
 
     def _relocate_pass(self, states: list[_Route]) -> bool:
@@ -1016,25 +1070,39 @@ class _Heuristic:
         ]
         self.rng.shuffle(order)
         committed = self.req.committed
+        void = self.table.void
+        ids = [self._path_id(s) for s in states]
+        screened = set()
         for s_i, t_i in order:
             src = states[s_i]
             task = src.tasks[t_i]
             x = src.seq[t_i]
-            removed = src.seq[:t_i] + src.seq[t_i + 1:]
-            removal = self._removal_delta(src, t_i)
+            # The path without the task, from the first pair screened.
+            removed: Optional[list[int]] = None
             removed_cost: Optional[float] = None
             for d_i, dst in enumerate(states):
                 if not may_serve(committed, task, dst.vehicle):
                     continue
                 same = d_i == s_i
-                base = removed if same else dst.seq
                 # one evaluation per position
-                self.evals -= len(base) + 1
+                self.evals -= len(dst.seq) + (0 if same else 1)
                 if self.evals <= 0:
                     return False
+                key = ("relocate", self.context, ids[s_i], ids[d_i])
+                if key in void:
+                    continue
+                screened.add(key)
+                if removed is None:
+                    removed = src.seq[:t_i] + src.seq[t_i + 1:]
+                    removal = self._removal_delta(src, t_i)
+                base = removed if same else dst.seq
                 deltas = self._insert_deltas(dst, base, x)
                 low = min(deltas)
-                if removal + low > _GUARD - 1e-9:
+                # On its own path, position t_i puts the task back where it
+                # was: the path as it is, which no move improves.  Only
+                # another position can, and only if it screens improving.
+                others = deltas[:t_i] + deltas[t_i + 1:] if same else deltas
+                if not others or removal + min(others) > _GUARD - 1e-9:
                     continue
                 if removed_cost is None:
                     removed_cost = self._cost(src, removed)
@@ -1046,8 +1114,11 @@ class _Heuristic:
                 for pos, est in enumerate(deltas):
                     if est > low + _GUARD:
                         continue
-                    trial_seq = base[:pos] + [x] + base[pos:]
-                    cost = self._cost(dst, trial_seq)
+                    if same and pos == t_i:
+                        trial_seq, cost = src.seq, src.cost
+                    else:
+                        trial_seq = base[:pos] + [x] + base[pos:]
+                        cost = self._cost(dst, trial_seq)
                     delta = cost - base_cost
                     if best is None or delta < best[0] - 1e-12:
                         best = (delta, pos, trial_seq, cost)
@@ -1066,6 +1137,8 @@ class _Heuristic:
                         self._assign(src, kept, removed, removed_cost)
                     self._assign(dst, trial, trial_seq, cost)
                     return True
+        # The whole pass found nothing: each pair it screened is void.
+        void.update(screened)
         return False
 
     def _swap_pass(self, states: list[_Route]) -> bool:
@@ -1075,16 +1148,28 @@ class _Heuristic:
             for b_i in range(a_i + 1, len(states)):
                 pairs.append((a_i, b_i))
         self.rng.shuffle(pairs)
-        committed = self.req.committed
+        # The plain tasks that may leave each path.  A committed task sits
+        # on its own vehicle (seeds, insertion and every move keep
+        # `may_serve`), so it may leave for none.
+        committed = self.req.committed or {}
+        movers = [
+            [i for i, t in enumerate(s.tasks) if t.pair_id is None and t.task_id not in committed]
+            for s in states
+        ]
+        void = self.table.void
         for a_i, b_i in pairs:
+            ia, ib = movers[a_i], movers[b_i]
+            if not (ia and ib):
+                continue
             a, b = states[a_i], states[b_i]
+            key = ("swap", self.context, self._path_id(a), self._path_id(b))
+            if key in void:
+                if not self._spend(len(ia) * len(ib)):
+                    return False
+                continue
             deltas = self._swap_deltas(a, b)
-            for i, ta in enumerate(a.tasks):
-                if ta.pair_id is not None or not may_serve(committed, ta, b.vehicle):
-                    continue
-                for j, tb in enumerate(b.tasks):
-                    if tb.pair_id is not None or not may_serve(committed, tb, a.vehicle):
-                        continue
+            for i in ia:
+                for j in ib:
                     self.evals -= 1
                     if self.evals <= 0:
                         return False
@@ -1099,6 +1184,7 @@ class _Heuristic:
                             continue
                         if cb > self.budget_slack[b.vehicle.vehicle_id] + 1e-9:
                             continue
+                        ta, tb = a.tasks[i], b.tasks[j]
                         ta_tasks = a.tasks[:i] + [tb] + a.tasks[i + 1:]
                         tb_tasks = b.tasks[:j] + [ta] + b.tasks[j + 1:]
                         if not (self._feasible(a.vehicle, ta_tasks) and self._feasible(b.vehicle, tb_tasks)):
@@ -1106,6 +1192,7 @@ class _Heuristic:
                         self._assign(a, ta_tasks, ta_seq, ca)
                         self._assign(b, tb_tasks, tb_seq, cb)
                         return True
+            void.add(key)
         return False
 
     # -- main loop ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """SciPy stays off the planning path: only the oracle loads it.  The
 path rules stay in `model`: no other module reads what they check.  The
-commitment rules stay in `vrp`."""
+commitment rules stay in `vrp`, and the heuristic draws random numbers
+only by shuffling."""
 
 import ast
 import json
@@ -123,6 +124,24 @@ def test_commit_weight_is_read_in_vrp_alone():
                for node in ast.walk(tree))
     )
     assert readers == ["vrp.py"]
+
+
+def test_heuristic_draws_only_by_shuffling():
+    """`vrp` reads `_Heuristic.rng` only as `rng.shuffle(...)`.  A local
+    search scan that the round table already knows void is skipped while
+    its pass still shuffles; that keeps the random stream only because a
+    shuffle's draws depend on nothing but the list's length."""
+    tree = package_modules()["vrp.py"]
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "rng"
+             and isinstance(node.ctx, ast.Load)]
+    assert reads
+    for node in reads:
+        method = parent[node]
+        assert isinstance(method, ast.Attribute) and method.attr == "shuffle", node.lineno
+        call = parent[method]
+        assert isinstance(call, ast.Call) and call.func is method, node.lineno
 
 
 def test_every_import_is_used():

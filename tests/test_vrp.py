@@ -2,6 +2,7 @@
 
 import logging
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from fairfleet.vrp import (
     exact_vrp,
     greedy_alpha_heuristic,
     heuristic_vrp,
+    may_serve,
     schedule_value,
     solve_weighted_vrp,
 )
@@ -486,6 +488,20 @@ class TestDispatchAndFacade:
             by_vehicle = {p.vehicle_id: p.task_ids for p in forced.paths}
             assert by_vehicle["v1"] == ("far",)
             assert by_vehicle["v0"] in (("near1",), ("near2",))
+
+    def test_task_committed_to_an_absent_vehicle_is_served_by_none(self):
+        # The dedicated baseline splits the fleet, so a sub-solve can hold
+        # a task committed to a vehicle of another group.  Both backends
+        # leave it out, as `may_serve` lets no vehicle of the request
+        # serve it; the plain task is served either way.
+        tasks = (mk_task("a", "c1", 100, 0), mk_task("b", "c2", 0, 100))
+        inst = Instance(tasks=tasks, vehicles=(mk_vehicle("v0"), mk_vehicle("v1", x=50.0)),
+                        travel=EUCLID, budget=600.0)
+        for backend in ("exact", "heuristic"):
+            config = SolverConfig(backend=backend, time_limit_s=0.1)
+            sched = solve_weighted_vrp(
+                request_for(inst, [1.0, 1.0], committed={"a": "v9"}, config=config))
+            assert sched.task_ids() == {"b"}
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
@@ -964,3 +980,192 @@ class TestRoundTable:
         solver.solve(np.ones(len(inst.customers)))
         assert len(seen) >= 3
         assert all(t is solver._table for t in seen)
+
+
+# A reference copy of the three local-search passes as they were before
+# the round table kept void scans: every pass scans every move.
+
+
+class ScanEveryMove(_Heuristic):
+    def _two_opt_pass(self, state) -> bool:
+        """First-improvement segment reversal; cost-only (membership fixed)."""
+        seq = state.seq
+        m = len(seq)
+        if m < 3 or any(t.pair_id is not None for t in state.tasks):
+            return False
+        idx = list(range(m - 1))
+        self.rng.shuffle(idx)
+        deltas = self._reversal_deltas(state)
+        for i in idx:
+            for j, est in enumerate(deltas[i], start=i + 2):
+                self.evals -= 1
+                if self.evals <= 0:
+                    return False
+                if est > _GUARD - 1e-9:
+                    continue
+                trial_seq = seq[:i] + seq[i:j + 1][::-1] + seq[j + 1:]
+                cost = self._cost(state, trial_seq)
+                if cost < state.cost - 1e-9:
+                    tasks = state.tasks
+                    trial = tasks[:i] + tasks[i:j + 1][::-1] + tasks[j + 1:]
+                    if self._feasible(state.vehicle, trial):
+                        self._assign(state, trial, trial_seq, cost)
+                        return True
+        return False
+
+    def _relocate_pass(self, states) -> bool:
+        """Move one plain task to the cheapest position anywhere."""
+        order = [
+            (s_i, t_i)
+            for s_i, s in enumerate(states)
+            for t_i, t in enumerate(s.tasks)
+            if t.pair_id is None
+        ]
+        self.rng.shuffle(order)
+        committed = self.req.committed
+        for s_i, t_i in order:
+            src = states[s_i]
+            task = src.tasks[t_i]
+            x = src.seq[t_i]
+            removed = src.seq[:t_i] + src.seq[t_i + 1:]
+            removal = self._removal_delta(src, t_i)
+            removed_cost: Optional[float] = None
+            for d_i, dst in enumerate(states):
+                if not may_serve(committed, task, dst.vehicle):
+                    continue
+                same = d_i == s_i
+                base = removed if same else dst.seq
+                # one evaluation per position
+                self.evals -= len(base) + 1
+                if self.evals <= 0:
+                    return False
+                deltas = self._insert_deltas(dst, base, x)
+                low = min(deltas)
+                if removal + low > _GUARD - 1e-9:
+                    continue
+                if removed_cost is None:
+                    removed_cost = self._cost(src, removed)
+                base_cost = removed_cost if same else dst.cost
+                # Cheapest position by the ordered `< best - 1e-12` rule.
+                # Positions beyond _GUARD of the screened minimum cannot
+                # change its outcome, so only the others are costed.
+                best = None
+                for pos, est in enumerate(deltas):
+                    if est > low + _GUARD:
+                        continue
+                    trial_seq = base[:pos] + [x] + base[pos:]
+                    cost = self._cost(dst, trial_seq)
+                    delta = cost - base_cost
+                    if best is None or delta < best[0] - 1e-12:
+                        best = (delta, pos, trial_seq, cost)
+                _, pos, trial_seq, cost = best
+                old_total = src.cost + (0.0 if same else dst.cost)
+                new_total = cost if same else removed_cost + cost
+                if new_total < old_total - 1e-9:
+                    if self.budget_slack[dst.vehicle.vehicle_id] < cost - 1e-9:
+                        continue
+                    kept = src.tasks[:t_i] + src.tasks[t_i + 1:]
+                    host = kept if same else dst.tasks
+                    trial = host[:pos] + [task] + host[pos:]
+                    if not self._feasible(dst.vehicle, trial):
+                        continue
+                    if not same:
+                        self._assign(src, kept, removed, removed_cost)
+                    self._assign(dst, trial, trial_seq, cost)
+                    return True
+        return False
+
+    def _swap_pass(self, states) -> bool:
+        """Exchange two plain tasks across paths when it lowers total cost."""
+        pairs = []
+        for a_i in range(len(states)):
+            for b_i in range(a_i + 1, len(states)):
+                pairs.append((a_i, b_i))
+        self.rng.shuffle(pairs)
+        committed = self.req.committed
+        for a_i, b_i in pairs:
+            a, b = states[a_i], states[b_i]
+            deltas = self._swap_deltas(a, b)
+            for i, ta in enumerate(a.tasks):
+                if ta.pair_id is not None or not may_serve(committed, ta, b.vehicle):
+                    continue
+                for j, tb in enumerate(b.tasks):
+                    if tb.pair_id is not None or not may_serve(committed, tb, a.vehicle):
+                        continue
+                    self.evals -= 1
+                    if self.evals <= 0:
+                        return False
+                    if deltas[i][j] > _GUARD - 1e-9:
+                        continue
+                    ta_seq = a.seq[:i] + [b.seq[j]] + a.seq[i + 1:]
+                    tb_seq = b.seq[:j] + [a.seq[i]] + b.seq[j + 1:]
+                    ca = self._cost(a, ta_seq)
+                    cb = self._cost(b, tb_seq)
+                    if ca + cb < a.cost + b.cost - 1e-9:
+                        if ca > self.budget_slack[a.vehicle.vehicle_id] + 1e-9:
+                            continue
+                        if cb > self.budget_slack[b.vehicle.vehicle_id] + 1e-9:
+                            continue
+                        ta_tasks = a.tasks[:i] + [tb] + a.tasks[i + 1:]
+                        tb_tasks = b.tasks[:j] + [ta] + b.tasks[j + 1:]
+                        if not (self._feasible(a.vehicle, ta_tasks) and self._feasible(b.vehicle, tb_tasks)):
+                            continue
+                        self._assign(a, ta_tasks, ta_seq, ca)
+                        self._assign(b, tb_tasks, tb_seq, cb)
+                        return True
+        return False
+
+
+def _solve_both(req, table, ref_table, effort):
+    """The heuristic on `table` and the reference on `ref_table`, each
+    with `effort` evaluations if given; both solvers and schedules."""
+    out = []
+    for cls, tab in ((_Heuristic, table), (ScanEveryMove, ref_table)):
+        heur = cls(replace(req, table=tab))
+        if effort is not None:
+            heur.evals = effort
+        out.append((heur, heur.run()))
+    return out
+
+
+def _same_bits(got, want):
+    (heur, sched), (ref, ref_sched) = got, want
+    timed = lambda s: [(p.vehicle_id, p.task_ids, p.completions) for p in s.paths]
+    assert timed(sched) == timed(ref_sched)
+    assert heur.evals == ref.evals
+    assert heur.rng.getstate() == ref.rng.getstate()
+
+
+effort_budgets = st.sampled_from([None, None, 40, 150, 600, 2500])
+
+
+class TestVoidScans:
+    @given(case=shared_rounds(), effort=effort_budgets)
+    @settings(max_examples=200, deadline=None)
+    def test_round_of_solves_keeps_the_bits(self, case, effort):
+        """Solves in drawn order on one table skip the scans an earlier
+        solve, or an earlier pass, found void; each gives the paths, the
+        completion times, the effort left and the random state of
+        scanning every move, also when the effort runs out mid-pass."""
+        table, requests = case
+        ref_table = RoundTable(list(table.tasks.values()), list(table.vehicles.values()),
+                               table.travel)
+        done = []
+        for req in requests:
+            got, want = _solve_both(replace(req, warm_starts=tuple(done)), table, ref_table,
+                                    effort)
+            _same_bits(got, want)
+            done.append(got[1])
+
+    @given(case=round_tables(), effort=effort_budgets)
+    @settings(max_examples=120, deadline=None)
+    def test_sub_solves_keep_the_bits(self, case, effort):
+        """A sub-solve with commitments, solved twice on the round's
+        table, the second seeded with the first."""
+        req, table, _ = case
+        ref_table = RoundTable(list(table.tasks.values()), list(table.vehicles.values()),
+                               table.travel)
+        first = _solve_both(req, table, ref_table, effort)
+        _same_bits(*first)
+        again = _solve_both(replace(req, warm_starts=(first[0][1],)), table, ref_table, effort)
+        _same_bits(*again)
