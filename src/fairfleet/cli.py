@@ -42,7 +42,6 @@ DEFAULTS: dict = {
     "travel.matrix": None,
     "out_dir": "out",
     "policy": "mobius",
-    "seed": 0,
     "duration_s": None,
     "round_s": 600.0,
     "replan_s": None,
@@ -63,8 +62,9 @@ DEFAULTS: dict = {
 }
 
 # Keys the scenario generator writes into config.json beyond the
-# runtime keys above; accepted so generated configs run unmodified.
-EXTRA_KEYS = {"preset", "params", "rounds"}
+# runtime keys above, as provenance; accepted so generated configs run
+# unmodified.  Solves read `solver.seed`, and `gen` takes `--seed`.
+EXTRA_KEYS = {"preset", "params", "rounds", "seed"}
 
 
 class UsageError(Exception):
@@ -427,6 +427,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = dict(DEFAULTS)
             if args.out:
                 cfg["out_dir"] = args.out
+            if "seed" in overrides:
+                raise UsageError("gen takes its seed from --seed")
             params = {k: v for k, v in overrides.items() if k not in DEFAULTS}
             return cmd_gen(args.preset, cfg, args.seed, args.rounds, params)
         cfg = load_config(args.config, overrides)

@@ -29,7 +29,7 @@ def alpha_fair_utility(x: np.ndarray, alpha: float) -> float:
     """U_alpha of a nonnegative throughput vector.
 
     Requires 0 <= alpha <= LEXIMIN_ALPHA; larger alpha means max-min mode,
-    which has no meaningful scalar utility (use leximin_key / compare).
+    which has no meaningful scalar utility (use leximin_key / utility_key).
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
@@ -61,30 +61,6 @@ def utility_key(x: np.ndarray, alpha: float):
     if is_leximin(alpha):
         return leximin_key(x)
     return alpha_fair_utility(x, alpha)
-
-
-def utility_compare(a: np.ndarray, b: np.ndarray, alpha: float) -> int:
-    """Three-way comparison of allocations under alpha-fairness.
-
-    Returns 1 if a is strictly better, -1 if b is, 0 on a tie.  Uses
-    leximin order in max-min mode and U_alpha otherwise (with a relative
-    tolerance so solver-level noise does not flip ties).
-    """
-    if is_leximin(alpha):
-        ka, kb = leximin_key(a), leximin_key(b)
-        if ka > kb:
-            return 1
-        if ka < kb:
-            return -1
-        return 0
-    ua = alpha_fair_utility(a, alpha)
-    ub = alpha_fair_utility(b, alpha)
-    tol = 1e-12 * max(1.0, abs(ua), abs(ub))
-    if ua > ub + tol:
-        return 1
-    if ub > ua + tol:
-        return -1
-    return 0
 
 
 def jain_index(x: np.ndarray) -> float:

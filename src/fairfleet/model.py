@@ -1,7 +1,7 @@
 """Domain types shared by all modules.
 
 Customers submit located tasks (optionally deadline-constrained or paired
-pickup/dropoff halves) through interest maps; vehicles follow per-round
+pickup/dropoff halves) as task or trace files; vehicles follow per-round
 paths whose travel times come from a pluggable travel model; a schedule's
 per-customer throughput vector is its allocation, in tasks per minute.
 
@@ -86,27 +86,6 @@ class Task:
         its arrival or at its deadline, whichever comes first."""
         patience = self.arrival_time + expiry_s
         return patience if self.deadline is None else min(patience, self.deadline)
-
-
-@dataclass(frozen=True)
-class InterestMap:
-    """One customer's current list of desired tasks."""
-
-    customer_id: str
-    tasks: tuple[Task, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        seen: set[str] = set()
-        for t in self.tasks:
-            if t.customer_id != self.customer_id:
-                raise ValueError(
-                    f"task {t.task_id} belongs to {t.customer_id}, "
-                    f"not {self.customer_id}"
-                )
-            if t.task_id in seen:
-                raise ValueError(f"duplicate task_id {t.task_id} in interest map")
-            seen.add(t.task_id)
 
 
 @dataclass(frozen=True)
@@ -490,27 +469,6 @@ def empty_schedule(vehicles: Sequence[Vehicle], round_duration: float) -> Schedu
     return Schedule(paths=paths, round_duration=round_duration)
 
 
-def merge_interest_maps(maps: Sequence[InterestMap]) -> tuple[Task, ...]:
-    """Union of all customers' tasks, tagged by owner.
-
-    Customer ids must be distinct across maps and task ids unique across
-    the union; pickup/dropoff pairs must reference each other
-    symmetrically within one customer's map.
-    """
-    customers: set[str] = set()
-    by_id: dict[str, Task] = {}
-    for m in maps:
-        if m.customer_id in customers:
-            raise ValueError(f"duplicate customer_id {m.customer_id} across maps")
-        customers.add(m.customer_id)
-        for t in m.tasks:
-            if t.task_id in by_id:
-                raise ValueError(f"duplicate task_id {t.task_id} across customers")
-            by_id[t.task_id] = t
-    validate_pairs(by_id.values())
-    return tuple(by_id.values())
-
-
 def validate_pairs(tasks: Iterable[Task]) -> None:
     """Ensure pickup/dropoff references are symmetric and same-customer."""
     by_id = {t.task_id: t for t in tasks}
@@ -654,8 +612,9 @@ def task_from_record(rec: dict, lineno: int = 0) -> Task:
 
 
 def read_tasks_jsonl(path: str) -> list[Task]:
-    """Read tasks from a JSON-lines interest-map or trace file."""
-    tasks: list[Task] = []
+    """Read tasks from a JSON-lines task or trace file; task ids must be
+    unique."""
+    tasks: dict[str, Task] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -665,9 +624,12 @@ def read_tasks_jsonl(path: str) -> list[Task]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
-            tasks.append(task_from_record(rec, lineno))
-    validate_pairs(tasks)
-    return tasks
+            task = task_from_record(rec, lineno)
+            if task.task_id in tasks:
+                raise ValueError(f"line {lineno}: duplicate task_id {task.task_id!r}")
+            tasks[task.task_id] = task
+    validate_pairs(tasks.values())
+    return list(tasks.values())
 
 
 def write_tasks_jsonl(path: str, tasks: Iterable[Task]) -> None:
@@ -731,7 +693,13 @@ def read_vehicles_json(path: str) -> list[Vehicle]:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("vehicle roster must be a JSON list")
-    return [vehicle_from_record(rec) for rec in data]
+    vehicles: dict[str, Vehicle] = {}
+    for rec in data:
+        v = vehicle_from_record(rec)
+        if v.vehicle_id in vehicles:
+            raise ValueError(f"duplicate vehicle_id {v.vehicle_id!r} in roster")
+        vehicles[v.vehicle_id] = v
+    return list(vehicles.values())
 
 
 def write_vehicles_json(path: str, vehicles: Iterable[Vehicle]) -> None:

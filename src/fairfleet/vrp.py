@@ -17,18 +17,13 @@ throughput allocation.  Three entry points:
                      threshold, so results match evaluating every move
                      exactly.  Each path keeps its insertion offers until
                      it changes, so a step rescans only the path the last
-                     insertion changed.  The table also memoizes, for all
-                     solves of the round, each pair's best placement and
-                     each insertion screen per path: the round's solves
-                     differ in weights and commitments, which neither
-                     reads, and mostly meet paths an earlier solve already
-                     screened.  Local search is first-improvement, so a
-                     scan that ends without a move proves a path, or a
-                     pair of paths, void for its pass; the table keeps
-                     those verdicts for the round, and a later scan of
-                     the same paths under the same budget, round start
-                     and commitments only replays the scan's effort
-                     charge and random draws (`RoundTable.void`).
+                     insertion changed.  The table owns the round's
+                     budget and start, and memoizes for all solves of
+                     the round each pair's best placement, each
+                     insertion screen and each local-search scan that
+                     ended without a move, under one key rule
+                     (`RoundTable`); a skipped void scan replays only its
+                     effort charge and random draws.
 * greedy_alpha_heuristic -- fairness-guided construction by greatest
                      return-on-investment.
 
@@ -198,11 +193,11 @@ def exact_vrp(req: SolverRequest) -> Schedule:
     canonical task order, by `PathState.step` with the leg from the
     round's `RoundTable`, and close a path where
     `PathState.closes`; riders on board are those `riders_on_board`
-    finds in the request.  Pruning: the path rules, the admissible
-    remaining-weight bound, and a dominance table keyed on (vehicle,
-    served-set, last-task) keeping the earliest completion clock.  Ties
-    on w . x resolve toward larger total task count, then first-found in
-    canonical order.
+    finds in the request.  Pruning: the path rules, `may_serve`, the
+    admissible remaining-weight bound, and a dominance table keyed on
+    (vehicle, served-set, last-task) keeping the earliest completion
+    clock.  Ties on w . x resolve toward larger total task count, then
+    first-found in canonical order.
     """
     task_limit, vehicle_limit = req.config.exact_task_limit, req.config.exact_vehicle_limit
     if len(req.tasks) > task_limit or len(req.vehicles) > vehicle_limit:
@@ -216,17 +211,9 @@ def exact_vrp(req: SolverRequest) -> Schedule:
     n = len(tasks)
     nv = len(vehicles)
     cindex = _customer_index(req)
-    tindex = {t.task_id: i for i, t in enumerate(tasks)}
     contrib = [_contribution(req, t, cindex) for t in tasks]
     counts = [task_count(t, req.ride_counts_as) for t in tasks]
-    pin: list[Optional[int]] = [None] * n
-    if req.committed:
-        vid_index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
-        for tid, vid in req.committed.items():
-            if tid in tindex:
-                # A vehicle outside the request serves nothing, so its
-                # task takes no vehicle's index (as in `may_serve`).
-                pin[tindex[tid]] = vid_index.get(vid, -1)
+    serves = [[may_serve(req.committed, t, veh) for t in tasks] for veh in vehicles]
 
     # Travel seconds from the round's table: legs[v][row][row], where a
     # path starts at its vehicle's home row and moves to rows[i].
@@ -298,7 +285,7 @@ def exact_vrp(req: SolverRequest) -> Schedule:
             bit = 1 << i
             if mask & bit:
                 continue
-            if pin[i] is not None and pin[i] != v:
+            if not serves[v][i]:
                 continue
             hop = legs[v][last][rows[i]]
             # Dominance, from the child's clock before the child is built.
@@ -354,6 +341,9 @@ def _offer_key(gain: float, delta: float, task_id: str) -> tuple:
 class RoundTable:
     """Travel seconds between the tasks and vehicle starts of one round.
 
+    Built from the round's `Instance`, the table owns its budget and
+    round start: it covers only requests with the same two, and
+    `budget_slack` holds each vehicle's budget less its ready offset.
     Rows 0..n-1 are the tasks, then one row per vehicle start.  Every
     entry of `seconds` comes from `travel_time`, computed once per
     distinct point pair and per distinct vehicle speed (the matrix model
@@ -362,47 +352,42 @@ class RoundTable:
     `np.hypot` on the points' coordinates, for matrix travel the model's
     own entries.
 
-    The memos below serve every heuristic solve of the round.  Each one
-    keys an outcome by everything it reads besides the table, so a hit
-    gives the bits a fresh computation would:
+    The memos below serve every heuristic solve of the round.  One rule
+    keys them all: a key names what an outcome reads that varies inside
+    the round, so a hit gives the bits a fresh computation would.  A
+    path is its id in `path_ids`, interned from its vehicle id and task
+    sequence (`_Heuristic._path_id`); a solve's commitments are their id
+    in `contexts`, interned from the sorted commitments.  No outcome
+    reads the weights, the effort budget or the random draws.
 
-    * `vetted`: each warm start's sanitized paths and their feasibility,
-      per budget, round start and commitments.
-    * `pair_fits`: where a pickup and its dropoff fit best on a path,
-      `(i, j, delta)`, or None if nowhere, per budget, round start,
-      vehicle and task sequence.  The outcome reads only the legs, the
-      path's cost (a function of its sequence), the vehicle's budget
-      slack and `path_violation`; weights, commitments, the effort budget and
-      the random draws do not enter it.
-    * `screens`: the insertion screen's cheapest fitting delta and its
-      position for each plain candidate, per budget, vehicle, task
-      sequence and candidate rows.  The screen checks the budget only,
-      not the clock, so the round start does not enter it.
-
-    * `void`: every local-search scan that ended without a move: one
-      path under 2-opt, one ordered pair of paths under swap, and every
-      (from, to) pair of paths a relocate pass screened when the whole
-      pass found nothing.  A key names its pass, the solve's context and
-      each path's id.  `contexts` interns the context, the budget, round
-      start and sorted commitments, as one int per solve, and `path_ids`
-      interns a path, its vehicle id and task sequence, as one int when
-      local search first reads it.  A move reads its paths, the legs,
-      the budget, the round start and the commitments, never the
-      weights, so a void scan stays void for the round.  A skipped scan
-      still charges the evaluations it would have charged, and its pass
-      still shuffles, whose draws depend on the list's length alone:
-      the effort budget and the random stream, and so every later
-      choice, come out as if the scan had run.
+    * `pair_fits[(path id, pickup row)]`: where a pickup and its dropoff
+      fit best on the path, `(i, j, delta)`, or None if nowhere.
+    * `screens[(path id, pool key)]`: the insertion screen's cheapest
+      fitting delta and its position for each plain candidate of the
+      pool's rows.
+    * `void[(pass, commitments id, path ids...)]`: every local-search
+      scan that ended without a move: one path under 2-opt, one ordered
+      pair of paths under swap, and every (from, to) pair of paths a
+      relocate pass screened when the whole pass found nothing.  A
+      skipped scan still charges the evaluations it would have charged,
+      and its pass still shuffles, whose draws depend on the list's
+      length alone: the effort budget and the random stream, and so
+      every later choice, come out as if the scan had run.
+    * `vetted[(id(s), commitments id)]`: each warm start's sanitized
+      paths and their feasibility, for solves over the whole round.
 
     Most paths recur across the suite and the `|K| + stages` calls of a
     round: every solve starts once from empty paths, and its seeded start
     often repeats an earlier solve's.
     """
 
-    def __init__(self, tasks: Sequence[Task], vehicles: Sequence[Vehicle], travel: TravelModel):
-        self.travel = travel
+    def __init__(self, instance: Instance):
+        tasks, vehicles = instance.tasks, instance.vehicles
+        self.travel = travel = instance.travel
+        self.budget, self.round_start = instance.budget, instance.round_start
         self.tasks = {t.task_id: t for t in tasks}
         self.vehicles = {v.vehicle_id: v for v in vehicles}
+        self.budget_slack = {v.vehicle_id: instance.budget - v.ready_offset for v in vehicles}
         self.row = {t.task_id: i for i, t in enumerate(tasks)}
         self.home = {v.vehicle_id: len(tasks) + k for k, v in enumerate(vehicles)}
         self.svc = [t.service_time for t in tasks]
@@ -440,9 +425,12 @@ class RoundTable:
 
     def covers(self, req: SolverRequest) -> bool:
         """Whether `req` travels on this model between points of this
-        table: its vehicles and tasks are among the table's."""
+        table, under its budget and round start: its vehicles and tasks
+        are among the table's."""
         return (
             req.travel is self.travel
+            and req.budget == self.budget
+            and req.round_start == self.round_start
             and all(self.vehicles.get(v.vehicle_id) == v for v in req.vehicles)
             and all(self.tasks.get(t.task_id) == t for t in req.tasks)
         )
@@ -450,10 +438,12 @@ class RoundTable:
     @staticmethod
     def for_request(req: SolverRequest) -> "RoundTable":
         """The request's table if it covers the request, else a new one
-        over the request's own tasks and vehicles."""
+        over the request's own round."""
         if req.table is not None and req.table.covers(req):
             return req.table
-        return RoundTable(req.tasks, req.vehicles, req.travel)
+        return RoundTable(
+            Instance(req.tasks, req.vehicles, req.travel, req.budget, req.round_start)
+        )
 
 
 class _Route:
@@ -463,7 +453,7 @@ class _Route:
     table, and `home` the row of its start location; `screen` is the
     vehicle's array of the same legs; `cost` is the exact cost of the
     sequence; `key` is its id in the round table's `path_ids`, None
-    until local search reads it.
+    until a memo reads it.
     """
 
     __slots__ = ("vehicle", "table", "screen", "home", "tasks", "seq", "cost", "key")
@@ -576,19 +566,13 @@ class _Heuristic:
         self.cindex = _customer_index(req)
         self.rng = random.Random(req.config.seed)
         self.evals = max(10_000, int(req.config.time_limit_s * _EVALS_PER_SECOND))
-        self.budget_slack = {
-            v.vehicle_id: req.budget - v.ready_offset for v in req.vehicles
-        }
         self.has_deadlines = any(t.deadline is not None for t in req.tasks)
-        # A dropoff is represented by its pair; only pickups and plain
-        # tasks are direct insertion candidates.
-        self.by_id = {t.task_id: t for t in req.tasks}
         self.contrib = {t.task_id: _contribution(req, t, self.cindex) for t in req.tasks}
         self.count = {t.task_id: task_count(t, req.ride_counts_as) for t in req.tasks}
         self.table = table = RoundTable.for_request(req)
         self.row, self.svc, self.home = table.row, table.svc, table.home
-        context = (req.budget, req.round_start, tuple(sorted((req.committed or {}).items())))
-        self.context = table.contexts.setdefault(context, len(table.contexts))
+        commitments = tuple(sorted((req.committed or {}).items()))
+        self.commit_id = table.contexts.setdefault(commitments, len(table.contexts))
 
     # -- path states --------------------------------------------------------
 
@@ -612,7 +596,7 @@ class _Heuristic:
 
     def _path_id(self, state: _Route) -> int:
         """The state's path as an int, the same for every solve of the
-        round."""
+        round: the one name a memo gives a path."""
         if state.key is None:
             ids = self.table.path_ids
             state.key = ids.setdefault((state.vehicle.vehicle_id, tuple(state.seq)), len(ids))
@@ -793,13 +777,13 @@ class _Heuristic:
         req, table = self.req, self.table
         # A solve over all of the table's tasks and vehicles shares the
         # table's verdicts with the other solves of the round that have
-        # the same budget, start and commitments.
+        # the same commitments.
         full = len(req.tasks) == len(table.tasks) and len(req.vehicles) == len(table.vehicles)
         memo = table.vetted if full else {}
         best_paths: Optional[dict[str, list[Task]]] = None
         best_key = (-np.inf, -np.inf, 0)
         for order, s in enumerate(req.warm_starts):
-            key = (id(s), self.context)
+            key = (id(s), self.commit_id)
             if key not in memo:
                 memo[key] = (s, self._vet(s))  # holding s keeps its id unique
             paths = memo[key][1]
@@ -823,16 +807,15 @@ class _Heuristic:
 
     # -- insertion ----------------------------------------------------------
 
-    def _plain_offers(self, state: _Route, pool: _Pool, seq_key: tuple) -> tuple:
+    def _plain_offers(self, state: _Route, pool: _Pool) -> tuple:
         """Each live plain task's cheapest placement on this path that fits
         the budget: the order of those that fit, and the delta and the
-        position of every candidate.  `seq_key` is the path's sequence as
-        a tuple."""
+        position of every candidate."""
         veh = state.vehicle
-        slack = self.budget_slack[veh.vehicle_id] - state.cost
+        slack = self.table.budget_slack[veh.vehicle_id] - state.cost
         if slack <= 0 or not pool.tasks:
             return [], [], []
-        key = (self.req.budget, veh.vehicle_id, seq_key, pool.key)
+        key = (self._path_id(state), pool.key)
         screen = self.table.screens.get(key)
         if screen is None:
             screen = self.table.screens[key] = self._screen(state, pool, slack)
@@ -887,17 +870,16 @@ class _Heuristic:
         return trial
 
     def _try_insert_pair(
-        self, state: _Route, pickup: Task, dropoff: Task, seq_key: tuple
+        self, state: _Route, pickup: Task, dropoff: Task
     ) -> Optional[tuple[int, int, float]]:
         """Cheapest feasible (pickup, dropoff) placement on this path, as
         `_place_pair` gives it, from the table's memo when an earlier solve
-        of the round placed the pair on the same sequence.  `seq_key` is
-        the path's sequence as a tuple."""
+        of the round placed the pair on the same path."""
         committed = self.req.committed
         if not (may_serve(committed, pickup, state.vehicle) and may_serve(committed, dropoff, state.vehicle)):
             return None
         p, d = self.row[pickup.task_id], self.row[dropoff.task_id]
-        key = (self.req.budget, self.req.round_start, state.vehicle.vehicle_id, seq_key, p)
+        key = (self._path_id(state), p)
         memo = self.table.pair_fits
         if key not in memo:
             memo[key] = self._place_pair(state, pickup, dropoff, p, d)
@@ -910,7 +892,7 @@ class _Heuristic:
         scan order, each placement that fits and costs more than 1e-12
         less than the best so far replaces it."""
         seq, tasks = state.seq, state.tasks
-        slack = self.budget_slack[state.vehicle.vehicle_id] - state.cost
+        slack = self.table.budget_slack[state.vehicle.vehicle_id] - state.cost
         trials = sorted(
             (est, i, j)
             for i, row in enumerate(self._pair_deltas(state, p, d))
@@ -946,19 +928,18 @@ class _Heuristic:
     ) -> _Offers:
         """Every placement of a candidate on this path."""
         contrib = self.contrib
-        seq_key = tuple(state.seq)
         pairs = []
         for t in pickups:
             step = step_of(t, unscheduled) if t.task_id in unscheduled else None
             if step is None:
                 continue
             _, drop = step
-            fit = self._try_insert_pair(state, t, drop, seq_key)
+            fit = self._try_insert_pair(state, t, drop)
             if fit is not None:
                 i, j, delta = fit
                 gain = contrib[t.task_id] + contrib[drop.task_id]
                 pairs.append((_offer_key(gain, delta, t.task_id), t, (i, j)))
-        return _Offers(pool, self._plain_offers(state, pool, seq_key), sorted(pairs))
+        return _Offers(pool, self._plain_offers(state, pool), sorted(pairs))
 
     def _insertion_phase(self, states: list[_Route], unscheduled: dict[str, Task]) -> None:
         """Insert tasks until nothing fits or the effort budget runs out.
@@ -994,7 +975,7 @@ class _Heuristic:
             del offers[s_i]
             if task.is_pickup:
                 i, j = pos
-                drop = self.by_id[task.pickup_of]
+                drop = self.table.tasks[task.pickup_of]
                 tasks = state.tasks
                 trial = tasks[:i] + [task] + tasks[i:j] + [drop] + tasks[j:]
                 inserted = [task, drop]
@@ -1037,7 +1018,7 @@ class _Heuristic:
             return False
         idx = list(range(m - 1))
         self.rng.shuffle(idx)
-        key = ("2-opt", self.context, self._path_id(state))
+        key = ("2-opt", self.commit_id, self._path_id(state))
         if key in self.table.void:
             self._spend((m - 1) * (m - 2) // 2)
             return False
@@ -1069,9 +1050,10 @@ class _Heuristic:
             if t.pair_id is None
         ]
         self.rng.shuffle(order)
-        committed = self.req.committed
+        committed = self.req.committed or {}
         void = self.table.void
         ids = [self._path_id(s) for s in states]
+        everywhere = range(len(states))
         screened = set()
         for s_i, t_i in order:
             src = states[s_i]
@@ -1080,15 +1062,16 @@ class _Heuristic:
             # The path without the task, from the first pair screened.
             removed: Optional[list[int]] = None
             removed_cost: Optional[float] = None
-            for d_i, dst in enumerate(states):
-                if not may_serve(committed, task, dst.vehicle):
-                    continue
+            # A committed task sits on its own vehicle (see `_swap_pass`),
+            # the one path that may take it.
+            for d_i in (s_i,) if task.task_id in committed else everywhere:
+                dst = states[d_i]
                 same = d_i == s_i
                 # one evaluation per position
                 self.evals -= len(dst.seq) + (0 if same else 1)
                 if self.evals <= 0:
                     return False
-                key = ("relocate", self.context, ids[s_i], ids[d_i])
+                key = ("relocate", self.commit_id, ids[s_i], ids[d_i])
                 if key in void:
                     continue
                 screened.add(key)
@@ -1126,7 +1109,7 @@ class _Heuristic:
                 old_total = src.cost + (0.0 if same else dst.cost)
                 new_total = cost if same else removed_cost + cost
                 if new_total < old_total - 1e-9:
-                    if self.budget_slack[dst.vehicle.vehicle_id] < cost - 1e-9:
+                    if self.table.budget_slack[dst.vehicle.vehicle_id] < cost - 1e-9:
                         continue
                     kept = src.tasks[:t_i] + src.tasks[t_i + 1:]
                     host = kept if same else dst.tasks
@@ -1162,7 +1145,7 @@ class _Heuristic:
             if not (ia and ib):
                 continue
             a, b = states[a_i], states[b_i]
-            key = ("swap", self.context, self._path_id(a), self._path_id(b))
+            key = ("swap", self.commit_id, self._path_id(a), self._path_id(b))
             if key in void:
                 if not self._spend(len(ia) * len(ib)):
                     return False
@@ -1180,9 +1163,9 @@ class _Heuristic:
                     ca = self._cost(a, ta_seq)
                     cb = self._cost(b, tb_seq)
                     if ca + cb < a.cost + b.cost - 1e-9:
-                        if ca > self.budget_slack[a.vehicle.vehicle_id] + 1e-9:
+                        if ca > self.table.budget_slack[a.vehicle.vehicle_id] + 1e-9:
                             continue
-                        if cb > self.budget_slack[b.vehicle.vehicle_id] + 1e-9:
+                        if cb > self.table.budget_slack[b.vehicle.vehicle_id] + 1e-9:
                             continue
                         ta, tb = a.tasks[i], b.tasks[j]
                         ta_tasks = a.tasks[:i] + [tb] + a.tasks[i + 1:]
@@ -1309,7 +1292,7 @@ def greedy_alpha_heuristic(
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     instance = Instance(tasks, vehicles, travel, budget, round_start)
-    table = RoundTable(instance.tasks, instance.vehicles, travel)
+    table = RoundTable(instance)
     row = table.row
     cindex = {c: i for i, c in enumerate(instance.customers)}
     minutes = budget / 60.0
@@ -1450,7 +1433,7 @@ class RoundSolver:
         self.customers = tuple(customers) if customers is not None else instance.customers
         self.calls = 0
         self._cache: list[Schedule] = []
-        self._table = RoundTable(instance.tasks, instance.vehicles, instance.travel)
+        self._table = RoundTable(instance)
         if not self.config.picks_exact(len(instance.tasks), len(instance.vehicles)):
             self._cache.extend(
                 build_warm_start_suite(

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import mk_task, mk_vehicle
-from fairfleet.cli import METRICS_COLUMNS, main
+from fairfleet.cli import METRICS_COLUMNS, load_config, main
 from fairfleet.gen import Scenario, write_scenario
 
 
@@ -278,6 +278,45 @@ class TestConfigHandling:
                            "--set", f"ride_counts_as={value}",
                            "--set", "solver.backend=exact"])
                 assert rc == 0
+
+    def test_duplicate_task_id_is_usage_error(self, tmp_path, capsys):
+        """A trace that gives one task id to two customers stops `run`
+        with exit 2, naming the id and its line, instead of dropping the
+        first customer's task."""
+        cfg = tiny_bundle(tmp_path)
+        trace = cfg.parent / "trace.jsonl"
+        lines = trace.read_text().splitlines()
+        twin = dict(json.loads(lines[0]), customer="c2")
+        trace.write_text("\n".join(lines + [json.dumps(twin)]) + "\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--policy", "all"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {len(lines) + 1}: duplicate task_id {twin['task_id']!r}" in err
+
+    def test_duplicate_vehicle_id_is_usage_error(self, tmp_path, capsys):
+        """A roster that lists one vehicle twice stops `run` with exit 2,
+        instead of running the two as one."""
+        cfg = tiny_bundle(tmp_path)
+        roster = cfg.parent / "vehicles.json"
+        vehicles = json.loads(roster.read_text())
+        roster.write_text(json.dumps(vehicles + [dict(vehicles[0], x=75.0)]))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--policy", "all"])
+        assert rc == 2
+        assert f"duplicate vehicle_id {vehicles[0]['vehicle_id']!r}" in capsys.readouterr().err
+
+    def test_seed_is_provenance_only(self, tmp_path, capsys):
+        """Solves read `solver.seed` and `gen` takes `--seed`, so `seed`
+        is no runtime key; a generated config, which records its seed,
+        still runs as it is."""
+        assert "seed" not in load_config(None, {})
+        cfg = gen_bundle(tmp_path, "--seed", "4")
+        assert json.loads(cfg.read_text())["seed"] == 4
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        rc = main(["gen", "--preset", "map_a_small", "--out", str(tmp_path / "g"),
+                   "--set", "seed=5"])
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path, monkeypatch):
         cfg = gen_bundle(tmp_path)

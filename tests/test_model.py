@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import EUCLID, mk_task, mk_vehicle
 from fairfleet.model import (
     Instance,
-    InterestMap,
     PathState,
     Schedule,
     Task,
@@ -21,7 +20,6 @@ from fairfleet.model import (
     count_fulfilled,
     customers_of,
     empty_schedule,
-    merge_interest_maps,
     path_violation,
     read_tasks_jsonl,
     read_travel_matrix_csv,
@@ -416,22 +414,6 @@ class TestPairsAndMaps:
         with pytest.raises(ValueError, match="unknown pair"):
             validate_pairs([mk_task("p", "c1", 0, 0, pickup_of="ghost")])
 
-    def test_interest_map_owner_check(self):
-        with pytest.raises(ValueError, match="belongs to"):
-            InterestMap(customer_id="c1", tasks=(mk_task("t", "c2", 0, 0),))
-
-    def test_merge_rejects_duplicate_customers(self):
-        m1 = InterestMap("c1", (mk_task("a", "c1", 0, 0),))
-        m2 = InterestMap("c1", (mk_task("b", "c1", 0, 0),))
-        with pytest.raises(ValueError, match="duplicate customer_id"):
-            merge_interest_maps([m1, m2])
-
-    def test_merge_rejects_duplicate_task_ids(self):
-        m1 = InterestMap("c1", (mk_task("a", "c1", 0, 0),))
-        m2 = InterestMap("c2", (mk_task("a", "c2", 0, 0),))
-        with pytest.raises(ValueError, match="duplicate task_id"):
-            merge_interest_maps([m1, m2])
-
 
 class TestInstance:
     def test_budget_check(self):
@@ -474,6 +456,21 @@ class TestFileFormats:
         path.write_text('{"customer": "c1", "task_id": "a", "x": 0, "y": 0, "service_s": 1, "color": "red"}\n')
         with pytest.raises(ValueError, match="line 1"):
             read_tasks_jsonl(str(path))
+
+    def test_tasks_jsonl_rejects_a_repeated_task_id(self, tmp_path):
+        """A task id one customer already used names the id and its line,
+        instead of the later task replacing the earlier one."""
+        path = tmp_path / "tasks.jsonl"
+        write_tasks_jsonl(str(path), [mk_task("t1", "c1", 0, 0), mk_task("t2", "c1", 5, 0),
+                                      mk_task("t1", "c2", 9, 0)])
+        with pytest.raises(ValueError, match="line 3: duplicate task_id 't1'"):
+            read_tasks_jsonl(str(path))
+
+    def test_vehicles_json_rejects_a_repeated_vehicle_id(self, tmp_path):
+        path = tmp_path / "vehicles.json"
+        write_vehicles_json(str(path), [mk_vehicle("v0"), mk_vehicle("v1", 5), mk_vehicle("v0", 9)])
+        with pytest.raises(ValueError, match="duplicate vehicle_id 'v0'"):
+            read_vehicles_json(str(path))
 
     def test_vehicles_json_round_trip(self, tmp_path):
         vehicles = [

@@ -854,7 +854,7 @@ def round_tables(draw):
     in_table = list(tasks)
     if moved:
         in_table[-1] = replace(in_table[-1], location=points[n + 3])
-    table = RoundTable(in_table, vehicles, travel)
+    table = RoundTable(Instance(in_table, vehicles, travel, 600.0))
     sub_tasks = tuple(t for t in tasks if draw(st.booleans())) or tuple(tasks)
     sub_vehicles = tuple(v for v in vehicles if draw(st.booleans())) or vehicles[:1]
     committed = {
@@ -873,11 +873,11 @@ def round_tables(draw):
 
 @st.composite
 def shared_rounds(draw):
-    """A round's tasks, vehicles and travel, and a few requests over them
-    in the order a round would solve them.  The requests differ in
-    budget, round start, commitments, weights and seed, and some cover a subset
-    of the tasks; each later request carries the earlier results as warm
-    starts, as `RoundSolver` does.  The tasks hold pairs and, in half the
+    """A round's tasks, vehicles, travel, budget and round start, and a
+    few requests over them in the order a round would solve them.  The
+    requests differ in commitments, weights and seed, and some cover a
+    subset of the tasks; each later request carries the earlier results
+    as warm starts, as `RoundSolver` does.  The tasks hold pairs and, in half the
     rounds, deadlines; the vehicles hold capacity 1 or 2; travel is
     Euclidean or an asymmetric matrix."""
     coord = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
@@ -916,6 +916,8 @@ def shared_rounds(draw):
         seconds = np.array(cells).reshape(k, k)
         np.fill_diagonal(seconds, 0.0)
         travel = TravelModel.matrix([f"{x!r};{y!r}" for x, y in distinct], seconds)
+    budget = draw(st.sampled_from([200.0, 400.0, 600.0]))
+    round_start = draw(st.sampled_from([0.0, 150.0, 300.0]))
     requests = []
     for _ in range(draw(st.integers(min_value=3, max_value=6))):
         sub = tuple(tasks)
@@ -929,14 +931,14 @@ def shared_rounds(draw):
             }
         requests.append(SolverRequest(
             tasks=sub, vehicles=vehicles, travel=travel,
-            budget=draw(st.sampled_from([200.0, 400.0, 600.0])),
+            budget=budget,
             customers=("c1", "c2"),
             weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
-            round_start=draw(st.sampled_from([0.0, 150.0, 300.0])),
+            round_start=round_start,
             committed=committed or None,
             config=SolverConfig(time_limit_s=0.05, seed=draw(st.integers(0, 9))),
         ))
-    return RoundTable(tasks, vehicles, travel), requests
+    return RoundTable(Instance(tasks, vehicles, travel, budget, round_start)), requests
 
 
 class TestRoundTable:
@@ -963,6 +965,25 @@ class TestRoundTable:
         assert (_Heuristic(with_table).table is table) is not moved
         ids = lambda s: {p.vehicle_id: p.task_ids for p in s.paths}
         assert ids(heuristic_vrp(with_table)) == ids(heuristic_vrp(req))
+
+    @given(case=shared_rounds(), budget=st.sampled_from([0.0, 100.0]),
+           start=st.sampled_from([0.0, 75.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_other_budget_or_start_is_not_covered(self, case, budget, start):
+        """The table owns its round's budget and start: a request under
+        another budget or round start is not covered, and on the shared
+        table, after the round's solves filled its memos, it solves on a
+        table of its own, exactly as on a fresh one."""
+        table, requests = case
+        timed = lambda s: [(p.vehicle_id, p.task_ids, p.completions) for p in s.paths]
+        for req in requests:
+            heuristic_vrp(replace(req, table=table))
+        req = requests[-1]
+        assert table.covers(req)
+        other = replace(req, budget=req.budget + budget, round_start=req.round_start + start)
+        assert table.covers(other) is (budget == start == 0.0)
+        assert (_Heuristic(replace(other, table=table)).table is table) is table.covers(other)
+        assert timed(heuristic_vrp(replace(other, table=table))) == timed(heuristic_vrp(other))
 
     def test_round_solver_shares_one_table(self, monkeypatch):
         """Every heuristic solve of a round, the suite's included, reads
@@ -1062,7 +1083,7 @@ class ScanEveryMove(_Heuristic):
                 old_total = src.cost + (0.0 if same else dst.cost)
                 new_total = cost if same else removed_cost + cost
                 if new_total < old_total - 1e-9:
-                    if self.budget_slack[dst.vehicle.vehicle_id] < cost - 1e-9:
+                    if self.table.budget_slack[dst.vehicle.vehicle_id] < cost - 1e-9:
                         continue
                     kept = src.tasks[:t_i] + src.tasks[t_i + 1:]
                     host = kept if same else dst.tasks
@@ -1102,9 +1123,9 @@ class ScanEveryMove(_Heuristic):
                     ca = self._cost(a, ta_seq)
                     cb = self._cost(b, tb_seq)
                     if ca + cb < a.cost + b.cost - 1e-9:
-                        if ca > self.budget_slack[a.vehicle.vehicle_id] + 1e-9:
+                        if ca > self.table.budget_slack[a.vehicle.vehicle_id] + 1e-9:
                             continue
-                        if cb > self.budget_slack[b.vehicle.vehicle_id] + 1e-9:
+                        if cb > self.table.budget_slack[b.vehicle.vehicle_id] + 1e-9:
                             continue
                         ta_tasks = a.tasks[:i] + [tb] + a.tasks[i + 1:]
                         tb_tasks = b.tasks[:j] + [ta] + b.tasks[j + 1:]
@@ -1148,8 +1169,8 @@ class TestVoidScans:
         completion times, the effort left and the random state of
         scanning every move, also when the effort runs out mid-pass."""
         table, requests = case
-        ref_table = RoundTable(list(table.tasks.values()), list(table.vehicles.values()),
-                               table.travel)
+        ref_table = RoundTable(Instance(list(table.tasks.values()), list(table.vehicles.values()),
+                                        table.travel, table.budget, table.round_start))
         done = []
         for req in requests:
             got, want = _solve_both(replace(req, warm_starts=tuple(done)), table, ref_table,
@@ -1163,8 +1184,8 @@ class TestVoidScans:
         """A sub-solve with commitments, solved twice on the round's
         table, the second seeded with the first."""
         req, table, _ = case
-        ref_table = RoundTable(list(table.tasks.values()), list(table.vehicles.values()),
-                               table.travel)
+        ref_table = RoundTable(Instance(list(table.tasks.values()), list(table.vehicles.values()),
+                                        table.travel, table.budget, table.round_start))
         first = _solve_both(req, table, ref_table, effort)
         _same_bits(*first)
         again = _solve_both(replace(req, warm_starts=(first[0][1],)), table, ref_table, effort)
