@@ -429,8 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 cfg["out_dir"] = args.out
             if "seed" in overrides:
                 raise UsageError("gen takes its seed from --seed")
-            params = {k: v for k, v in overrides.items() if k not in DEFAULTS}
-            return cmd_gen(args.preset, cfg, args.seed, args.rounds, params)
+            return cmd_gen(args.preset, cfg, args.seed, args.rounds, overrides)
         cfg = load_config(args.config, overrides)
         if args.out:
             cfg["out_dir"] = args.out

@@ -69,13 +69,17 @@ class Trace:
 
 
 @dataclass
-class _Stop:
-    """One committed stop on a vehicle's plan (absolute times)."""
+class _Leg:
+    """One leg of a plan, in absolute times: the drive from `origin` to
+    `dest` between `depart` and `arrive`, then `task`'s service until
+    `complete`.  A drive home has no task; it completes on arrival."""
 
-    task: Task
+    origin: Point
+    dest: Point
     depart: float
     arrive: float
     complete: float
+    task: Optional[Task] = None
 
 
 @dataclass
@@ -90,48 +94,32 @@ class _TaskState:
 
 
 @dataclass
-class _HomeLeg:
-    """Planned empty drive back to base after the last stop."""
-
-    depart: float
-    arrive: float
-    origin: Point
-    dest: Point
-
-
-@dataclass
 class _VehicleSim:
+    """A vehicle, its position when its plan last changed or a leg last
+    completed, and its legs left to complete, each from the last's end."""
+
     vehicle: Vehicle
     position: Point
-    stops: list[_Stop] = field(default_factory=list)
-    home_leg: Optional[_HomeLeg] = None
+    legs: list[_Leg] = field(default_factory=list)
 
-    def in_service(self, clock: float) -> Optional[_Stop]:
-        """The stop being serviced at `clock`, if any."""
-        for s in self.stops:
-            if s.arrive <= clock < s.complete - 1e-12:
-                return s
+    def in_service(self, clock: float) -> Optional[_Leg]:
+        """The leg whose task is being serviced at `clock`, if any; a
+        drive home, done on arrival, never is."""
+        for leg in self.legs:
+            if leg.arrive <= clock < leg.complete - 1e-12:
+                return leg
         return None
 
     def position_at(self, clock: float) -> Point:
-        """Interpolated position: mid-leg positions move linearly,
-        including the final drive home."""
+        """Interpolated position: mid-leg positions move linearly from
+        the leg's origin."""
         pos = self.position
-        for s in self.stops:
-            if clock >= s.complete:
-                pos = s.task.location
+        for leg in self.legs:
+            if clock >= leg.complete:
+                pos = leg.dest
                 continue
-            if clock <= s.depart:
+            if clock <= leg.depart:
                 return pos
-            if clock >= s.arrive:
-                return s.task.location
-            frac = (clock - s.depart) / max(s.arrive - s.depart, 1e-12)
-            return (
-                pos[0] + (s.task.location[0] - pos[0]) * frac,
-                pos[1] + (s.task.location[1] - pos[1]) * frac,
-            )
-        leg = self.home_leg
-        if leg is not None and clock > leg.depart:
             if clock >= leg.arrive:
                 return leg.dest
             frac = (clock - leg.depart) / max(leg.arrive - leg.depart, 1e-12)
@@ -193,20 +181,17 @@ def step(sim: SimState, until: float) -> SimState:
 
     for vid in sorted(sim.vehicles):
         vs = sim.vehicles[vid]
-        done = [s for s in vs.stops if s.complete <= until + 1e-9]
-        for s in done:
-            ts = sim.tasks[s.task.task_id]
-            ts.status = COMPLETED
-            ts.service_start = s.arrive
-            ts.completion = s.complete
-            ts.vehicle_id = vid
-            sim.live.pop(s.task.task_id, None)
-            vs.position = s.task.location
-        vs.stops = [s for s in vs.stops if s.complete > until + 1e-9]
-        leg = vs.home_leg
-        if leg is not None and not vs.stops and leg.arrive <= until + 1e-9:
+        done = [leg for leg in vs.legs if leg.complete <= until + 1e-9]
+        for leg in done:
+            if leg.task is not None:
+                ts = sim.tasks[leg.task.task_id]
+                ts.status = COMPLETED
+                ts.service_start = leg.arrive
+                ts.completion = leg.complete
+                ts.vehicle_id = vid
+                sim.live.pop(leg.task.task_id, None)
             vs.position = leg.dest
-            vs.home_leg = None
+        vs.legs = [leg for leg in vs.legs if leg.complete > until + 1e-9]
 
     while sim.cursor < len(sim.trace.tasks):
         t = sim.trace.tasks[sim.cursor]
@@ -225,18 +210,18 @@ def step(sim: SimState, until: float) -> SimState:
     return sim
 
 
-def _snapshot_vehicles(sim: SimState, now: float, return_home: Optional[bool]) -> tuple[list[Vehicle], dict[str, _Stop]]:
+def _snapshot_vehicles(sim: SimState, now: float, return_home: Optional[bool]) -> tuple[list[Vehicle], dict[str, _Leg]]:
     """Planning view of the fleet: current position, time until free
-    (mid-service stops finish as scheduled), optional return-home flag."""
+    (a leg in service finishes as scheduled), optional return-home flag."""
     out = []
-    locked: dict[str, _Stop] = {}
+    locked: dict[str, _Leg] = {}
     for vid in sorted(sim.vehicles):
         vs = sim.vehicles[vid]
-        stop = vs.in_service(now)
-        if stop is not None:
-            locked[vid] = stop
-            position = stop.task.location
-            ready = stop.complete - now
+        leg = vs.in_service(now)
+        if leg is not None:
+            locked[vid] = leg
+            position = leg.dest
+            ready = leg.complete - now
         else:
             position = vs.position_at(now)
             ready = 0.0
@@ -252,57 +237,38 @@ def _snapshot_vehicles(sim: SimState, now: float, return_home: Optional[bool]) -
     return out, locked
 
 
-def _plan_home_leg(
-    vs: _VehicleSim,
-    stops: list[_Stop],
-    now: float,
-    travel: TravelModel,
-    go_home: bool,
-) -> Optional[_HomeLeg]:
-    """Drive back to base after the last stop, or keep an in-flight leg."""
-    if stops:
-        if not go_home:
-            return None
-        last = stops[-1]
-        origin = last.task.location
-        home = vs.vehicle.start_location
-        secs = travel_time(origin, home, travel, vs.vehicle)
-        return _HomeLeg(depart=last.complete, arrive=last.complete + secs, origin=origin, dest=home)
-    leg = vs.home_leg
-    if leg is not None and leg.depart <= now + 1e-9 < leg.arrive:
-        return leg
-    return None
-
-
 def _commit(
     sim: SimState,
     schedule: Schedule,
     now: float,
-    locked: dict[str, _Stop],
+    locked: dict[str, _Leg],
     travel: TravelModel,
     home_flags: dict[str, bool],
 ) -> None:
-    """Replace future plans with `schedule`; stops in progress stay."""
-    for path in schedule.paths:
-        vs = sim.vehicles[path.vehicle_id]
-        stops = [locked[path.vehicle_id]] if path.vehicle_id in locked else []
-        for task, dep, arr, comp in zip(
-            path.tasks, path.departures, path.arrivals, path.completions
-        ):
-            stops.append(_Stop(task=task, depart=dep, arrive=arr, complete=comp))
-        vs.position = vs.position_at(now)
-        vs.stops = stops
-        vs.home_leg = _plan_home_leg(vs, stops, now, travel, home_flags[path.vehicle_id])
-        for task in path.tasks:
-            ts = sim.tasks[task.task_id]
-            ts.status = COMMITTED
-            ts.vehicle_id = path.vehicle_id
-    planned = {p.vehicle_id for p in schedule.paths}
+    """Replace future plans with `schedule`; legs in service stay.  A
+    vehicle whose flag in `home_flags` is set drives home after its last
+    task; one left with no task keeps a drive home already under way."""
+    paths = {p.vehicle_id: p for p in schedule.paths}
     for vid, vs in sim.vehicles.items():
-        if vid not in planned:
-            vs.position = vs.position_at(now)
-            vs.stops = [locked[vid]] if vid in locked else []
-            vs.home_leg = _plan_home_leg(vs, vs.stops, now, travel, home_flags.get(vid, False))
+        vs.position = vs.position_at(now)
+        legs = [locked[vid]] if vid in locked else []
+        path = paths.get(vid)
+        if path is not None:
+            origin = legs[-1].dest if legs else vs.position
+            for task, *times in zip(path.tasks, path.departures, path.arrivals, path.completions):
+                legs.append(_Leg(origin, task.location, *times, task))
+                origin = task.location
+                ts = sim.tasks[task.task_id]
+                ts.status = COMMITTED
+                ts.vehicle_id = vid
+        if not legs:
+            legs = [leg for leg in vs.legs
+                    if leg.task is None and leg.depart <= now + 1e-9 < leg.arrive]
+        elif home_flags.get(vid, False):
+            last, home = legs[-1], vs.vehicle.start_location
+            arrive = last.complete + travel_time(last.dest, home, travel, vs.vehicle)
+            legs.append(_Leg(last.dest, home, last.complete, arrive, arrive))
+        vs.legs = legs
 
 
 def _cancel(sim: SimState, task_ids: Sequence[str], now: float) -> None:
@@ -378,7 +344,7 @@ def _planning_instance(
     now: float,
     cfg: RoundConfig,
     travel: TravelModel,
-    locked: dict[str, _Stop],
+    locked: dict[str, _Leg],
     vehicles: list[Vehicle],
 ) -> Instance:
     locked_ids = {s.task.task_id for s in locked.values()}

@@ -344,13 +344,12 @@ class RoundTable:
     Built from the round's `Instance`, the table owns its budget and
     round start: it covers only requests with the same two, and
     `budget_slack` holds each vehicle's budget less its ready offset.
-    Rows 0..n-1 are the tasks, then one row per vehicle start.  Every
-    entry of `seconds` comes from `travel_time`, computed once per
-    distinct point pair and per distinct vehicle speed (the matrix model
-    ignores speed).  `screen` holds the same legs as one array per speed
-    for the vectorized insertion screen: for Euclidean travel from
-    `np.hypot` on the points' coordinates, for matrix travel the model's
-    own entries.
+    Rows 0..n-1 are the tasks, then one row per vehicle start.
+    `seconds` holds one row per point, each entry `travel_time` of its
+    two points, filled once per distinct vehicle speed (the matrix model
+    ignores speed).  `screen` holds the same values as one array per
+    speed for the vectorized insertion screen, so the screen reads the
+    legs every exact cost, `path_violation` and `build_path` read.
 
     The memos below serve every heuristic solve of the round.  One rule
     keys them all: a key names what an outcome reads that varies inside
@@ -393,28 +392,14 @@ class RoundTable:
         self.svc = [t.service_time for t in tasks]
         self.svc_array = np.array(self.svc, dtype=float)
         points = [t.location for t in tasks] + [v.start_location for v in vehicles]
-        distinct = list(dict.fromkeys(points))
-        where = {p: k for k, p in enumerate(distinct)}
-        col = [where[p] for p in points]
-        euclidean = travel.variant == "euclidean"
-        if euclidean:
-            xy = np.array(points, dtype=float)
-        else:
-            at = [travel._lookup(p) for p in points]
-            legs = travel.seconds[np.ix_(at, at)]
         self.seconds: dict[str, list[list[float]]] = {}
         self.screen: dict[str, np.ndarray] = {}
         by_key: dict = {}
         for v in vehicles:
-            key = v.speed if euclidean else None
+            key = v.speed if travel.variant == "euclidean" else None
             if key not in by_key:
-                small = [[travel_time(a, b, travel, v) for b in distinct] for a in distinct]
-                wide = [[r[c] for c in col] for r in small]
-                if euclidean:
-                    legs = np.hypot(
-                        xy[:, None, 0] - xy[None, :, 0], xy[:, None, 1] - xy[None, :, 1]
-                    ) / v.speed
-                by_key[key] = ([wide[c] for c in col], legs)
+                rows = [[travel_time(a, b, travel, v) for b in points] for a in points]
+                by_key[key] = (rows, np.array(rows))
             self.seconds[v.vehicle_id], self.screen[v.vehicle_id] = by_key[key]
         self.vetted: dict[tuple, tuple[Schedule, Optional[dict[str, list[Task]]]]] = {}
         self.pair_fits: dict[tuple, Optional[tuple[int, int, float]]] = {}
@@ -490,7 +475,13 @@ class _Pool:
         self.up = self.gain > 0
         self.span = np.arange(len(tasks))
         self.live = np.ones(len(tasks), dtype=bool)
-        self.committed = heur.req.committed
+        # `may_serve` lets a vehicle serve the candidates nobody committed
+        # and those committed to it.
+        committed = heur.req.committed or {}
+        self.free = np.array([t.task_id not in committed for t in tasks], dtype=bool)
+        self.promised: dict[str, list[int]] = {}
+        for u in np.flatnonzero(~self.free).tolist():
+            self.promised.setdefault(committed[tasks[u].task_id], []).append(u)
         self._pins: dict[str, np.ndarray] = {}
         self._legs: dict[int, np.ndarray] = {}
 
@@ -511,7 +502,8 @@ class _Pool:
         """Which candidates the commitments let `vehicle` serve."""
         mask = self._pins.get(vehicle.vehicle_id)
         if mask is None:
-            mask = np.array([may_serve(self.committed, t, vehicle) for t in self.tasks], dtype=bool)
+            mask = self.free.copy()
+            mask[self.promised.get(vehicle.vehicle_id, [])] = True
             self._pins[vehicle.vehicle_id] = mask
         return mask
 

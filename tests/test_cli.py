@@ -260,6 +260,16 @@ class TestConfigHandling:
         assert rc == 2
         assert "unknown config key 'alpa'" in capsys.readouterr().err
 
+    def test_gen_takes_round_s_and_alpha_from_set(self, tmp_path):
+        out = tmp_path / "b"
+        rc = main(["gen", "--preset", "map_b", "--rounds", "3", "--out", str(out),
+                   "--set", "round_s=300", "--set", "alpha=2", "--set", "n_each=10"])
+        assert rc == 0
+        config = json.loads((out / "config.json").read_text())
+        assert (config["round_s"], config["alpha"]) == (300.0, 2.0)
+        assert config["duration_s"] == 3 * 300.0
+        assert config["params"]["n_each"] == 10
+
     def test_set_requires_equals(self, tmp_path, capsys):
         cfg = gen_bundle(tmp_path)
         rc = main(["run", "--config", str(cfg), "--set", "alpha"])

@@ -156,10 +156,10 @@ class TestHomeLeg:
 
     def test_leg_planned_after_last_stop(self):
         sim = self.setup_sim()
-        leg = sim.vehicles["v0"].home_leg
-        assert leg is not None
-        assert leg.depart == 110.0 and leg.arrive == 210.0
-        assert leg.dest == (0.0, 0.0)
+        stop, leg = sim.vehicles["v0"].legs
+        assert stop.task.task_id == "t1" and leg.task is None
+        assert leg.depart == 110.0 and leg.arrive == leg.complete == 210.0
+        assert leg.origin == (1000.0, 0.0) and leg.dest == (0.0, 0.0)
 
     def test_position_interpolates_along_leg(self):
         sim = self.setup_sim()
@@ -174,11 +174,11 @@ class TestHomeLeg:
         step(sim, 300.0)
         vs = sim.vehicles["v0"]
         assert vs.position == (0.0, 0.0)
-        assert vs.home_leg is None
+        assert vs.legs == []
 
     def test_no_leg_when_staying_out(self):
         sim = self.setup_sim(go_home=False)
-        assert sim.vehicles["v0"].home_leg is None
+        assert [leg.task.task_id for leg in sim.vehicles["v0"].legs] == ["t1"]
         step(sim, 300.0)
         assert sim.vehicles["v0"].position == (1000.0, 0.0)
 
@@ -187,16 +187,25 @@ class TestHomeLeg:
         step(sim, 160.0)  # homebound
         _commit(sim, Schedule(paths=(), round_duration=600.0), 160.0, {},
                 EUCLID, {"v0": False})
-        assert sim.vehicles["v0"].home_leg is not None
+        assert [leg.task for leg in sim.vehicles["v0"].legs] == [None]
         step(sim, 210.0)
         assert sim.vehicles["v0"].position == (0.0, 0.0)
+
+    def test_kept_leg_moves_from_its_origin(self):
+        sim = self.setup_sim()
+        step(sim, 160.0)  # homebound, at (500, 0)
+        _commit(sim, Schedule(paths=(), round_duration=600.0), 160.0, {},
+                EUCLID, {"v0": False})
+        # Three quarters of the drive from (1000, 0), not a quarter of
+        # the way on from the replan point.
+        assert sim.vehicles["v0"].position_at(185.0) == pytest.approx((250.0, 0.0))
 
     def test_future_leg_dropped_on_replan(self):
         sim = self.setup_sim()
         step(sim, 50.0)  # still outbound; the old plan is abandoned
         _commit(sim, Schedule(paths=(), round_duration=600.0), 50.0, {},
                 EUCLID, {"v0": False})
-        assert sim.vehicles["v0"].home_leg is None
+        assert sim.vehicles["v0"].legs == []
         assert sim.vehicles["v0"].position == pytest.approx((500.0, 0.0))
 
 
@@ -532,7 +541,8 @@ class TestLifecycleInvariants:
 
         def checked_commit(sim, *args):
             real_commit(sim, *args)
-            planned = {s.task.task_id for vs in sim.vehicles.values() for s in vs.stops}
+            planned = {leg.task.task_id for vs in sim.vehicles.values() for leg in vs.legs
+                       if leg.task is not None}
             assert {ts.task.task_id for ts in sim.by_status(COMMITTED)} <= planned
 
         monkeypatch.setattr(emulator, "_commit", checked_commit)

@@ -1,7 +1,7 @@
 """SciPy stays off the planning path: only the oracle loads it.  The
-path rules stay in `model`: no other module reads what they check.  The
-commitment rules stay in `vrp`, and the heuristic draws random numbers
-only by shuffling."""
+path rules and the travel legs stay in `model`: no other module reads
+what the rules check or computes a leg.  The commitment rules stay in
+`vrp`, and the heuristic draws random numbers only by shuffling."""
 
 import ast
 import json
@@ -89,6 +89,22 @@ def test_path_rules_live_in_model_alone():
     readers = [m.name for m in modules if "capacity" in attribute_reads(m)]
     assert readers == ["model.py"]
     assert "deadline" not in attribute_reads(package / "oracle.py")
+
+
+def test_only_model_turns_points_into_seconds():
+    """No module but `model` calls `hypot`, from `math` or NumPy, or reads
+    a travel model's private `_lookup`: every leg comes from
+    `model.travel_time`."""
+    package = Path(fairfleet.__file__).resolve().parent
+    readers = []
+    for module in sorted(package.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        if {"hypot", "_lookup"} & (names | attribute_reads(module)):
+            readers.append(module.name)
+    assert readers == ["model.py"]
 
 
 def package_modules():

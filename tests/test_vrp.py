@@ -661,6 +661,31 @@ class TestTravelTable:
                         trial = state.seq[:i] + [p] + state.seq[i:j] + [d] + state.seq[j:]
                         assert est == pytest.approx(cost(state, trial) - state.cost, abs=tol)
 
+    @pytest.mark.parametrize("variant", ["euclidean", "matrix"])
+    def test_screen_arrays_hold_the_scalar_legs(self, variant):
+        # Each speed's array equals its scalar rows bit for bit, and every
+        # entry is `travel_time` of its two points: the insertion screen
+        # reads the legs every exact cost reads.  Two tasks share a point.
+        rng = np.random.default_rng(7)
+        pts = [(float(x), float(y)) for x, y in rng.uniform(-2000, 2000, (60, 2))]
+        pts[49] = pts[0]
+        if variant == "euclidean":
+            travel = TravelModel.euclidean()
+        else:
+            distinct = list(dict.fromkeys(pts))
+            seconds = rng.uniform(0, 500, (len(distinct), len(distinct)))
+            np.fill_diagonal(seconds, 0.0)
+            travel = TravelModel.matrix([f"{x!r};{y!r}" for x, y in distinct], seconds)
+        tasks = tuple(Task(f"t{i:02d}", "c1", pts[i], 5.0) for i in range(50))
+        vehicles = tuple(Vehicle(f"v{j}", pts[50 + j], speed=(10.0, 7.5)[j % 2])
+                         for j in range(10))
+        table = RoundTable(Instance(tasks, vehicles, travel, 600.0))
+        for v in vehicles:
+            rows = table.seconds[v.vehicle_id]
+            assert table.screen[v.vehicle_id].tolist() == rows
+            for a, row in zip(pts, rows):
+                assert row == [travel_time(a, b, travel, v) for b in pts]
+
 
 def _golden_asymmetric_matrix():
     """Asymmetric matrix travel, no return home, a committed task and a
