@@ -370,9 +370,10 @@ def cmd_oracle(cfg: dict) -> int:
 
 
 def cmd_gen(preset: str, cfg: dict, seed: int, rounds: Optional[int], params: dict) -> int:
-    if preset not in PRESETS:
-        raise UsageError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-    scenario = generate(preset, seed=seed, **params)
+    try:
+        scenario = generate(preset, seed=seed, **params)
+    except ValueError as exc:  # an unknown preset or parameter, or a value out of range
+        raise UsageError(str(exc)) from exc
     manifest = write_scenario(scenario, cfg["out_dir"], rounds=rounds)
     print(json.dumps(manifest, sort_keys=True))
     return 0

@@ -62,10 +62,12 @@ class Trace:
         for t in self.tasks:
             if t.arrival_time > self.duration:
                 raise ValueError(f"task {t.task_id} arrives after the trace ends")
+        listed = {t.customer_id for t in self.tasks}
         if not self.customers:
-            object.__setattr__(
-                self, "customers", tuple(sorted({t.customer_id for t in self.tasks}))
-            )
+            object.__setattr__(self, "customers", tuple(sorted(listed)))
+        unlisted = sorted(listed - set(self.customers))
+        if unlisted:
+            raise ValueError(f"task customer {unlisted[0]!r} is not among the trace's customers")
 
 
 @dataclass
@@ -582,14 +584,12 @@ def _build_metrics(
             r = bisect_left(ends, ts.completion)
             if r < n_rounds and r * cfg.round_s < ts.completion:
                 x_in[r, cidx[ts.task.customer_id]] += task_count(ts.task, cfg.ride_counts_as)
-            i = cidx.get(ts.task.customer_id)
-            if i is not None and r < n_rounds and ts.completion <= ends[r]:
-                done_in[r, i] += 1
+            if r < n_rounds and ts.completion <= ends[r]:
+                done_in[r, cidx[ts.task.customer_id]] += 1
         elif ts.status == EXPIRED and ts.expired_at is not None:
             r = bisect_left(ends, ts.expired_at)
-            i = cidx.get(ts.task.customer_id)
-            if i is not None and r < n_rounds and ts.expired_at <= ends[r]:
-                expired_in[r, i] += 1
+            if r < n_rounds and ts.expired_at <= ends[r]:
+                expired_in[r, cidx[ts.task.customer_id]] += 1
     done = np.cumsum(done_in, axis=0)
     expired = np.cumsum(expired_in, axis=0)
 
@@ -617,8 +617,6 @@ def _build_metrics(
     waits: dict[str, list[float]] = {c: [] for c in customers}
     for ts in sim.tasks.values():
         c = ts.task.customer_id
-        if c not in arrived_per:
-            continue
         arrived_per[c] += 1
         if ts.status == COMPLETED:
             completed_per[c] += 1

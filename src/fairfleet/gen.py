@@ -84,6 +84,17 @@ class Scenario:
         )
 
 
+def _params(given: dict, **defaults) -> list:
+    """A preset's parameters in the order of `defaults`, each the given
+    value as its default's type, else the default; a key the preset does
+    not take raises ValueError."""
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"unknown parameter {unknown[0]!r}; the preset takes {sorted(defaults)}")
+    return [type(value)(given.get(key, value)) for key, value in defaults.items()]
+
+
 def _grid(center: tuple[float, float], n: int, spacing: float, cols: int) -> list[tuple[float, float]]:
     """Deterministic compact grid of n points around a center."""
     pts = []
@@ -132,8 +143,8 @@ def map_a_small(seed: int = 0, **params) -> Scenario:
     six stops; skipping it frees almost the whole round (customer 1's
     five tasks alone).  The boundary is the single face x1 + x2 = const
     with its max-min point strictly inside."""
-    far_x = float(params.get("far_x", 2680.0))
-    n_each = int(params.get("n_each", 5))
+    far_x, n_each, round_s, rounds, alpha = _params(
+        params, far_x=2680.0, n_each=5, round_s=600.0, rounds=50, alpha=64.0)
     c1 = _tasks("c1", [(10.0 + 0.0 * i, 0.0) for i in range(n_each)])
     c2 = _tasks("c2", [(far_x, 0.0) for _ in range(n_each)])
     vehicles = _fleet(1, (0.0, 0.0), return_home=True)
@@ -141,9 +152,9 @@ def map_a_small(seed: int = 0, **params) -> Scenario:
         name="map_a_small",
         tasks=tuple(c1 + c2),
         vehicles=vehicles,
-        round_s=600.0,
-        rounds=int(params.get("rounds", 50)),
-        alpha=float(params.get("alpha", 64.0)),
+        round_s=round_s,
+        rounds=rounds,
+        alpha=alpha,
         seed=seed,
         params={"far_x": far_x, "n_each": n_each},
     )
@@ -168,12 +179,10 @@ def map_a(seed: int = 0, **params) -> Scenario:
 def _two_clusters(name: str, seed: int, params: dict, east_strip: bool) -> Scenario:
     """Map A's layout; without `east_strip` customer 2 lines only the
     west cluster."""
-    cluster_x = float(params.get("cluster_x", 1800.0))
-    n_cluster = int(params.get("n_cluster", 20))
-    strip_offset = float(params.get("strip_offset", 30.0))
-    strip_spacing = float(params.get("strip_spacing", 15.0))
-    n_strip = int(params.get("n_strip", 9))
-    pod_y = float(params.get("pod_y", 40.0))
+    (cluster_x, n_cluster, strip_offset, strip_spacing, n_strip, pod_y, n_vehicles,
+     round_s, rounds, alpha) = _params(
+        params, cluster_x=1800.0, n_cluster=20, strip_offset=30.0, strip_spacing=15.0,
+        n_strip=9, pod_y=40.0, n_vehicles=2, round_s=600.0, rounds=10, alpha=64.0)
     west = _grid((-cluster_x, 0.0), n_cluster, spacing=12.0, cols=5)
     east = _grid((cluster_x, 0.0), n_cluster, spacing=12.0, cols=5)
     c1 = _tasks("c1", west + east)
@@ -184,14 +193,14 @@ def _two_clusters(name: str, seed: int, params: dict, east_strip: bool) -> Scena
         (cluster_x + strip_offset + j * strip_spacing, pod_y) for j in range(n_strip)
     ] if east_strip else []
     c2 = _tasks("c2", strip_w + strip_e)
-    vehicles = _fleet(int(params.get("n_vehicles", 2)), (0.0, 0.0), return_home=True)
+    vehicles = _fleet(n_vehicles, (0.0, 0.0), return_home=True)
     return Scenario(
         name=name,
         tasks=tuple(c1 + c2),
         vehicles=vehicles,
-        round_s=float(params.get("round_s", 600.0)),
-        rounds=int(params.get("rounds", 10)),
-        alpha=float(params.get("alpha", 64.0)),
+        round_s=round_s,
+        rounds=rounds,
+        alpha=alpha,
         seed=seed,
         params={"cluster_x": cluster_x, "n_cluster": n_cluster, "n_strip": n_strip},
     )
@@ -202,15 +211,14 @@ def map_b(seed: int = 0, **params) -> Scenario:
     loop, so pooling both customers on one route is far cheaper than
     dedicating vehicles (a dedicated vehicle hops twice the arc between
     stops of its own customer)."""
-    n_each = int(params.get("n_each", 30))
-    radius = float(params.get("radius", 550.0))
+    n_each, radius, n_vehicles, round_s, rounds, alpha = _params(
+        params, n_each=30, radius=550.0, n_vehicles=2, round_s=600.0, rounds=10, alpha=64.0)
     pts1, pts2 = [], []
     for i in range(2 * n_each):
         angle = 2 * math.pi * i / (2 * n_each)
         p = (radius * math.cos(angle), radius * math.sin(angle))
         (pts1 if i % 2 == 0 else pts2).append(p)
     tasks = _tasks("c1", pts1) + _tasks("c2", pts2)
-    n_vehicles = int(params.get("n_vehicles", 2))
     starts = [
         (
             radius * math.cos(2 * math.pi * i / n_vehicles),
@@ -223,9 +231,9 @@ def map_b(seed: int = 0, **params) -> Scenario:
         name="map_b",
         tasks=tuple(tasks),
         vehicles=vehicles,
-        round_s=float(params.get("round_s", 600.0)),
-        rounds=int(params.get("rounds", 10)),
-        alpha=float(params.get("alpha", 64.0)),
+        round_s=round_s,
+        rounds=rounds,
+        alpha=alpha,
         seed=seed,
         params={"n_each": n_each, "radius": radius},
     )
@@ -242,20 +250,20 @@ def map_d(seed: int = 0, **params) -> Scenario:
     """Symmetric overlap: both customers draw the same number of tasks
     from the same uniform field, so every scheme is roughly fair and
     the boundary is symmetric about the equal-rate line."""
+    n_each, side, n_vehicles, round_s, rounds, alpha = _params(
+        params, n_each=40, side=1400.0, n_vehicles=2, round_s=600.0, rounds=30, alpha=64.0)
     rng = np.random.default_rng(seed)
-    n_each = int(params.get("n_each", 40))
-    side = float(params.get("side", 1400.0))
     pts1 = [(float(x), float(y)) for x, y in rng.uniform(-side / 2, side / 2, size=(n_each, 2))]
     pts2 = [(float(x), float(y)) for x, y in rng.uniform(-side / 2, side / 2, size=(n_each, 2))]
     tasks = _tasks("c1", pts1) + _tasks("c2", pts2)
-    vehicles = _fleet(int(params.get("n_vehicles", 2)), (0.0, 0.0), return_home=True)
+    vehicles = _fleet(n_vehicles, (0.0, 0.0), return_home=True)
     return Scenario(
         name="map_d",
         tasks=tuple(tasks),
         vehicles=vehicles,
-        round_s=float(params.get("round_s", 600.0)),
-        rounds=int(params.get("rounds", 30)),
-        alpha=float(params.get("alpha", 64.0)),
+        round_s=round_s,
+        rounds=rounds,
+        alpha=alpha,
         seed=seed,
         params={"n_each": n_each, "side": side},
     )
@@ -265,11 +273,10 @@ def scale(seed: int = 0, **params) -> Scenario:
     """Fleet-scale stress layout: 6 customers, 999 tasks, 24 vehicles
     spread over a metropolitan-sized square; exercises the heuristic
     backend only."""
+    n_customers, n_tasks, n_vehicles, side, round_s, rounds, alpha = _params(
+        params, n_customers=6, n_tasks=999, n_vehicles=24, side=8000.0, round_s=5400.0,
+        rounds=1, alpha=1.0)
     rng = np.random.default_rng(seed)
-    n_customers = int(params.get("n_customers", 6))
-    n_tasks = int(params.get("n_tasks", 999))
-    n_vehicles = int(params.get("n_vehicles", 24))
-    side = float(params.get("side", 8000.0))
     tasks = []
     for i in range(n_tasks):
         c = f"c{(i % n_customers) + 1}"
@@ -298,9 +305,9 @@ def scale(seed: int = 0, **params) -> Scenario:
         name="scale",
         tasks=tuple(tasks),
         vehicles=vehicles,
-        round_s=float(params.get("round_s", 5400.0)),
-        rounds=int(params.get("rounds", 1)),
-        alpha=float(params.get("alpha", 1.0)),
+        round_s=round_s,
+        rounds=rounds,
+        alpha=alpha,
         seed=seed,
         params={"n_customers": n_customers, "n_tasks": n_tasks, "n_vehicles": n_vehicles},
     )

@@ -8,22 +8,22 @@ throughput allocation.  Three entry points:
                      admissible remaining-weight bound and dominance
                      pruning; provably optimal on small instances.
 * heuristic_vrp   -- warm-start seeding, cheapest insertion by marginal
-                     weighted gain per second, then 2-opt / relocate /
-                     swap local search; never worse than its best seed.
-                     Every solve of a round reads one `RoundTable` of
-                     travel seconds; every move is screened from a few
-                     table lookups and decided on the exact path cost
-                     whenever the screen lies within _GUARD of a
-                     threshold, so results match evaluating every move
-                     exactly.  Each path keeps its insertion offers until
-                     it changes, so a step rescans only the path the last
-                     insertion changed.  The table owns the round's
-                     budget and start, and memoizes for all solves of
-                     the round each pair's best placement, each
-                     insertion screen and each local-search scan that
-                     ended without a move, under one key rule
-                     (`RoundTable`); a skipped void scan replays only its
-                     effort charge and random draws.
+                     weighted gain per second, then local search; never
+                     worse than its best seed.  Every solve of a round
+                     reads one `RoundTable` of travel seconds.  Each path
+                     keeps its insertion offers until it changes, so a
+                     step rescans only the path the last insertion
+                     changed.  The 2-opt, relocate and swap passes list
+                     their scans for one loop (`_Heuristic._search`): it
+                     charges the effort (`_charge`), skips a scan the
+                     table knows void, and decides each move the screen
+                     lets through (a few table lookups, within _GUARD of
+                     the threshold) by one rule on exact path costs
+                     (`_take`), so results match evaluating every move
+                     exactly.  The table memoizes for all solves of the
+                     round each pair's best placement, each insertion
+                     screen and each scan that ended without a move,
+                     under one key rule (`RoundTable`).
 * greedy_alpha_heuristic -- fairness-guided construction by greatest
                      return-on-investment.
 
@@ -41,7 +41,8 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -365,13 +366,14 @@ class RoundTable:
       fitting delta and its position for each plain candidate of the
       pool's rows.
     * `void[(pass, commitments id, path ids...)]`: every local-search
-      scan that ended without a move: one path under 2-opt, one ordered
-      pair of paths under swap, and every (from, to) pair of paths a
-      relocate pass screened when the whole pass found nothing.  A
-      skipped scan still charges the evaluations it would have charged,
-      and its pass still shuffles, whose draws depend on the list's
-      length alone: the effort budget and the random stream, and so
-      every later choice, come out as if the scan had run.
+      scan that ended without a move, voided as it ends: one path under
+      2-opt, one ordered pair of paths under swap, and under relocate
+      one task to one path, keyed (source path id, task position,
+      destination path id).  A skipped scan still charges the
+      evaluations it would have charged, and its pass still shuffles,
+      whose draws depend on the list's length alone: the effort budget
+      and the random stream, and so every later choice, come out as if
+      the scan had run.
     * `vetted[(id(s), commitments id)]`: each warm start's sanitized
       paths and their feasibility, for solves over the whole round.
 
@@ -985,56 +987,94 @@ class _Heuristic:
             for t in inserted:
                 unscheduled.pop(t.task_id, None)
             pool.drop(task.task_id)
-            self.evals -= left  # the step weighed every open candidate
-            left -= 1
-            if self.evals <= 0:
+            if not self._charge(1, left):  # the step weighed every open candidate
                 break
+            left -= 1
 
     # -- local search -------------------------------------------------------
 
-    def _spend(self, n: int) -> bool:
-        """Charge a skipped scan's `n` >= 1 unit evaluations as the scan
-        would have, one at a time, stopping at the first that leaves
-        none; False if they ran out."""
-        if self.evals > n:
-            self.evals -= n
+    def _charge(self, n: int, each: int = 1) -> bool:
+        """Charge `n` trials of `each` evaluations as if one at a time,
+        stopping at the first that leaves none; False if they ran out."""
+        if self.evals > n * each:
+            self.evals -= n * each
             return True
-        self.evals = min(self.evals - 1, 0)
+        stop = max(1, -(-self.evals // each))  # the trial that leaves none
+        self.evals -= min(n, stop) * each
+        return n < stop
+
+    def _take(self, move: list[tuple[_Route, list[Task], list[int], float]]) -> bool:
+        """Give each path of the move its new tasks, rows and exact cost if
+        that lowers their total cost by more than 1e-9 and each new path
+        fits its budget and the path rules."""
+        if not sum(cost for *_, cost in move) < sum(s.cost for s, *_ in move) - _VALUE_TOL:
+            return False
+        slack = self.table.budget_slack
+        if any(cost > slack[s.vehicle.vehicle_id] + 1e-9 for s, *_, cost in move):
+            return False
+        if not all(self._feasible(s.vehicle, tasks) for s, tasks, *_ in move):
+            return False
+        for state, tasks, seq, cost in move:
+            self._assign(state, tasks, seq, cost)
+        return True
+
+    def _search(self, scans: Iterable[tuple]) -> bool:
+        """Run a pass's scans, in its order, until one makes a move (True)
+        or the effort runs out.
+
+        A scan is (void key, number of trials, evaluations per trial, the
+        trials the screen lets through as (index in the scan, move)); a
+        move lists each path it changes as (state, tasks, seq, exact
+        cost).  Every trial
+        is charged in scan order, those the screen left out in one batch
+        per gap.  A scan the round table knows void replays only its
+        charge; a scan that ends without a move becomes void.
+        """
+        void = self.table.void
+        for key, n, each, trials in scans:
+            if key in void:
+                if not self._charge(n, each):
+                    return False
+                continue
+            done = 0
+            for k, move in trials:
+                if not self._charge(k + 1 - done, each):
+                    return False
+                done = k + 1
+                if self._take(move):
+                    return True
+            if done < n and not self._charge(n - done, each):
+                return False
+            void.add(key)
         return False
 
     def _two_opt_pass(self, state: _Route) -> bool:
         """First-improvement segment reversal; cost-only (membership fixed)."""
-        seq = state.seq
-        m = len(seq)
+        m = len(state.seq)
         if m < 3 or any(t.pair_id is not None for t in state.tasks):
             return False
         idx = list(range(m - 1))
         self.rng.shuffle(idx)
         key = ("2-opt", self.commit_id, self._path_id(state))
-        if key in self.table.void:
-            self._spend((m - 1) * (m - 2) // 2)
-            return False
+        return self._search([(key, (m - 1) * (m - 2) // 2, 1, self._reversals(state, idx))])
+
+    def _reversals(self, state: _Route, idx: list[int]) -> Iterator[tuple]:
+        """Reversing seq[i..j], for each i in `idx` order and j > i + 1."""
+        seq, tasks = state.seq, state.tasks
         deltas = self._reversal_deltas(state)
+        k = 0
         for i in idx:
-            for j, est in enumerate(deltas[i], start=i + 2):
-                self.evals -= 1
-                if self.evals <= 0:
-                    return False
-                if est > _GUARD - 1e-9:
-                    continue
-                trial_seq = seq[:i] + seq[i:j + 1][::-1] + seq[j + 1:]
-                cost = self._cost(state, trial_seq)
-                if cost < state.cost - 1e-9:
-                    tasks = state.tasks
+            for d, est in enumerate(deltas[i]):
+                if est <= _GUARD - 1e-9:
+                    j = i + d + 2
+                    trial_seq = seq[:i] + seq[i:j + 1][::-1] + seq[j + 1:]
                     trial = tasks[:i] + tasks[i:j + 1][::-1] + tasks[j + 1:]
-                    if self._feasible(state.vehicle, trial):
-                        self._assign(state, trial, trial_seq, cost)
-                        return True
-        self.table.void.add(key)
-        return False
+                    yield k + d, [(state, trial, trial_seq, self._cost(state, trial_seq))]
+            k += len(deltas[i])
 
     def _relocate_pass(self, states: list[_Route]) -> bool:
-        """Move one plain task to the cheapest position anywhere."""
+        """Move one plain task to its cheapest position on a path: a scan
+        per task and path, of one trial that weighs every position."""
         order = [
             (s_i, t_i)
             for s_i, s in enumerate(states)
@@ -1043,85 +1083,61 @@ class _Heuristic:
         ]
         self.rng.shuffle(order)
         committed = self.req.committed or {}
-        void = self.table.void
         ids = [self._path_id(s) for s in states]
         everywhere = range(len(states))
-        screened = set()
-        for s_i, t_i in order:
-            src = states[s_i]
-            task = src.tasks[t_i]
-            x = src.seq[t_i]
-            # The path without the task, from the first pair screened.
-            removed: Optional[list[int]] = None
-            removed_cost: Optional[float] = None
-            # A committed task sits on its own vehicle (see `_swap_pass`),
-            # the one path that may take it.
-            for d_i in (s_i,) if task.task_id in committed else everywhere:
-                dst = states[d_i]
-                same = d_i == s_i
-                # one evaluation per position
-                self.evals -= len(dst.seq) + (0 if same else 1)
-                if self.evals <= 0:
-                    return False
-                key = ("relocate", self.commit_id, ids[s_i], ids[d_i])
-                if key in void:
-                    continue
-                screened.add(key)
-                if removed is None:
-                    removed = src.seq[:t_i] + src.seq[t_i + 1:]
-                    removal = self._removal_delta(src, t_i)
-                base = removed if same else dst.seq
-                deltas = self._insert_deltas(dst, base, x)
-                low = min(deltas)
-                # On its own path, position t_i puts the task back where it
-                # was: the path as it is, which no move improves.  Only
-                # another position can, and only if it screens improving.
-                others = deltas[:t_i] + deltas[t_i + 1:] if same else deltas
-                if not others or removal + min(others) > _GUARD - 1e-9:
-                    continue
-                if removed_cost is None:
-                    removed_cost = self._cost(src, removed)
-                base_cost = removed_cost if same else dst.cost
-                # Cheapest position by the ordered `< best - 1e-12` rule.
-                # Positions beyond _GUARD of the screened minimum cannot
-                # change its outcome, so only the others are costed.
-                best = None
-                for pos, est in enumerate(deltas):
-                    if est > low + _GUARD:
-                        continue
-                    if same and pos == t_i:
-                        trial_seq, cost = src.seq, src.cost
-                    else:
-                        trial_seq = base[:pos] + [x] + base[pos:]
-                        cost = self._cost(dst, trial_seq)
-                    delta = cost - base_cost
-                    if best is None or delta < best[0] - 1e-12:
-                        best = (delta, pos, trial_seq, cost)
-                _, pos, trial_seq, cost = best
-                old_total = src.cost + (0.0 if same else dst.cost)
-                new_total = cost if same else removed_cost + cost
-                if new_total < old_total - 1e-9:
-                    if self.table.budget_slack[dst.vehicle.vehicle_id] < cost - 1e-9:
-                        continue
-                    kept = src.tasks[:t_i] + src.tasks[t_i + 1:]
-                    host = kept if same else dst.tasks
-                    trial = host[:pos] + [task] + host[pos:]
-                    if not self._feasible(dst.vehicle, trial):
-                        continue
-                    if not same:
-                        self._assign(src, kept, removed, removed_cost)
-                    self._assign(dst, trial, trial_seq, cost)
-                    return True
-        # The whole pass found nothing: each pair it screened is void.
-        void.update(screened)
-        return False
+
+        def scans():
+            for s_i, t_i in order:
+                src = states[s_i]
+                removal = self._removal_delta(src, t_i)
+                # A committed task sits on its own vehicle (see `_swap_pass`),
+                # the one path that may take it.
+                for d_i in (s_i,) if src.tasks[t_i].task_id in committed else everywhere:
+                    dst = states[d_i]
+                    key = ("relocate", self.commit_id, ids[s_i], t_i, ids[d_i])
+                    # one evaluation per position
+                    yield (key, 1, len(dst.seq) + (d_i != s_i),
+                           self._relocation(src, t_i, removal, dst))
+
+        return self._search(scans())
+
+    def _relocation(self, src: _Route, t_i: int, removal: float, dst: _Route) -> Iterator[tuple]:
+        """Moving src's task at `t_i` to its cheapest position on `dst`;
+        `removal` is the screened delta of taking it out."""
+        same = src is dst
+        x = src.seq[t_i]
+        removed = src.seq[:t_i] + src.seq[t_i + 1:]
+        base = removed if same else dst.seq
+        deltas = self._insert_deltas(dst, base, x)
+        # On its own path, position t_i puts the task back where it was:
+        # the path as it is, which no move improves.  Only another
+        # position can, and only if it screens improving.
+        others = deltas[:t_i] + deltas[t_i + 1:] if same else deltas
+        if not others or removal + min(others) > _GUARD - 1e-9:
+            return
+        removed_cost = self._cost(src, removed)
+        base_cost = removed_cost if same else dst.cost
+        # Cheapest position by the ordered `< best - 1e-12` rule.
+        # Positions beyond _GUARD of the screened minimum cannot change
+        # its outcome, so only the others are costed.
+        low = min(deltas)
+        best = None
+        for pos, est in enumerate(deltas):
+            if est <= low + _GUARD:
+                trial_seq = base[:pos] + [x] + base[pos:]
+                cost = self._cost(dst, trial_seq)
+                if best is None or cost - base_cost < best[0] - 1e-12:
+                    best = (cost - base_cost, pos, trial_seq, cost)
+        _, pos, trial_seq, cost = best
+        kept = src.tasks[:t_i] + src.tasks[t_i + 1:]
+        host = kept if same else dst.tasks
+        move = [(dst, host[:pos] + [src.tasks[t_i]] + host[pos:], trial_seq, cost)]
+        yield 0, move if same else move + [(src, kept, removed, removed_cost)]
 
     def _swap_pass(self, states: list[_Route]) -> bool:
-        """Exchange two plain tasks across paths when it lowers total cost."""
-        pairs = []
-        for a_i in range(len(states)):
-            for b_i in range(a_i + 1, len(states)):
-                pairs.append((a_i, b_i))
+        """Exchange two plain tasks across paths: a scan per pair of paths
+        that both have a task that may leave."""
+        pairs = list(combinations(range(len(states)), 2))
         self.rng.shuffle(pairs)
         # The plain tasks that may leave each path.  A committed task sits
         # on its own vehicle (seeds, insertion and every move keep
@@ -1131,69 +1147,48 @@ class _Heuristic:
             [i for i, t in enumerate(s.tasks) if t.pair_id is None and t.task_id not in committed]
             for s in states
         ]
-        void = self.table.void
-        for a_i, b_i in pairs:
-            ia, ib = movers[a_i], movers[b_i]
-            if not (ia and ib):
-                continue
-            a, b = states[a_i], states[b_i]
-            key = ("swap", self.commit_id, self._path_id(a), self._path_id(b))
-            if key in void:
-                if not self._spend(len(ia) * len(ib)):
-                    return False
-                continue
-            deltas = self._swap_deltas(a, b)
-            for i in ia:
-                for j in ib:
-                    self.evals -= 1
-                    if self.evals <= 0:
-                        return False
-                    if deltas[i][j] > _GUARD - 1e-9:
-                        continue
+
+        def scans():
+            for a_i, b_i in pairs:
+                ia, ib = movers[a_i], movers[b_i]
+                if ia and ib:
+                    a, b = states[a_i], states[b_i]
+                    key = ("swap", self.commit_id, self._path_id(a), self._path_id(b))
+                    yield key, len(ia) * len(ib), 1, self._swaps(a, b, ia, ib)
+
+        return self._search(scans())
+
+    def _swaps(self, a: _Route, b: _Route, ia: list[int], ib: list[int]) -> Iterator[tuple]:
+        """Exchanging a's task at i with b's task at j, for i in `ia`, j in `ib`."""
+        deltas = self._swap_deltas(a, b)
+        for x, i in enumerate(ia):
+            for y, j in enumerate(ib):
+                if deltas[i][j] <= _GUARD - 1e-9:
                     ta_seq = a.seq[:i] + [b.seq[j]] + a.seq[i + 1:]
                     tb_seq = b.seq[:j] + [a.seq[i]] + b.seq[j + 1:]
-                    ca = self._cost(a, ta_seq)
-                    cb = self._cost(b, tb_seq)
-                    if ca + cb < a.cost + b.cost - 1e-9:
-                        if ca > self.table.budget_slack[a.vehicle.vehicle_id] + 1e-9:
-                            continue
-                        if cb > self.table.budget_slack[b.vehicle.vehicle_id] + 1e-9:
-                            continue
-                        ta, tb = a.tasks[i], b.tasks[j]
-                        ta_tasks = a.tasks[:i] + [tb] + a.tasks[i + 1:]
-                        tb_tasks = b.tasks[:j] + [ta] + b.tasks[j + 1:]
-                        if not (self._feasible(a.vehicle, ta_tasks) and self._feasible(b.vehicle, tb_tasks)):
-                            continue
-                        self._assign(a, ta_tasks, ta_seq, ca)
-                        self._assign(b, tb_tasks, tb_seq, cb)
-                        return True
-            void.add(key)
-        return False
+                    yield x * len(ib) + y, [
+                        (a, a.tasks[:i] + [b.tasks[j]] + a.tasks[i + 1:], ta_seq,
+                         self._cost(a, ta_seq)),
+                        (b, b.tasks[:j] + [a.tasks[i]] + b.tasks[j + 1:], tb_seq,
+                         self._cost(b, tb_seq)),
+                    ]
 
     # -- main loop ----------------------------------------------------------
 
-    def _insert_all(self, states: list[_Route]) -> None:
-        scheduled = {t.task_id for s in states for t in s.tasks}
-        remaining = {
-            t.task_id: t for t in self.req.tasks if t.task_id not in scheduled
-        }
-        if remaining:
-            self._insertion_phase(states, remaining)
-
     def _improve(self, states: list[_Route]) -> None:
-        self._insert_all(states)
-        while self.evals > 0:
-            improved = False
-            for s in states:
-                if self._two_opt_pass(s):
-                    improved = True
-            if self._relocate_pass(states):
-                improved = True
-            if self._swap_pass(states):
-                improved = True
-            if not improved:
-                break
-            self._insert_all(states)
+        """Insert what fits, then local search, until a round of passes
+        finds no move or the effort runs out."""
+        while True:
+            scheduled = {t.task_id for s in states for t in s.tasks}
+            remaining = {t.task_id: t for t in self.req.tasks if t.task_id not in scheduled}
+            if remaining:
+                self._insertion_phase(states, remaining)
+            if self.evals <= 0:
+                return
+            found = [self._two_opt_pass(s) for s in states]
+            found += [self._relocate_pass(states), self._swap_pass(states)]
+            if not any(found):
+                return
 
     def run(self) -> Schedule:
         # Insertion from scratch escapes seeds whose zero-gain tasks

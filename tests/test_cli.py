@@ -63,6 +63,23 @@ class TestGen:
         lines = (cfg.parent / "tasks.jsonl").read_text().strip().splitlines()
         assert len(lines) == 6
 
+    def test_unknown_generator_param_is_usage_error(self, tmp_path, capsys):
+        """A key the preset does not take stops `gen` with exit 2, as
+        `run` stops on an unknown config key, and writes nothing."""
+        out = tmp_path / "g"
+        rc = main(["gen", "--preset", "map_b", "--set", "n_eachh=10", "--out", str(out)])
+        assert rc == 2
+        assert "unknown parameter 'n_eachh'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_small_preset_takes_round_s(self, tmp_path):
+        out = tmp_path / "g"
+        rc = main(["gen", "--preset", "map_a_small", "--rounds", "2", "--set", "round_s=300",
+                   "--out", str(out)])
+        assert rc == 0
+        config = json.loads((out / "config.json").read_text())
+        assert (config["round_s"], config["duration_s"]) == (300.0, 600.0)
+
 
 # sha256 of each `run --policy all` artifact on two rounds of a map under
 # the heuristic backend (`solver.time_limit_s=0.1`, `solver.seed=11`).

@@ -68,6 +68,18 @@ class TestTrace:
         with pytest.raises(ValueError, match="after the trace ends"):
             Trace(tasks=tasks, duration=100.0, customers=())
 
+    def test_explicit_roster_lists_every_task_customer(self):
+        """A roster that leaves out a task's customer is rejected; a
+        listed customer without tasks is legal, and its metrics row
+        reads zero."""
+        tasks = (mk_task("a", "c1", 100.0, 0.0), mk_task("b", "c2", -100.0, 0.0))
+        with pytest.raises(ValueError, match="'c2' is not among"):
+            Trace(tasks=tasks, duration=600.0, customers=("c1",))
+        trace = Trace(tasks=tasks[:1], duration=600.0, customers=("c1", "c2"))
+        m = run_trace(trace, "round_robin", RoundConfig(round_s=600.0), [mk_vehicle()], EUCLID)
+        assert m.customers == ("c1", "c2")
+        assert m.xbar[1] == 0.0 and m.completion_fraction["c2"] == 1.0
+
 
 class TestStep:
     def test_arrivals_enter_at_their_time(self):

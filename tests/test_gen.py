@@ -35,6 +35,11 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             generate("map_z")
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_unknown_param_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown parameter 'n_eachh'"):
+            generate(name, n_eachh=10)
+
     def test_per_round_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             generate("map_a", n_cluster=45)

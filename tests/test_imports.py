@@ -174,3 +174,34 @@ def test_every_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused.extend(f"{name}: {n}" for n in sorted(imported - read))
     assert unused == []
+
+
+def innermost_functions(tree):
+    """Each node's innermost enclosing function name (None at top level)."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else name
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, None)
+    return owner
+
+
+def test_local_search_charges_and_moves_in_one_place():
+    """In `vrp`, `evals` is assigned only in `_Heuristic.__init__` and
+    `_charge`, and `_assign` is called only where a path is first built
+    (`_state`), where insertion grows it (`_insertion_phase`) and where
+    the local search accepts a move (`_take`)."""
+    tree = package_modules()["vrp.py"]
+    owner = innermost_functions(tree)
+    writers = {owner[node] for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "evals"
+               and isinstance(node.ctx, ast.Store)}
+    callers = {owner[node] for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "_assign"}
+    assert writers == {"__init__", "_charge"}
+    assert callers == {"_state", "_insertion_phase", "_take"}

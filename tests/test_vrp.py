@@ -172,6 +172,29 @@ class TestHeuristic:
                     assert path_violation(p.tasks, by_id[p.vehicle_id], travel,
                                           inst.budget, inst.round_start) is None
 
+    @pytest.mark.parametrize("weights",
+                             [(1.0, 1.0), (1.0, 0.2), (0.2, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    def test_relocate_keeps_the_path_it_takes_a_task_from(self, weights):
+        """A matrix without the triangle inequality: moving x from A's
+        path [x, y] to B's [z] saves 70 s in total, but leaves A with
+        [y], 10 s past the budget.  Every returned path stays valid."""
+        names = ["hA", "hB", "x", "y", "z"]
+        seconds = np.full((5, 5), 1000.0)
+        np.fill_diagonal(seconds, 0.0)
+        for a, b, s in [("hA", "x", 50), ("x", "y", 50), ("hA", "y", 160),
+                        ("hB", "z", 140), ("hB", "x", 5), ("x", "z", 5)]:
+            seconds[names.index(a), names.index(b)] = s
+        pts = {n: (float(i), 0.0) for i, n in enumerate(names)}
+        travel = TravelModel.matrix(names, seconds, coordinates=pts)
+        x, y, z = (mk_task(n, c, *pts[n], service=0.0) for n, c in zip("xyz", ("c1", "c2", "c1")))
+        a, b = mk_vehicle("A", *pts["hA"]), mk_vehicle("B", *pts["hB"])
+        inst = Instance(tasks=(x, y, z), vehicles=(a, b), travel=travel, budget=150.0)
+        warm = Schedule(paths=(build_path(a, [x, y], travel), build_path(b, [z], travel)),
+                        round_duration=150.0)
+        sched = heuristic_vrp(request_for(inst, weights, warm_starts=(warm,)))
+        for v, p in zip(inst.vehicles, sched.paths):
+            assert path_violation(p.tasks, v, travel, inst.budget) is None
+
     def test_respects_pins(self):
         tasks = (mk_task("a", "c1", 100, 0), mk_task("b", "c1", -100, 0))
         v1, v2 = mk_vehicle("v1", 90, 0), mk_vehicle("v2", -90, 0)
@@ -182,6 +205,28 @@ class TestHeuristic:
         placed = {t.task_id: p.vehicle_id for p in sched.paths for t in p.tasks}
         assert placed.get("a") in (None, "v2")
         assert placed.get("b") in (None, "v1")
+
+
+# How many of 300 drawn requests the heuristic solves to the exact
+# optimum, as measured when the floor was set: a better heuristic raises
+# it, and none may lower it.
+@pytest.mark.parametrize("pairs, max_tasks, max_vehicles, floor",
+                         [(False, 8, 2, 270), (True, 10, 3, 266)], ids=["plain", "pairs"])
+def test_heuristic_against_exact(pairs, max_tasks, max_vehicles, floor):
+    """The heuristic never beats `exact_vrp`, and matches it at least
+    `floor` times, on random requests with Dirichlet weights."""
+    rng = np.random.default_rng(2026)
+    matched = 0
+    for _ in range(300):
+        inst = random_instance(rng, max_tasks=max_tasks, max_vehicles=max_vehicles,
+                               allow_pairs=pairs)
+        req = request_for(inst, rng.dirichlet(np.ones(len(inst.customers))),
+                          config=SolverConfig(time_limit_s=0.5))
+        best = schedule_value(req, exact_vrp(req))[0]
+        got = schedule_value(req, heuristic_vrp(req))[0]
+        assert got <= best + 1e-9
+        matched += got >= best - 1e-9
+    assert matched >= floor
 
 
 class TestGreedy:
@@ -1114,6 +1159,10 @@ class ScanEveryMove(_Heuristic):
                     host = kept if same else dst.tasks
                     trial = host[:pos] + [task] + host[pos:]
                     if not self._feasible(dst.vehicle, trial):
+                        continue
+                    # Without the triangle inequality, taking a task out
+                    # can lengthen the path it leaves.
+                    if not (same or self._feasible(src.vehicle, kept)):
                         continue
                     if not same:
                         self._assign(src, kept, removed, removed_cost)
