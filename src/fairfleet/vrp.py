@@ -13,7 +13,10 @@ throughput allocation.  Three entry points:
                      reads one `RoundTable` of travel seconds.  Each path
                      keeps its insertion offers until it changes, so a
                      step rescans only the path the last insertion
-                     changed.  The 2-opt, relocate and swap passes list
+                     changed.  A pool of at most _SMALL_POOL insertion
+                     candidates is screened and ordered in Python lists,
+                     a larger one in NumPy arrays, to the same bits
+                     (`_Pool`).  The 2-opt, relocate and swap passes list
                      their scans for one loop (`_Heuristic._search`): it
                      charges the effort (`_charge`), skips a scan the
                      table knows void, and decides each move the screen
@@ -143,8 +146,9 @@ class SolverRequest:
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
 
 
-def _customer_index(req: SolverRequest) -> dict[str, int]:
-    return {c: i for i, c in enumerate(req.customers)}
+def _customer_weights(req: SolverRequest) -> dict[str, float]:
+    """Each customer's weight as a float, read once per solve."""
+    return dict(zip(req.customers, req.weights.tolist()))
 
 
 def may_serve(committed: Optional[Mapping[str, str]], task: Task, vehicle: Vehicle) -> bool:
@@ -154,26 +158,26 @@ def may_serve(committed: Optional[Mapping[str, str]], task: Task, vehicle: Vehic
     return want is None or want == vehicle.vehicle_id
 
 
-def _task_weight(req: SolverRequest, task: Task, cindex: dict[str, int]) -> float:
+def _task_weight(req: SolverRequest, task: Task, weights: dict[str, float]) -> float:
     if req.committed and task.task_id in req.committed:
         return COMMIT_WEIGHT_RATIO
-    idx = cindex.get(task.customer_id)
-    return float(req.weights[idx]) if idx is not None else 0.0
+    return weights.get(task.customer_id, 0.0)
 
 
-def _contribution(req: SolverRequest, task: Task, cindex: dict[str, int]) -> float:
-    """Weighted objective gain of completing this task (w . x terms)."""
+def _contribution(req: SolverRequest, task: Task, weights: dict[str, float]) -> float:
+    """Weighted objective gain of completing this task (w . x terms);
+    `weights` is `_customer_weights(req)`."""
     minutes = req.budget / 60.0
-    return _task_weight(req, task, cindex) * task_count(task, req.ride_counts_as) / minutes
+    return _task_weight(req, task, weights) * task_count(task, req.ride_counts_as) / minutes
 
 
 def schedule_value(req: SolverRequest, schedule: Schedule) -> tuple[float, float]:
     """(weighted objective, unweighted total count) of a schedule."""
-    cindex = _customer_index(req)
+    weights = _customer_weights(req)
     value = 0.0
     count = 0.0
     for t in schedule.all_tasks():
-        value += _contribution(req, t, cindex)
+        value += _contribution(req, t, weights)
         count += task_count(t, req.ride_counts_as)
     return value, count
 
@@ -211,8 +215,8 @@ def exact_vrp(req: SolverRequest) -> Schedule:
     vehicles = list(req.vehicles)
     n = len(tasks)
     nv = len(vehicles)
-    cindex = _customer_index(req)
-    contrib = [_contribution(req, t, cindex) for t in tasks]
+    weights = _customer_weights(req)
+    contrib = [_contribution(req, t, weights) for t in tasks]
     counts = [task_count(t, req.ride_counts_as) for t in tasks]
     serves = [[may_serve(req.committed, t, veh) for t in tasks] for veh in vehicles]
 
@@ -349,8 +353,9 @@ class RoundTable:
     `seconds` holds one row per point, each entry `travel_time` of its
     two points, filled once per distinct vehicle speed (the matrix model
     ignores speed).  `screen` holds the same values as one array per
-    speed for the vectorized insertion screen, so the screen reads the
-    legs every exact cost, `path_violation` and `build_path` read.
+    speed for the vectorized insertion screen of a large pool, so either
+    side of the screen reads the legs every exact cost, `path_violation`
+    and `build_path` read.
 
     The memos below serve every heuristic solve of the round.  One rule
     keys them all: a key names what an outcome reads that varies inside
@@ -364,7 +369,10 @@ class RoundTable:
       fit best on the path, `(i, j, delta)`, or None if nowhere.
     * `screens[(path id, pool key)]`: the insertion screen's cheapest
       fitting delta and its position for each plain candidate of the
-      pool's rows.
+      pool's rows, as the pool's side holds them: lists of floats and
+      ints for a small pool, keyed by a tuple of its rows, or arrays,
+      the positions int32 to keep the memo small, keyed by the rows'
+      bytes.
     * `void[(pass, commitments id, path ids...)]`: every local-search
       scan that ended without a move, voided as it ends: one path under
       2-opt, one ordered pair of paths under swap, and under relocate
@@ -405,7 +413,7 @@ class RoundTable:
             self.seconds[v.vehicle_id], self.screen[v.vehicle_id] = by_key[key]
         self.vetted: dict[tuple, tuple[Schedule, Optional[dict[str, list[Task]]]]] = {}
         self.pair_fits: dict[tuple, Optional[tuple[int, int, float]]] = {}
-        self.screens: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self.screens: dict[tuple, tuple] = {}
         self.void: set[tuple] = set()
         self.contexts: dict[tuple, int] = {}
         self.path_ids: dict[tuple, int] = {}
@@ -461,31 +469,61 @@ class _Route:
         return self.home if self.vehicle.return_home else None
 
 
+# Pools of at most this many candidates screen and order their offers in
+# Python lists and floats: below it, NumPy's cost per call outweighs what
+# vectorizing saves (the crossover measured on pools of 4-64 candidates
+# and paths of 1-30 tasks).  Larger pools use arrays.
+_SMALL_POOL = 12
+
+
 class _Pool:
     """The plain insertion candidates of one insertion phase, in task-id
-    order, with their table rows, service seconds and gains as arrays;
-    `up` marks a positive gain and `live` those still unscheduled.  `key`
-    names the rows in the table's screen memo."""
+    order, with their table rows, service seconds and gains; `up` marks a
+    positive gain and `live` those still unscheduled.  `key` names the
+    rows in the table's screen memo.
+
+    A pool of at most _SMALL_POOL candidates holds these in lists and
+    screens and orders its candidates in Python (`_screen_lists`,
+    `_order_lists`), a larger one in arrays (`_screen_arrays`,
+    `_order_arrays`).  Both sides give the same bits: the same float
+    operations in the same order, the same fit test and the same
+    first-min tie-break.  (Only a tie between 0.0 and -0.0, which needs
+    legs and a service time of -0.0, may keep a different sign; no
+    comparison tells them apart.)
+    """
 
     def __init__(self, heur: "_Heuristic", tasks: list[Task]):
         self.tasks = tasks
         self.index = {t.task_id: u for u, t in enumerate(tasks)}
-        self.rows = np.array([heur.row[t.task_id] for t in tasks], dtype=np.intp)
-        self.key = self.rows.tobytes()
-        self.svc = heur.table.svc_array[self.rows][:, None]
-        self.gain = np.array([heur.contrib[t.task_id] for t in tasks], dtype=float)
-        self.up = self.gain > 0
-        self.span = np.arange(len(tasks))
-        self.live = np.ones(len(tasks), dtype=bool)
+        self.euclidean = heur.req.travel.variant == "euclidean"
+        rows = [heur.row[t.task_id] for t in tasks]
+        gain = [heur.contrib[t.task_id] for t in tasks]
         # `may_serve` lets a vehicle serve the candidates nobody committed
         # and those committed to it.
         committed = heur.req.committed or {}
-        self.free = np.array([t.task_id not in committed for t in tasks], dtype=bool)
+        free = [t.task_id not in committed for t in tasks]
         self.promised: dict[str, list[int]] = {}
-        for u in np.flatnonzero(~self.free).tolist():
-            self.promised.setdefault(committed[tasks[u].task_id], []).append(u)
-        self._pins: dict[str, np.ndarray] = {}
-        self._legs: dict[int, np.ndarray] = {}
+        for u, t in enumerate(tasks):
+            if not free[u]:
+                self.promised.setdefault(committed[t.task_id], []).append(u)
+        self._pins: dict[str, list[bool] | np.ndarray] = {}
+        self.small = len(tasks) <= _SMALL_POOL
+        if self.small:
+            self.rows, self.key = rows, tuple(rows)
+            self.svc = [heur.svc[r] for r in rows]
+            self.gain, self.free = gain, free
+            self.up = [g > 0 for g in gain]
+            self.live = [True] * len(tasks)
+        else:
+            self.rows = np.array(rows, dtype=np.intp)
+            self.key = self.rows.tobytes()
+            self.svc = heur.table.svc_array[self.rows][:, None]
+            self.gain = np.array(gain, dtype=float)
+            self.free = np.array(free, dtype=bool)
+            self.up = self.gain > 0
+            self.live = np.ones(len(tasks), dtype=bool)
+            self.span = np.arange(len(tasks))
+            self._legs: dict[int, np.ndarray] = {}
 
     def drop(self, task_id: str) -> None:
         """Mark a task scheduled or dropped; pickups are not in the pool."""
@@ -493,21 +531,109 @@ class _Pool:
         if u is not None:
             self.live[u] = False
 
-    def legs_from(self, screen: np.ndarray) -> np.ndarray:
-        """The rows of `screen` that start at a candidate."""
-        legs = self._legs.get(id(screen))
-        if legs is None:
-            legs = self._legs[id(screen)] = screen[self.rows]
-        return legs
-
-    def pins(self, vehicle: Vehicle) -> np.ndarray:
+    def pins(self, vehicle: Vehicle) -> list[bool] | np.ndarray:
         """Which candidates the commitments let `vehicle` serve."""
         mask = self._pins.get(vehicle.vehicle_id)
         if mask is None:
-            mask = self.free.copy()
-            mask[self.promised.get(vehicle.vehicle_id, [])] = True
-            self._pins[vehicle.vehicle_id] = mask
+            mask = self._pins[vehicle.vehicle_id] = self.free.copy()
+            for u in self.promised.get(vehicle.vehicle_id, ()):
+                mask[u] = True
         return mask
+
+    def screen(self, state: _Route, slack: float) -> tuple:
+        """Each candidate's least insertion delta on the path over the
+        positions where it fits `slack` (inf if none), and the first
+        position that gives it."""
+        if self.small:
+            return self._screen_lists(state, slack)
+        return self._screen_arrays(state, slack)
+
+    def order(self, best, pins) -> list[int]:
+        """The live candidates that fit (`best` < inf) and that `pins`,
+        if given, allows, in descending `_offer_key` order."""
+        if self.small:
+            return self._order_lists(best, pins)
+        return self._order_arrays(best, pins)
+
+    def _screen_lists(self, state: _Route, slack: float) -> tuple[list[float], list[int]]:
+        """`screen`, one candidate at a time."""
+        table, seq, tail = state.table, state.seq, state.tail
+        prev = [state.home] + seq
+        ends = seq + [tail]
+        base = [0.0 if b is None else table[a][b] for a, b in zip(prev, ends)]
+        into = [table[a] for a in prev]
+        euclidean, limit, inf = self.euclidean, slack + 1e-9, float("inf")
+        best, pos = [], []
+        for r, s in zip(self.rows, self.svc):
+            out = table[r]
+            # The leg into the candidate, the leg on to where its position
+            # ends (none after the last without a return home), less the
+            # leg they replace, plus its service.
+            fitting = [
+                d if (d := (out[a] if euclidean else row[r])
+                      + (0.0 if b is None else out[b]) - c + s) <= limit else inf
+                for a, row, b, c in zip(prev, into, ends, base)
+            ]
+            low = min(fitting)
+            best.append(low)
+            pos.append(fitting.index(low))
+        return best, pos
+
+    def _order_lists(self, best: list[float], pins: Optional[list[bool]]) -> list[int]:
+        """`order` by one sort on the `_offer_key` terms, task-id order
+        last."""
+        inf = float("inf")
+        live = self.live if pins is None else [a and b for a, b in zip(self.live, pins)]
+        keys = [
+            (up, g / (b if b > 1e-9 else 1e-9) if up else -b, -b, u)
+            for u, (b, up, g, ok) in enumerate(zip(best, self.up, self.gain, live))
+            if ok and b < inf
+        ]
+        keys.sort(reverse=True)
+        return [k[-1] for k in keys]
+
+    def _screen_arrays(self, state: _Route, slack: float) -> tuple[np.ndarray, np.ndarray]:
+        """`screen`, vectorized over the pool; the positions are int32 to
+        keep the round's memo of screens small."""
+        m = len(state.seq)
+        prev = [state.home] + state.seq
+        base_legs = np.array([
+            0.0 if b is None else state.table[a][b]
+            for a, b in zip(prev, state.seq + [state.tail])
+        ])
+        # d_in[u, i]: the leg from the point before position i into
+        # candidate u; d_out[u, i]: the leg from u to that point.  Only
+        # a matrix tells the two directions apart.
+        legs = self._legs.get(id(state.screen))
+        if legs is None:
+            legs = self._legs[id(state.screen)] = state.screen[self.rows]
+        d_out = legs[:, prev]
+        if self.euclidean:
+            d_in = d_out
+        else:
+            d_in = state.screen[prev][:, self.rows].T
+        # The leg out of position i ends where position i + 1 starts.
+        d_next = np.zeros((len(self.tasks), m + 1))
+        d_next[:, :m] = d_out[:, 1:]
+        if state.vehicle.return_home:
+            d_next[:, m] = d_out[:, 0]
+        delta = d_in + d_next - base_legs[None, :] + self.svc
+
+        fitting = np.where(delta <= slack + 1e-9, delta, np.inf)
+        return fitting.min(axis=1), fitting.argmin(axis=1).astype(np.int32)
+
+    def _order_arrays(self, best: np.ndarray, pins: Optional[np.ndarray]) -> list[int]:
+        """`order` by one lexsort on the `_offer_key` terms, task-id
+        order last."""
+        ok = self.live & (best < np.inf)
+        if pins is not None:
+            ok &= pins
+        fit = np.count_nonzero(ok)
+        if not fit:
+            return []
+        second = np.where(self.up, self.gain / np.maximum(best, 1e-9), -best)
+        order = np.lexsort((self.span, -best, second, self.up, ok))[::-1]
+        return order[:fit].tolist()
 
 
 class _Offers:
@@ -515,8 +641,8 @@ class _Offers:
 
     An offer is (`_offer_key`, task, position), where the position of a
     pair is the (i, j) of `_place_pair`; no two offers share a key, as
-    each names its own task.  The plain placements are the screen's
-    arrays over the pool, with `order` indexing those that fit in
+    each names its own task.  The plain placements are the pool's
+    screen of the path, with `order` indexing those that fit in
     descending key order; one becomes an offer only when it is the best
     still open.  `pairs` holds the pair offers in ascending order, so the
     best is last.
@@ -557,11 +683,11 @@ class _Offers:
 class _Heuristic:
     def __init__(self, req: SolverRequest):
         self.req = req
-        self.cindex = _customer_index(req)
         self.rng = random.Random(req.config.seed)
         self.evals = max(10_000, int(req.config.time_limit_s * _EVALS_PER_SECOND))
         self.has_deadlines = any(t.deadline is not None for t in req.tasks)
-        self.contrib = {t.task_id: _contribution(req, t, self.cindex) for t in req.tasks}
+        weights = _customer_weights(req)
+        self.contrib = {t.task_id: _contribution(req, t, weights) for t in req.tasks}
         self.count = {t.task_id: task_count(t, req.ride_counts_as) for t in req.tasks}
         self.table = table = RoundTable.for_request(req)
         self.row, self.svc, self.home = table.row, table.svc, table.home
@@ -812,47 +938,10 @@ class _Heuristic:
         key = (self._path_id(state), pool.key)
         screen = self.table.screens.get(key)
         if screen is None:
-            screen = self.table.screens[key] = self._screen(state, pool, slack)
+            screen = self.table.screens[key] = pool.screen(state, slack)
         best, pos = screen
-        ok = pool.live & (best < np.inf)
-        if self.req.committed:
-            ok &= pool.pins(veh)
-        fit = np.count_nonzero(ok)
-        if not fit:
-            return [], best, pos
-        second = np.where(pool.up, pool.gain / np.maximum(best, 1e-9), -best)
-        # Those that fit first, in descending `_offer_key` order; the pool
-        # is in task-id order.
-        order = np.lexsort((pool.span, -best, second, pool.up, ok))[::-1]
-        return order[:fit].tolist(), best, pos
-
-    def _screen(self, state: _Route, pool: _Pool, slack: float) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized over the pool: each candidate's least delta over the
-        positions where it fits `slack` (inf if none) and that position,
-        as int32 to keep the round's memo of screens small."""
-        m = len(state.seq)
-        prev = [state.home] + state.seq
-        base_legs = np.array([
-            0.0 if b is None else state.table[a][b]
-            for a, b in zip(prev, state.seq + [state.tail])
-        ])
-        # d_in[u, i]: the leg from the point before position i into
-        # candidate u; d_out[u, i]: the leg from u to that point.  Only
-        # a matrix tells the two directions apart.
-        d_out = pool.legs_from(state.screen)[:, prev]
-        if self.req.travel.variant == "euclidean":
-            d_in = d_out
-        else:
-            d_in = state.screen[prev][:, pool.rows].T
-        # The leg out of position i ends where position i + 1 starts.
-        d_next = np.zeros((len(pool.tasks), m + 1))
-        d_next[:, :m] = d_out[:, 1:]
-        if state.vehicle.return_home:
-            d_next[:, m] = d_out[:, 0]
-        delta = d_in + d_next - base_legs[None, :] + pool.svc
-
-        fitting = np.where(delta <= slack + 1e-9, delta, np.inf)
-        return fitting.min(axis=1), fitting.argmin(axis=1).astype(np.int32)
+        pins = pool.pins(veh) if self.req.committed else None
+        return pool.order(best, pins), best, pos
 
     def _verify_insert(
         self, state: _Route, task: Task, pos: int
@@ -1022,22 +1111,23 @@ class _Heuristic:
         """Run a pass's scans, in its order, until one makes a move (True)
         or the effort runs out.
 
-        A scan is (void key, number of trials, evaluations per trial, the
-        trials the screen lets through as (index in the scan, move)); a
-        move lists each path it changes as (state, tasks, seq, exact
-        cost).  Every trial
-        is charged in scan order, those the screen left out in one batch
-        per gap.  A scan the round table knows void replays only its
-        charge; a scan that ends without a move becomes void.
+        A scan is (void key, number of trials, evaluations per trial, a
+        function and its arguments); the call yields the trials the
+        screen lets through as (index in the scan, move), and a move
+        lists each path it changes as (state, tasks, seq, exact cost).
+        Every trial is charged in scan order, those the screen left out
+        in one batch per gap.  A scan the round table knows void replays
+        only its charge, without the call; a scan that ends without a
+        move becomes void.
         """
         void = self.table.void
-        for key, n, each, trials in scans:
+        for key, n, each, trials, args in scans:
             if key in void:
                 if not self._charge(n, each):
                     return False
                 continue
             done = 0
-            for k, move in trials:
+            for k, move in trials(*args):
                 if not self._charge(k + 1 - done, each):
                     return False
                 done = k + 1
@@ -1056,7 +1146,7 @@ class _Heuristic:
         idx = list(range(m - 1))
         self.rng.shuffle(idx)
         key = ("2-opt", self.commit_id, self._path_id(state))
-        return self._search([(key, (m - 1) * (m - 2) // 2, 1, self._reversals(state, idx))])
+        return self._search([(key, (m - 1) * (m - 2) // 2, 1, self._reversals, (state, idx))])
 
     def _reversals(self, state: _Route, idx: list[int]) -> Iterator[tuple]:
         """Reversing seq[i..j], for each i in `idx` order and j > i + 1."""
@@ -1089,7 +1179,6 @@ class _Heuristic:
         def scans():
             for s_i, t_i in order:
                 src = states[s_i]
-                removal = self._removal_delta(src, t_i)
                 # A committed task sits on its own vehicle (see `_swap_pass`),
                 # the one path that may take it.
                 for d_i in (s_i,) if src.tasks[t_i].task_id in committed else everywhere:
@@ -1097,13 +1186,12 @@ class _Heuristic:
                     key = ("relocate", self.commit_id, ids[s_i], t_i, ids[d_i])
                     # one evaluation per position
                     yield (key, 1, len(dst.seq) + (d_i != s_i),
-                           self._relocation(src, t_i, removal, dst))
+                           self._relocation, (src, t_i, dst))
 
         return self._search(scans())
 
-    def _relocation(self, src: _Route, t_i: int, removal: float, dst: _Route) -> Iterator[tuple]:
-        """Moving src's task at `t_i` to its cheapest position on `dst`;
-        `removal` is the screened delta of taking it out."""
+    def _relocation(self, src: _Route, t_i: int, dst: _Route) -> Iterator[tuple]:
+        """Moving src's task at `t_i` to its cheapest position on `dst`."""
         same = src is dst
         x = src.seq[t_i]
         removed = src.seq[:t_i] + src.seq[t_i + 1:]
@@ -1113,7 +1201,7 @@ class _Heuristic:
         # the path as it is, which no move improves.  Only another
         # position can, and only if it screens improving.
         others = deltas[:t_i] + deltas[t_i + 1:] if same else deltas
-        if not others or removal + min(others) > _GUARD - 1e-9:
+        if not others or self._removal_delta(src, t_i) + min(others) > _GUARD - 1e-9:
             return
         removed_cost = self._cost(src, removed)
         base_cost = removed_cost if same else dst.cost
@@ -1154,7 +1242,7 @@ class _Heuristic:
                 if ia and ib:
                     a, b = states[a_i], states[b_i]
                     key = ("swap", self.commit_id, self._path_id(a), self._path_id(b))
-                    yield key, len(ia) * len(ib), 1, self._swaps(a, b, ia, ib)
+                    yield key, len(ia) * len(ib), 1, self._swaps, (a, b, ia, ib)
 
         return self._search(scans())
 

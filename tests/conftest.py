@@ -30,12 +30,14 @@ def random_instance(
     span=1200.0,
     budget=None,
     allow_pairs=False,
+    deadlines=False,
 ):
     """Small random planning instance.
 
     Coordinates stay within `span` of the origin and vehicles near it, so
     with the default budget every task is individually reachable and no
-    round is empty.
+    round is empty.  With `deadlines`, about two in five plain tasks must
+    be served within 60-400 s of the round start.
     """
     k = int(rng.integers(2, 4))
     n_tasks = int(rng.integers(k, max_tasks + 1))
@@ -69,7 +71,8 @@ def random_instance(
             )
             t += 2
             continue
-        tasks.append(mk_task(f"t{t:02d}", cust, float(x), float(y), service))
+        due = float(rng.uniform(60, 400)) if deadlines and rng.random() < 0.4 else None
+        tasks.append(mk_task(f"t{t:02d}", cust, float(x), float(y), service, deadline=due))
         t += 1
     vehicles = [
         Vehicle(

@@ -205,3 +205,26 @@ def test_local_search_charges_and_moves_in_one_place():
                and node.func.attr == "_assign"}
     assert writers == {"__init__", "_charge"}
     assert callers == {"_state", "_insertion_phase", "_take"}
+
+
+def test_pool_side_is_chosen_in_one_place():
+    """`vrp._SMALL_POOL` is read in `_Pool.__init__` alone, which picks a
+    pool's side from its candidate count, and the list side's functions
+    (named `*_lists`) read no NumPy name, so small pools make no array
+    call."""
+    tree = package_modules()["vrp.py"]
+    pool = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "_Pool")
+    init = next(node for node in pool.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    in_init = set(ast.walk(init))
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "_SMALL_POOL"
+             and isinstance(node.ctx, ast.Load)]
+    assert reads and all(node in in_init for node in reads)
+    list_side = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name.endswith("_lists")]
+    assert {f.name for f in list_side} == {"_screen_lists", "_order_lists"}
+    for f in list_side:
+        names = {node.id for node in ast.walk(f) if isinstance(node, ast.Name)}
+        assert not names & {"np", "numpy"}, f.name

@@ -1,8 +1,10 @@
 """Weighted-VRP backends: exact branch and bound, heuristic, greedy."""
 
 import logging
+import math
 from dataclasses import replace
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from conftest import (
     random_instance,
     ride_instance,
 )
+from fairfleet import vrp
 from fairfleet.emulator import baseline_round_robin
 from fairfleet.fairness import LEXIMIN_ALPHA, alpha_fair_utility
 from fairfleet.model import (
@@ -209,17 +212,20 @@ class TestHeuristic:
 
 # How many of 300 drawn requests the heuristic solves to the exact
 # optimum, as measured when the floor was set: a better heuristic raises
-# it, and none may lower it.
-@pytest.mark.parametrize("pairs, max_tasks, max_vehicles, floor",
-                         [(False, 8, 2, 270), (True, 10, 3, 266)], ids=["plain", "pairs"])
-def test_heuristic_against_exact(pairs, max_tasks, max_vehicles, floor):
+# it, and none may lower it.  With deadlines, the exact check after the
+# insertion screen (`_verify_insert`) turns placements down.
+@pytest.mark.parametrize("pairs, deadlines, max_tasks, max_vehicles, floor",
+                         [(False, False, 8, 2, 270), (True, False, 10, 3, 266),
+                          (False, True, 8, 2, 182)],
+                         ids=["plain", "pairs", "deadlines"])
+def test_heuristic_against_exact(pairs, deadlines, max_tasks, max_vehicles, floor):
     """The heuristic never beats `exact_vrp`, and matches it at least
     `floor` times, on random requests with Dirichlet weights."""
     rng = np.random.default_rng(2026)
     matched = 0
     for _ in range(300):
         inst = random_instance(rng, max_tasks=max_tasks, max_vehicles=max_vehicles,
-                               allow_pairs=pairs)
+                               allow_pairs=pairs, deadlines=deadlines)
         req = request_for(inst, rng.dirichlet(np.ones(len(inst.customers))),
                           config=SolverConfig(time_limit_s=0.5))
         best = schedule_value(req, exact_vrp(req))[0]
@@ -730,6 +736,109 @@ class TestTravelTable:
             assert table.screen[v.vehicle_id].tolist() == rows
             for a, row in zip(pts, rows):
                 assert row == [travel_time(a, b, travel, v) for b in pts]
+
+
+@st.composite
+def insertion_pools(draw):
+    """A heuristic, vehicle a's path, and the other tasks as one pool's
+    candidates, some of them no longer live, with a slack that may be
+    zero or less.
+
+    Tasks share points (exact ties), some have no service time, and
+    some are committed to a or b; the customers' weights include zero.
+    Travel is Euclidean or an asymmetric matrix, and `return_home` is
+    drawn per vehicle.
+    """
+    coord = st.floats(min_value=-2000, max_value=2000, allow_nan=False)
+    n = draw(st.integers(min_value=1, max_value=24))
+    spots = [(draw(coord), draw(coord)) for _ in range(draw(st.integers(1, n + 2)))]
+    spot = st.sampled_from(spots)
+    tasks = tuple(
+        Task(f"t{i:02d}", draw(st.sampled_from(["c1", "c2", "c3"])), draw(spot),
+             draw(st.sampled_from([0.0, 12.5])) if draw(st.booleans())
+             else draw(st.floats(min_value=0, max_value=60)))
+        for i in range(n)
+    )
+    vehicles = (
+        Vehicle("a", draw(spot), speed=10.0, return_home=draw(st.booleans())),
+        Vehicle("b", draw(spot), speed=7.5, return_home=draw(st.booleans())),
+    )
+    if draw(st.booleans()):
+        travel = TravelModel.euclidean()
+    else:
+        distinct = sorted(set(spots))
+        k = len(distinct)
+        cells = draw(st.lists(st.floats(min_value=0, max_value=500),
+                              min_size=k * k, max_size=k * k))
+        seconds = np.array(cells).reshape(k, k)
+        np.fill_diagonal(seconds, 0.0)
+        travel = TravelModel.matrix([f"{x!r};{y!r}" for x, y in distinct], seconds)
+    committed = {t.task_id: draw(st.sampled_from(["a", "b"]))
+                 for t in tasks if draw(st.integers(0, 3)) == 0}
+    weights = np.array([draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(3)])
+    req = SolverRequest(tasks=tasks, vehicles=vehicles, travel=travel,
+                        budget=draw(st.floats(min_value=1, max_value=3000)),
+                        customers=("c1", "c2", "c3"), weights=weights,
+                        committed=committed or None)
+    order = draw(st.permutations(list(tasks)))
+    cut = draw(st.integers(min_value=0, max_value=n - 1))
+    pool = sorted(order[cut:], key=lambda t: t.task_id)
+    dead = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    # An int names the candidate whose cheapest delta the fit limit
+    # should equal exactly.
+    slack = draw(st.floats(min_value=-100, max_value=3000) | st.integers(0, len(pool) - 1))
+    return _Heuristic(req), list(order[:cut]), pool, dead, slack
+
+
+def slack_at(delta: float) -> float:
+    """A slack whose fit limit, slack + 1e-9, is `delta` if one is."""
+    slack = delta - 1e-9
+    for _ in range(8):
+        if slack + 1e-9 == delta:
+            break
+        slack = math.nextafter(slack, math.inf if slack + 1e-9 < delta else -math.inf)
+    return slack
+
+
+def both_pools(heur, tasks, dead):
+    """The same candidates in a pool of lists and in a pool of arrays."""
+    pools = []
+    for limit in (len(tasks), len(tasks) - 1):
+        with mock.patch.object(vrp, "_SMALL_POOL", limit):
+            pool = vrp._Pool(heur, tasks)
+        for t in dead:
+            pool.drop(t.task_id)
+        pools.append(pool)
+    assert pools[0].small and not pools[1].small
+    return pools
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(case=insertion_pools())
+@settings(max_examples=300, deadline=None)
+def test_pool_sides_give_the_same_bits(case):
+    """A pool's two sides screen to the same bits and positions and order
+    the same offers, for any slack and with or without the pins; so do
+    `_plain_offers` over each, each from its own screen memo."""
+    heur, seq, tasks, dead, slack = case
+    state = heur._state(heur.req.vehicles[0], seq)
+    lists, arrays = both_pools(heur, tasks, dead)
+    if isinstance(slack, int):
+        slack = slack_at(float(arrays.screen(state, math.inf)[0][slack]))
+    best, pos = lists.screen(state, slack)
+    best_a, pos_a = arrays.screen(state, slack)
+    assert bits(best) == bits(best_a)
+    assert pos == pos_a.tolist()
+    assert lists.order(best, None) == arrays.order(best_a, None)
+    vehicle = state.vehicle
+    assert lists.order(best, lists.pins(vehicle)) == arrays.order(best_a, arrays.pins(vehicle))
+    order, best, pos = heur._plain_offers(state, lists)
+    order_a, best_a, pos_a = heur._plain_offers(state, arrays)
+    assert order == order_a
+    assert bits(best) == bits(best_a) and list(pos) == list(pos_a)
 
 
 def _golden_asymmetric_matrix():
