@@ -370,6 +370,8 @@ def cmd_oracle(cfg: dict) -> int:
 
 
 def cmd_gen(preset: str, cfg: dict, seed: int, rounds: Optional[int], params: dict) -> int:
+    if rounds is not None and rounds < 1:
+        raise UsageError("--rounds must be >= 1")
     try:
         scenario = generate(preset, seed=seed, **params)
     except ValueError as exc:  # an unknown preset or parameter, or a value out of range

@@ -29,6 +29,7 @@ from .model import (
 )
 from .scheduler import RoundConfig, Scheduler
 from .vrp import (
+    RoundTable,
     SolverConfig,
     SolverRequest,
     construct,
@@ -384,11 +385,9 @@ def baseline_max_throughput(
     req = SolverRequest(
         tasks=instance.tasks,
         vehicles=instance.vehicles,
-        travel=instance.travel,
-        budget=instance.budget,
         customers=customers,
         weights=np.full(len(customers), 1.0 / len(customers)),
-        round_start=instance.round_start,
+        table=RoundTable(instance),
         committed=committed,
         config=solver_config or SolverConfig(),
         ride_counts_as=ride_counts_as,
@@ -572,24 +571,33 @@ def _build_metrics(
     k = len(customers)
     cidx = {c: i for i, c in enumerate(customers)}
 
-    # One pass buckets each completion and expiry into the first round
-    # whose end (r + 1) * round_s it does not pass; round r counts a
-    # completion in x when r * round_s < completion <= its end.
+    # One pass counts each customer's arrivals, completions and waits,
+    # and buckets each completion and expiry into the first round whose
+    # end (r + 1) * round_s it does not pass; round r counts a completion
+    # in x when r * round_s < completion <= its end.
     ends = [(r + 1) * cfg.round_s for r in range(n_rounds)]
     x_in = np.zeros((n_rounds, k))
     done_in = np.zeros((n_rounds, k), dtype=int)
     expired_in = np.zeros((n_rounds, k), dtype=int)
+    arrived_per = {c: 0 for c in customers}
+    completed_per = {c: 0 for c in customers}
+    waits: dict[str, list[float]] = {c: [] for c in customers}
     for ts in sim.tasks.values():
+        c = ts.task.customer_id
+        i = cidx[c]
+        arrived_per[c] += 1
         if ts.status == COMPLETED:
+            completed_per[c] += 1
+            waits[c].append(ts.service_start - ts.task.arrival_time)
             r = bisect_left(ends, ts.completion)
             if r < n_rounds and r * cfg.round_s < ts.completion:
-                x_in[r, cidx[ts.task.customer_id]] += task_count(ts.task, cfg.ride_counts_as)
+                x_in[r, i] += task_count(ts.task, cfg.ride_counts_as)
             if r < n_rounds and ts.completion <= ends[r]:
-                done_in[r, cidx[ts.task.customer_id]] += 1
+                done_in[r, i] += 1
         elif ts.status == EXPIRED and ts.expired_at is not None:
             r = bisect_left(ends, ts.expired_at)
             if r < n_rounds and ts.expired_at <= ends[r]:
-                expired_in[r, cidx[ts.task.customer_id]] += 1
+                expired_in[r, i] += 1
     done = np.cumsum(done_in, axis=0)
     expired = np.cumsum(expired_in, axis=0)
 
@@ -612,15 +620,6 @@ def _build_metrics(
                 }
             )
 
-    arrived_per = {c: 0 for c in customers}
-    completed_per = {c: 0 for c in customers}
-    waits: dict[str, list[float]] = {c: [] for c in customers}
-    for ts in sim.tasks.values():
-        c = ts.task.customer_id
-        arrived_per[c] += 1
-        if ts.status == COMPLETED:
-            completed_per[c] += 1
-            waits[c].append(ts.service_start - ts.task.arrival_time)
     fractions = {
         c: (completed_per[c] / arrived_per[c]) if arrived_per[c] else 1.0
         for c in customers

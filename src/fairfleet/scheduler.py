@@ -102,6 +102,10 @@ class RoundConfig:
             raise ValueError("need 0 < replan_s <= round_s")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
+        if self.return_home_every_s is not None and self.return_home_every_s <= 0:
+            raise ValueError("return_home_every_s must be > 0")
+        if self.expiry_s <= 0:
+            raise ValueError("expiry_s must be > 0")
         if self.discount is not None and not (0 < self.discount <= 1):
             raise ValueError("discount must lie in (0, 1]")
         if self.ride_counts_as not in (1, 2):

@@ -9,30 +9,33 @@ throughput allocation.  Three entry points:
                      pruning; provably optimal on small instances.
 * heuristic_vrp   -- warm-start seeding, cheapest insertion by marginal
                      weighted gain per second, then local search; never
-                     worse than its best seed.  Every solve of a round
-                     reads one `RoundTable` of travel seconds.  Each path
-                     keeps its insertion offers until it changes, so a
-                     step rescans only the path the last insertion
-                     changed.  A pool of at most _SMALL_POOL insertion
-                     candidates is screened and ordered in Python lists,
-                     a larger one in NumPy arrays, to the same bits
-                     (`_Pool`).  The 2-opt, relocate and swap passes list
-                     their scans for one loop (`_Heuristic._search`): it
-                     charges the effort (`_charge`), skips a scan the
-                     table knows void, and decides each move the screen
-                     lets through (a few table lookups, within _GUARD of
-                     the threshold) by one rule on exact path costs
-                     (`_take`), so results match evaluating every move
-                     exactly.  The table memoizes for all solves of the
-                     round each pair's best placement, each insertion
-                     screen and each scan that ended without a move,
-                     under one key rule (`RoundTable`).
+                     worse than its best seed.  A path is a list of
+                     rows of the round's `RoundTable` of travel
+                     seconds, which every solve of the round reads.
+                     Each path keeps its insertion offers until it
+                     changes, so a step rescans only the path the last
+                     insertion changed.  A pool of at most _SMALL_POOL
+                     insertion candidates is screened and ordered in
+                     Python lists, a larger one in NumPy arrays, to the
+                     same bits (`_Pool`).  The 2-opt, relocate and swap
+                     passes list their scans for one loop
+                     (`_Heuristic._search`): it charges the effort
+                     (`_charge`), skips a scan the table knows void,
+                     and decides each move the screen lets through (a
+                     few table lookups, within _GUARD of the threshold)
+                     by one rule on exact path costs (`_take`), so
+                     results match evaluating every move exactly.  The
+                     table memoizes for all solves of the round each
+                     pair's best placement, each insertion screen and
+                     each scan that ended without a move, under one key
+                     rule (`RoundTable`).
 * greedy_alpha_heuristic -- fairness-guided construction by greatest
                      return-on-investment.
 
-A `SolverRequest` holds each solve setting once: its commitments, whose
-two rules only this module reads (`_task_weight`, `may_serve`), and its
-`SolverConfig`.
+A `SolverRequest` holds each solve setting once: its round's
+`RoundTable`, which owns the travel model, budget and round start, its
+commitments, whose two rules only this module reads (`_task_weight`,
+`may_serve`), and its `SolverConfig`.
 
 Ties on the weighted objective are broken toward larger unweighted total
 throughput.  All solvers are deterministic for a fixed (instance, weights,
@@ -108,33 +111,29 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverRequest:
-    """One weighted-VRP instance.
+    """One weighted-VRP instance on its round's `table`.
 
+    The table owns the travel model, the budget and the round start;
+    `tasks` and `vehicles` must be among its own (`RoundTable.covers`).
     `weights` aligns with `customers` (canonical sorted order).  Negative
     weights are clamped to zero before solving.  `committed` maps a
     task_id to the vehicle it was promised to: the task weighs
     COMMIT_WEIGHT_RATIO in place of its customer's weight, and only that
     vehicle may serve it (`may_serve`).  `config` names the backend, the
-    effort budget, the seed and the exact cutoff.  `table` is the round's
-    shared travel table; a solve it does not cover builds its own.
+    effort budget, the seed and the exact cutoff.
     """
 
     tasks: tuple[Task, ...]
     vehicles: tuple[Vehicle, ...]
-    travel: TravelModel
-    budget: float
     customers: tuple[str, ...]
     weights: np.ndarray
-    round_start: float = 0.0
+    table: RoundTable = field(repr=False, compare=False)
     committed: Optional[Mapping[str, str]] = None
     warm_starts: tuple[Schedule, ...] = ()
     config: SolverConfig = field(default_factory=SolverConfig)
     ride_counts_as: int = 1
-    table: Optional["RoundTable"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise ValueError("budget must be > 0")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(self.customers),):
             raise ValueError("weights must align with customers")
@@ -144,6 +143,8 @@ class SolverRequest:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "tasks", tuple(self.tasks))
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
+        if not self.table.covers(self):
+            raise ValueError("the request's tasks and vehicles must be its table's")
 
 
 def _customer_weights(req: SolverRequest) -> dict[str, float]:
@@ -167,7 +168,7 @@ def _task_weight(req: SolverRequest, task: Task, weights: dict[str, float]) -> f
 def _contribution(req: SolverRequest, task: Task, weights: dict[str, float]) -> float:
     """Weighted objective gain of completing this task (w . x terms);
     `weights` is `_customer_weights(req)`."""
-    minutes = req.budget / 60.0
+    minutes = req.table.budget / 60.0
     return _task_weight(req, task, weights) * task_count(task, req.ride_counts_as) / minutes
 
 
@@ -222,14 +223,14 @@ def exact_vrp(req: SolverRequest) -> Schedule:
 
     # Travel seconds from the round's table: legs[v][row][row], where a
     # path starts at its vehicle's home row and moves to rows[i].
-    table = RoundTable.for_request(req)
+    table = req.table
     legs = [table.seconds[v.vehicle_id] for v in vehicles]
     homes = [table.home[v.vehicle_id] for v in vehicles]
     rows = [table.row[t.task_id] for t in tasks]
     onboard = riders_on_board(tasks)
 
     def start(v: int) -> PathState:
-        return PathState(vehicles[v], req.travel, req.budget, req.round_start, onboard)
+        return PathState(vehicles[v], table.travel, table.budget, table.round_start, onboard)
 
     best = {
         "value": -np.inf,
@@ -313,14 +314,14 @@ def exact_vrp(req: SolverRequest) -> Schedule:
         search(0, 0, homes[0], start(0), 0.0, 0.0, (), ())
 
     if best["paths"] is None:
-        return empty_schedule(req.vehicles, req.budget)
+        return empty_schedule(req.vehicles, table.budget)
 
     built = []
     for v, idxs in zip(vehicles, best["paths"]):
         built.append(
-            build_path(v, [tasks[i] for i in idxs], req.travel, req.round_start)
+            build_path(v, [tasks[i] for i in idxs], table.travel, table.round_start)
         )
-    return Schedule(paths=tuple(built), round_duration=req.budget)
+    return Schedule(paths=tuple(built), round_duration=table.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +347,11 @@ def _offer_key(gain: float, delta: float, task_id: str) -> tuple:
 class RoundTable:
     """Travel seconds between the tasks and vehicle starts of one round.
 
-    Built from the round's `Instance`, the table owns its budget and
-    round start: it covers only requests with the same two, and
+    Built from the round's `Instance`, the table owns its travel model,
+    budget and round start, which every request it carries solves under;
     `budget_slack` holds each vehicle's budget less its ready offset.
-    Rows 0..n-1 are the tasks, then one row per vehicle start.
+    Rows 0..n-1 are the tasks, `task_at[row]` the task of a row, then one
+    row per vehicle start.  A heuristic path is a list of rows.
     `seconds` holds one row per point, each entry `travel_time` of its
     two points, filled once per distinct vehicle speed (the matrix model
     ignores speed).  `screen` holds the same values as one array per
@@ -398,6 +400,7 @@ class RoundTable:
         self.vehicles = {v.vehicle_id: v for v in vehicles}
         self.budget_slack = {v.vehicle_id: instance.budget - v.ready_offset for v in vehicles}
         self.row = {t.task_id: i for i, t in enumerate(tasks)}
+        self.task_at = list(tasks)
         self.home = {v.vehicle_id: len(tasks) + k for k, v in enumerate(vehicles)}
         self.svc = [t.service_time for t in tasks]
         self.svc_array = np.array(self.svc, dtype=float)
@@ -411,7 +414,7 @@ class RoundTable:
                 rows = [[travel_time(a, b, travel, v) for b in points] for a in points]
                 by_key[key] = (rows, np.array(rows))
             self.seconds[v.vehicle_id], self.screen[v.vehicle_id] = by_key[key]
-        self.vetted: dict[tuple, tuple[Schedule, Optional[dict[str, list[Task]]]]] = {}
+        self.vetted: dict[tuple, tuple[Schedule, Optional[dict[str, list[int]]]]] = {}
         self.pair_fits: dict[tuple, Optional[tuple[int, int, float]]] = {}
         self.screens: dict[tuple, tuple] = {}
         self.void: set[tuple] = set()
@@ -419,46 +422,30 @@ class RoundTable:
         self.path_ids: dict[tuple, int] = {}
 
     def covers(self, req: SolverRequest) -> bool:
-        """Whether `req` travels on this model between points of this
-        table, under its budget and round start: its vehicles and tasks
-        are among the table's."""
+        """Whether the request's tasks and vehicles are the table's."""
         return (
-            req.travel is self.travel
-            and req.budget == self.budget
-            and req.round_start == self.round_start
-            and all(self.vehicles.get(v.vehicle_id) == v for v in req.vehicles)
+            all(self.vehicles.get(v.vehicle_id) == v for v in req.vehicles)
             and all(self.tasks.get(t.task_id) == t for t in req.tasks)
-        )
-
-    @staticmethod
-    def for_request(req: SolverRequest) -> "RoundTable":
-        """The request's table if it covers the request, else a new one
-        over the request's own round."""
-        if req.table is not None and req.table.covers(req):
-            return req.table
-        return RoundTable(
-            Instance(req.tasks, req.vehicles, req.travel, req.budget, req.round_start)
         )
 
 
 class _Route:
-    """Mutable task sequence for one vehicle during heuristic search.
+    """Mutable path of one vehicle during heuristic search.
 
-    `seq` holds the tasks' rows in `table`, the vehicle's travel-seconds
-    table, and `home` the row of its start location; `screen` is the
-    vehicle's array of the same legs; `cost` is the exact cost of the
-    sequence; `key` is its id in the round table's `path_ids`, None
-    until a memo reads it.
+    The path is `seq`, its tasks' rows in the round table; `table` is
+    the vehicle's travel seconds between rows and `home` the row of its
+    start location; `screen` is the vehicle's array of the same legs;
+    `cost` is the exact cost of the sequence; `key` is its id in the
+    round table's `path_ids`, None until a memo reads it.
     """
 
-    __slots__ = ("vehicle", "table", "screen", "home", "tasks", "seq", "cost", "key")
+    __slots__ = ("vehicle", "table", "screen", "home", "seq", "cost", "key")
 
     def __init__(self, vehicle: Vehicle, table: list, screen: np.ndarray, home: int):
         self.vehicle = vehicle
         self.table = table
         self.screen = screen
         self.home = home
-        self.tasks: list[Task] = []
         self.seq: list[int] = []
         self.cost = 0.0
         self.key: Optional[int] = None
@@ -495,9 +482,9 @@ class _Pool:
     def __init__(self, heur: "_Heuristic", tasks: list[Task]):
         self.tasks = tasks
         self.index = {t.task_id: u for u, t in enumerate(tasks)}
-        self.euclidean = heur.req.travel.variant == "euclidean"
+        self.euclidean = heur.table.travel.variant == "euclidean"
         rows = [heur.row[t.task_id] for t in tasks]
-        gain = [heur.contrib[t.task_id] for t in tasks]
+        gain = [heur.contrib[r] for r in rows]
         # `may_serve` lets a vehicle serve the candidates nobody committed
         # and those committed to it.
         committed = heur.req.committed or {}
@@ -686,32 +673,26 @@ class _Heuristic:
         self.rng = random.Random(req.config.seed)
         self.evals = max(10_000, int(req.config.time_limit_s * _EVALS_PER_SECOND))
         self.has_deadlines = any(t.deadline is not None for t in req.tasks)
+        self.table = table = req.table
+        self.row = row = table.row
+        self.svc, self.home = table.svc, table.home
         weights = _customer_weights(req)
-        self.contrib = {t.task_id: _contribution(req, t, weights) for t in req.tasks}
-        self.count = {t.task_id: task_count(t, req.ride_counts_as) for t in req.tasks}
-        self.table = table = RoundTable.for_request(req)
-        self.row, self.svc, self.home = table.row, table.svc, table.home
+        self.contrib = {row[t.task_id]: _contribution(req, t, weights) for t in req.tasks}
+        self.count = {row[t.task_id]: task_count(t, req.ride_counts_as) for t in req.tasks}
         commitments = tuple(sorted((req.committed or {}).items()))
         self.commit_id = table.contexts.setdefault(commitments, len(table.contexts))
 
     # -- path states --------------------------------------------------------
 
-    def _state(self, vehicle: Vehicle, tasks: list[Task]) -> _Route:
+    def _state(self, vehicle: Vehicle, seq: list[int]) -> _Route:
         vid = vehicle.vehicle_id
         state = _Route(vehicle, self.table.seconds[vid], self.table.screen[vid], self.home[vid])
-        self._assign(state, tasks)
+        self._assign(state, seq)
         return state
 
-    def _assign(
-        self,
-        state: _Route,
-        tasks: list[Task],
-        seq: Optional[list[int]] = None,
-        cost: Optional[float] = None,
-    ) -> None:
-        state.tasks = tasks
-        state.seq = [self.row[t.task_id] for t in tasks] if seq is None else seq
-        state.cost = self._cost(state, state.seq) if cost is None else cost
+    def _assign(self, state: _Route, seq: list[int], cost: Optional[float] = None) -> None:
+        state.seq = seq
+        state.cost = self._cost(state, seq) if cost is None else cost
         state.key = None
 
     def _path_id(self, state: _Route) -> int:
@@ -847,30 +828,27 @@ class _Heuristic:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _feasible(self, vehicle: Vehicle, tasks: list[Task]) -> bool:
-        return (
-            path_violation(
-                tasks, vehicle, self.req.travel, self.req.budget,
-                self.req.round_start,
-            )
-            is None
-        )
+    def _feasible(self, vehicle: Vehicle, seq: list[int]) -> bool:
+        table = self.table
+        tasks = list(map(table.task_at.__getitem__, seq))
+        return path_violation(tasks, vehicle, table.travel, table.budget, table.round_start) is None
 
-    def _value(self, paths: dict[str, list[Task]]) -> tuple[float, float]:
+    def _value(self, paths: dict[str, list[int]]) -> tuple[float, float]:
         """`schedule_value` of these paths, summed in the same order."""
         value = count = 0.0
         for v in self.req.vehicles:
-            for t in paths[v.vehicle_id]:
-                value += self.contrib[t.task_id]
-                count += self.count[t.task_id]
+            for r in paths[v.vehicle_id]:
+                value += self.contrib[r]
+                count += self.count[r]
         return value, count
 
     # -- seeding ------------------------------------------------------------
 
-    def _sanitize_seed(self, schedule: Schedule) -> dict[str, list[Task]]:
-        """Seed paths filtered to live tasks, commitment-respecting, whole pairs."""
+    def _sanitize_seed(self, schedule: Schedule) -> dict[str, list[int]]:
+        """Seed paths filtered to live tasks, commitment-respecting, whole
+        pairs, as rows."""
         live = {t.task_id: t for t in self.req.tasks}
-        out: dict[str, list[Task]] = {v.vehicle_id: [] for v in self.req.vehicles}
+        out: dict[str, list[int]] = {v.vehicle_id: [] for v in self.req.vehicles}
         vmap = {v.vehicle_id: v for v in self.req.vehicles}
         for p in schedule.paths:
             if p.vehicle_id not in out:
@@ -882,11 +860,12 @@ class _Heuristic:
                 if t.task_id in live and may_serve(self.req.committed, live[t.task_id], veh)
             ]
             ids = {t.task_id for t in kept}
-            kept = [t for t in kept if t.pair_id is None or t.pair_id in ids]
-            out[p.vehicle_id] = kept
+            out[p.vehicle_id] = [
+                self.row[t.task_id] for t in kept if t.pair_id is None or t.pair_id in ids
+            ]
         return out
 
-    def _vet(self, schedule: Schedule) -> Optional[dict[str, list[Task]]]:
+    def _vet(self, schedule: Schedule) -> Optional[dict[str, list[int]]]:
         """The seed's sanitized paths, or None if one is infeasible."""
         paths = self._sanitize_seed(schedule)
         if all(self._feasible(v, paths[v.vehicle_id]) for v in self.req.vehicles):
@@ -900,7 +879,7 @@ class _Heuristic:
         # the same commitments.
         full = len(req.tasks) == len(table.tasks) and len(req.vehicles) == len(table.vehicles)
         memo = table.vetted if full else {}
-        best_paths: Optional[dict[str, list[Task]]] = None
+        best_paths: Optional[dict[str, list[int]]] = None
         best_key = (-np.inf, -np.inf, 0)
         for order, s in enumerate(req.warm_starts):
             key = (id(s), self.commit_id)
@@ -918,12 +897,14 @@ class _Heuristic:
             best_paths = {v.vehicle_id: [] for v in self.req.vehicles}
         return [self._state(v, list(best_paths[v.vehicle_id])) for v in req.vehicles]
 
-    def _to_schedule(self, paths: dict[str, list[Task]]) -> Schedule:
+    def _to_schedule(self, paths: dict[str, list[int]]) -> Schedule:
+        table = self.table
         built = tuple(
-            build_path(v, paths[v.vehicle_id], self.req.travel, self.req.round_start)
+            build_path(v, [table.task_at[r] for r in paths[v.vehicle_id]],
+                       table.travel, table.round_start)
             for v in self.req.vehicles
         )
-        return Schedule(paths=built, round_duration=self.req.budget)
+        return Schedule(paths=built, round_duration=table.budget)
 
     # -- insertion ----------------------------------------------------------
 
@@ -943,10 +924,8 @@ class _Heuristic:
         pins = pool.pins(veh) if self.req.committed else None
         return pool.order(best, pins), best, pos
 
-    def _verify_insert(
-        self, state: _Route, task: Task, pos: int
-    ) -> Optional[list[Task]]:
-        trial = state.tasks[:pos] + [task] + state.tasks[pos:]
+    def _verify_insert(self, state: _Route, task: Task, pos: int) -> Optional[list[int]]:
+        trial = state.seq[:pos] + [self.row[task.task_id]] + state.seq[pos:]
         if self.has_deadlines or task.deadline is not None:
             if not self._feasible(state.vehicle, trial):
                 return None
@@ -965,16 +944,14 @@ class _Heuristic:
         key = (self._path_id(state), p)
         memo = self.table.pair_fits
         if key not in memo:
-            memo[key] = self._place_pair(state, pickup, dropoff, p, d)
+            memo[key] = self._place_pair(state, p, d)
         return memo[key]
 
-    def _place_pair(
-        self, state: _Route, pickup: Task, dropoff: Task, p: int, d: int
-    ) -> Optional[tuple[int, int, float]]:
+    def _place_pair(self, state: _Route, p: int, d: int) -> Optional[tuple[int, int, float]]:
         """The placement `_try_insert_pair` takes, as (i, j, delta): in
         scan order, each placement that fits and costs more than 1e-12
         less than the best so far replaces it."""
-        seq, tasks = state.seq, state.tasks
+        seq = state.seq
         slack = self.table.budget_slack[state.vehicle.vehicle_id] - state.cost
         trials = sorted(
             (est, i, j)
@@ -990,11 +967,10 @@ class _Heuristic:
         for est, i, j in trials:
             if limit is not None and est > limit:
                 break
-            trial_seq = seq[:i] + [p] + seq[i:j] + [d] + seq[j:]
-            delta = self._cost(state, trial_seq) - state.cost
+            trial = seq[:i] + [p] + seq[i:j] + [d] + seq[j:]
+            delta = self._cost(state, trial) - state.cost
             if delta > slack + 1e-9:
                 continue
-            trial = tasks[:i] + [pickup] + tasks[i:j] + [dropoff] + tasks[j:]
             if not self._feasible(state.vehicle, trial):
                 continue
             fits.append((i, j, delta))
@@ -1010,7 +986,7 @@ class _Heuristic:
         self, state: _Route, pool: _Pool, pickups: list[Task], unscheduled: dict[str, Task]
     ) -> _Offers:
         """Every placement of a candidate on this path."""
-        contrib = self.contrib
+        contrib, row = self.contrib, self.row
         pairs = []
         for t in pickups:
             step = step_of(t, unscheduled) if t.task_id in unscheduled else None
@@ -1020,7 +996,7 @@ class _Heuristic:
             fit = self._try_insert_pair(state, t, drop)
             if fit is not None:
                 i, j, delta = fit
-                gain = contrib[t.task_id] + contrib[drop.task_id]
+                gain = contrib[row[t.task_id]] + contrib[row[drop.task_id]]
                 pairs.append((_offer_key(gain, delta, t.task_id), t, (i, j)))
         return _Offers(pool, self._plain_offers(state, pool), sorted(pairs))
 
@@ -1058,10 +1034,10 @@ class _Heuristic:
             del offers[s_i]
             if task.is_pickup:
                 i, j = pos
-                drop = self.table.tasks[task.pickup_of]
-                tasks = state.tasks
-                trial = tasks[:i] + [task] + tasks[i:j] + [drop] + tasks[j:]
-                inserted = [task, drop]
+                p, d = self.row[task.task_id], self.row[task.pickup_of]
+                seq = state.seq
+                trial = seq[:i] + [p] + seq[i:j] + [d] + seq[j:]
+                inserted = [task.task_id, task.pickup_of]
             else:
                 trial = self._verify_insert(state, task, pos)
                 if trial is None:
@@ -1071,10 +1047,10 @@ class _Heuristic:
                     pool.drop(task.task_id)
                     left -= 1
                     continue
-                inserted = [task]
+                inserted = [task.task_id]
             self._assign(state, trial)
-            for t in inserted:
-                unscheduled.pop(t.task_id, None)
+            for tid in inserted:
+                unscheduled.pop(tid, None)
             pool.drop(task.task_id)
             if not self._charge(1, left):  # the step weighed every open candidate
                 break
@@ -1092,19 +1068,19 @@ class _Heuristic:
         self.evals -= min(n, stop) * each
         return n < stop
 
-    def _take(self, move: list[tuple[_Route, list[Task], list[int], float]]) -> bool:
-        """Give each path of the move its new tasks, rows and exact cost if
-        that lowers their total cost by more than 1e-9 and each new path
-        fits its budget and the path rules."""
+    def _take(self, move: list[tuple[_Route, list[int], float]]) -> bool:
+        """Give each path of the move its new rows and exact cost if that
+        lowers their total cost by more than 1e-9 and each new path fits
+        its budget and the path rules."""
         if not sum(cost for *_, cost in move) < sum(s.cost for s, *_ in move) - _VALUE_TOL:
             return False
         slack = self.table.budget_slack
-        if any(cost > slack[s.vehicle.vehicle_id] + 1e-9 for s, *_, cost in move):
+        if any(cost > slack[s.vehicle.vehicle_id] + 1e-9 for s, _, cost in move):
             return False
-        if not all(self._feasible(s.vehicle, tasks) for s, tasks, *_ in move):
+        if not all(self._feasible(s.vehicle, seq) for s, seq, _ in move):
             return False
-        for state, tasks, seq, cost in move:
-            self._assign(state, tasks, seq, cost)
+        for state, seq, cost in move:
+            self._assign(state, seq, cost)
         return True
 
     def _search(self, scans: Iterable[tuple]) -> bool:
@@ -1114,7 +1090,7 @@ class _Heuristic:
         A scan is (void key, number of trials, evaluations per trial, a
         function and its arguments); the call yields the trials the
         screen lets through as (index in the scan, move), and a move
-        lists each path it changes as (state, tasks, seq, exact cost).
+        lists each path it changes as (state, seq, exact cost).
         Every trial is charged in scan order, those the screen left out
         in one batch per gap.  A scan the round table knows void replays
         only its charge, without the call; a scan that ends without a
@@ -1141,7 +1117,8 @@ class _Heuristic:
     def _two_opt_pass(self, state: _Route) -> bool:
         """First-improvement segment reversal; cost-only (membership fixed)."""
         m = len(state.seq)
-        if m < 3 or any(t.pair_id is not None for t in state.tasks):
+        task_at = self.table.task_at
+        if m < 3 or any(task_at[r].pair_id is not None for r in state.seq):
             return False
         idx = list(range(m - 1))
         self.rng.shuffle(idx)
@@ -1150,26 +1127,26 @@ class _Heuristic:
 
     def _reversals(self, state: _Route, idx: list[int]) -> Iterator[tuple]:
         """Reversing seq[i..j], for each i in `idx` order and j > i + 1."""
-        seq, tasks = state.seq, state.tasks
+        seq = state.seq
         deltas = self._reversal_deltas(state)
         k = 0
         for i in idx:
             for d, est in enumerate(deltas[i]):
                 if est <= _GUARD - 1e-9:
                     j = i + d + 2
-                    trial_seq = seq[:i] + seq[i:j + 1][::-1] + seq[j + 1:]
-                    trial = tasks[:i] + tasks[i:j + 1][::-1] + tasks[j + 1:]
-                    yield k + d, [(state, trial, trial_seq, self._cost(state, trial_seq))]
+                    trial = seq[:i] + seq[i:j + 1][::-1] + seq[j + 1:]
+                    yield k + d, [(state, trial, self._cost(state, trial))]
             k += len(deltas[i])
 
     def _relocate_pass(self, states: list[_Route]) -> bool:
         """Move one plain task to its cheapest position on a path: a scan
         per task and path, of one trial that weighs every position."""
+        task_at = self.table.task_at
         order = [
             (s_i, t_i)
             for s_i, s in enumerate(states)
-            for t_i, t in enumerate(s.tasks)
-            if t.pair_id is None
+            for t_i, r in enumerate(s.seq)
+            if task_at[r].pair_id is None
         ]
         self.rng.shuffle(order)
         committed = self.req.committed or {}
@@ -1181,7 +1158,7 @@ class _Heuristic:
                 src = states[s_i]
                 # A committed task sits on its own vehicle (see `_swap_pass`),
                 # the one path that may take it.
-                for d_i in (s_i,) if src.tasks[t_i].task_id in committed else everywhere:
+                for d_i in (s_i,) if task_at[src.seq[t_i]].task_id in committed else everywhere:
                     dst = states[d_i]
                     key = ("relocate", self.commit_id, ids[s_i], t_i, ids[d_i])
                     # one evaluation per position
@@ -1217,10 +1194,8 @@ class _Heuristic:
                 if best is None or cost - base_cost < best[0] - 1e-12:
                     best = (cost - base_cost, pos, trial_seq, cost)
         _, pos, trial_seq, cost = best
-        kept = src.tasks[:t_i] + src.tasks[t_i + 1:]
-        host = kept if same else dst.tasks
-        move = [(dst, host[:pos] + [src.tasks[t_i]] + host[pos:], trial_seq, cost)]
-        yield 0, move if same else move + [(src, kept, removed, removed_cost)]
+        move = [(dst, trial_seq, cost)]
+        yield 0, move if same else move + [(src, removed, removed_cost)]
 
     def _swap_pass(self, states: list[_Route]) -> bool:
         """Exchange two plain tasks across paths: a scan per pair of paths
@@ -1231,8 +1206,10 @@ class _Heuristic:
         # on its own vehicle (seeds, insertion and every move keep
         # `may_serve`), so it may leave for none.
         committed = self.req.committed or {}
+        task_at = self.table.task_at
         movers = [
-            [i for i, t in enumerate(s.tasks) if t.pair_id is None and t.task_id not in committed]
+            [i for i, r in enumerate(s.seq)
+             if task_at[r].pair_id is None and task_at[r].task_id not in committed]
             for s in states
         ]
 
@@ -1252,14 +1229,9 @@ class _Heuristic:
         for x, i in enumerate(ia):
             for y, j in enumerate(ib):
                 if deltas[i][j] <= _GUARD - 1e-9:
-                    ta_seq = a.seq[:i] + [b.seq[j]] + a.seq[i + 1:]
-                    tb_seq = b.seq[:j] + [a.seq[i]] + b.seq[j + 1:]
-                    yield x * len(ib) + y, [
-                        (a, a.tasks[:i] + [b.tasks[j]] + a.tasks[i + 1:], ta_seq,
-                         self._cost(a, ta_seq)),
-                        (b, b.tasks[:j] + [a.tasks[i]] + b.tasks[j + 1:], tb_seq,
-                         self._cost(b, tb_seq)),
-                    ]
+                    ta = a.seq[:i] + [b.seq[j]] + a.seq[i + 1:]
+                    tb = b.seq[:j] + [a.seq[i]] + b.seq[j + 1:]
+                    yield x * len(ib) + y, [(a, ta, self._cost(a, ta)), (b, tb, self._cost(b, tb))]
 
     # -- main loop ----------------------------------------------------------
 
@@ -1267,8 +1239,8 @@ class _Heuristic:
         """Insert what fits, then local search, until a round of passes
         finds no move or the effort runs out."""
         while True:
-            scheduled = {t.task_id for s in states for t in s.tasks}
-            remaining = {t.task_id: t for t in self.req.tasks if t.task_id not in scheduled}
+            done = {r for s in states for r in s.seq}
+            remaining = {t.task_id: t for t in self.req.tasks if self.row[t.task_id] not in done}
             if remaining:
                 self._insertion_phase(states, remaining)
             if self.evals <= 0:
@@ -1284,12 +1256,12 @@ class _Heuristic:
         # of never finishing below the best warm start.
         starts = [[self._state(v, []) for v in self.req.vehicles]]
         seeded = self._seed_states()
-        if any(s.tasks for s in seeded):
+        if any(s.seq for s in seeded):
             starts.append(seeded)
-        best: Optional[tuple[tuple[float, float], dict[str, list[Task]]]] = None
+        best: Optional[tuple[tuple[float, float], dict[str, list[int]]]] = None
         for states in starts:
             self._improve(states)
-            paths = {s.vehicle.vehicle_id: s.tasks for s in states}
+            paths = {s.vehicle.vehicle_id: s.seq for s in states}
             key = self._value(paths)
             if best is None or key > best[0]:
                 best = (key, paths)
@@ -1442,20 +1414,18 @@ def build_warm_start_suite(
 ) -> list[Schedule]:
     """Warm starts: the max-throughput insertion solve, then a dedicated
     vehicle partition when |V| >= |K|, both counting a ride as
-    `ride_counts_as`.  Every solve reads `table` if it covers the solve."""
+    `ride_counts_as`.  Every solve reads `table`, the instance's round
+    table, built here if not given."""
     customers = instance.customers
     suite: list[Schedule] = []
     base = SolverRequest(
         tasks=instance.tasks,
         vehicles=instance.vehicles,
-        travel=instance.travel,
-        budget=instance.budget,
         customers=customers,
         weights=np.ones(max(len(customers), 1)),
-        round_start=instance.round_start,
+        table=RoundTable(instance) if table is None else table,
         config=SolverConfig(time_limit_s=0.5, seed=seed),
         ride_counts_as=ride_counts_as,
-        table=table,
     )
     suite.append(heuristic_vrp(base))
 
@@ -1534,16 +1504,13 @@ class RoundSolver:
         req = SolverRequest(
             tasks=self.instance.tasks,
             vehicles=self.instance.vehicles,
-            travel=self.instance.travel,
-            budget=self.instance.budget,
             customers=self.customers,
             weights=w,
-            round_start=self.instance.round_start,
+            table=self._table,
             committed=self.committed,
             warm_starts=tuple(self._cache),
             config=self.config,
             ride_counts_as=self.ride_counts_as,
-            table=self._table,
         )
         schedule = solve_weighted_vrp(req)
         self.calls += 1

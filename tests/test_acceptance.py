@@ -44,6 +44,7 @@ from fairfleet.scheduler import (
 )
 from fairfleet.vrp import (
     RoundSolver,
+    RoundTable,
     SolverConfig,
     SolverRequest,
     build_warm_start_suite,
@@ -291,10 +292,9 @@ def test_08_greedy_construction_contract():
         req = SolverRequest(
             tasks=inst.tasks,
             vehicles=inst.vehicles,
-            travel=inst.travel,
-            budget=inst.budget,
             customers=inst.customers,
             weights=w,
+            table=RoundTable(inst),
             warm_starts=tuple(suite),
             config=SolverConfig(time_limit_s=0.5, seed=3),
         )

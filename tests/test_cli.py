@@ -72,6 +72,16 @@ class TestGen:
         assert "unknown parameter 'n_eachh'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rounds", ["0", "-2"])
+    def test_rounds_below_one_is_usage_error(self, tmp_path, capsys, rounds):
+        """`gen --rounds` below 1 stops with exit 2 and writes nothing,
+        instead of an empty trace with a negative duration."""
+        out = tmp_path / "g"
+        rc = main(["gen", "--preset", "map_b", "--rounds", rounds, "--out", str(out)])
+        assert rc == 2
+        assert "--rounds must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_preset_takes_round_s(self, tmp_path):
         out = tmp_path / "g"
         rc = main(["gen", "--preset", "map_a_small", "--rounds", "2", "--set", "round_s=300",
@@ -299,6 +309,10 @@ class TestConfigHandling:
             rc = main([command, "--config", str(cfg), "--set", "ride_counts_as=3"])
             assert rc != 0
             assert "ride_counts_as must be 1 or 2" in capsys.readouterr().err
+            for key in ("return_home_every_s", "expiry_s"):
+                rc = main([command, "--config", str(cfg), "--set", f"{key}=0"])
+                assert rc != 0
+                assert f"{key} must be > 0" in capsys.readouterr().err
             for value in ("1", "2"):
                 out = tmp_path / command / value
                 rc = main([command, "--config", str(cfg), "--out", str(out),

@@ -207,6 +207,31 @@ def test_local_search_charges_and_moves_in_one_place():
     assert callers == {"_state", "_insertion_phase", "_take"}
 
 
+def test_round_tables_are_built_once_per_round():
+    """A request carries its round's `RoundTable`, so no solve builds a
+    table of its own: the package builds one only in
+    `RoundSolver.__init__`, in `build_warm_start_suite` (when given
+    none), in `greedy_alpha_heuristic` and in
+    `emulator.baseline_max_throughput`."""
+    builders = set()
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Name) and child.func.id == "RoundTable"
+                    or isinstance(child.func, ast.Attribute) and child.func.attr == "RoundTable"):
+                builders.add(module + scope)
+            visit(module, child, inner)
+
+    for name, tree in package_modules().items():
+        visit(name.removesuffix(".py"), tree, "")
+    assert builders == {"vrp.RoundSolver.__init__", "vrp.build_warm_start_suite",
+                        "vrp.greedy_alpha_heuristic", "emulator.baseline_max_throughput"}
+
+
 def test_pool_side_is_chosen_in_one_place():
     """`vrp._SMALL_POOL` is read in `_Pool.__init__` alone, which picks a
     pool's side from its candidate count, and the list side's functions

@@ -59,13 +59,17 @@ def request_for(instance, weights, **kw):
     return SolverRequest(
         tasks=instance.tasks,
         vehicles=instance.vehicles,
-        travel=instance.travel,
-        budget=instance.budget,
         customers=instance.customers,
         weights=np.asarray(weights, dtype=float),
-        round_start=instance.round_start,
+        table=RoundTable(instance),
         **kw,
     )
+
+
+def rows_of(heur, tasks):
+    """The tasks' rows in the heuristic's round table: a path as a
+    `_Route` holds it."""
+    return [heur.row[t.task_id] for t in tasks]
 
 
 class TestExact:
@@ -652,8 +656,7 @@ def travel_tables(draw):
         seconds = np.array(cells).reshape(k, k)
         np.fill_diagonal(seconds, 0.0)
         travel = TravelModel.matrix([f"{x!r};{y!r}" for x, y in distinct], seconds)
-    req = SolverRequest(tasks=tasks, vehicles=vehicles, travel=travel, budget=600.0,
-                        customers=("c1",), weights=np.ones(1))
+    req = request_for(Instance(tasks, vehicles, travel, 600.0), np.ones(1))
     order = draw(st.permutations(list(tasks)))
     cut_a = draw(st.integers(min_value=0, max_value=n))
     cut_b = draw(st.integers(min_value=cut_a, max_value=n))
@@ -665,23 +668,23 @@ class TestTravelTable:
     @settings(max_examples=150, deadline=None)
     def test_table_cost_is_sequence_cost(self, case):
         heur, seq_a, seq_b, rest = case
-        travel = heur.req.travel
+        travel = heur.table.travel
         for vehicle, tasks in zip(heur.req.vehicles, (seq_a, seq_b + rest)):
-            state = heur._state(vehicle, tasks)
+            state = heur._state(vehicle, rows_of(heur, tasks))
             assert state.cost == sequence_cost(tasks, vehicle, travel)
 
     @given(case=travel_tables())
     @settings(max_examples=150, deadline=None)
     def test_screened_deltas_match_exact_costs(self, case):
         heur, seq_a, seq_b, rest = case
-        a = heur._state(heur.req.vehicles[0], seq_a)
-        b = heur._state(heur.req.vehicles[1], seq_b)
+        a = heur._state(heur.req.vehicles[0], rows_of(heur, seq_a))
+        b = heur._state(heur.req.vehicles[1], rows_of(heur, seq_b))
         tol = 1e-9
         assert tol < _GUARD / 100
 
         def cost(state, seq):
             tasks = [heur.req.tasks[r] for r in seq]
-            return sequence_cost(tasks, state.vehicle, heur.req.travel)
+            return sequence_cost(tasks, state.vehicle, heur.table.travel)
 
         for i, row in enumerate(heur._reversal_deltas(a)):
             for j, est in enumerate(row, start=i + 2):
@@ -776,9 +779,10 @@ def insertion_pools(draw):
     committed = {t.task_id: draw(st.sampled_from(["a", "b"]))
                  for t in tasks if draw(st.integers(0, 3)) == 0}
     weights = np.array([draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(3)])
-    req = SolverRequest(tasks=tasks, vehicles=vehicles, travel=travel,
-                        budget=draw(st.floats(min_value=1, max_value=3000)),
-                        customers=("c1", "c2", "c3"), weights=weights,
+    budget = draw(st.floats(min_value=1, max_value=3000))
+    req = SolverRequest(tasks=tasks, vehicles=vehicles, customers=("c1", "c2", "c3"),
+                        weights=weights,
+                        table=RoundTable(Instance(tasks, vehicles, travel, budget)),
                         committed=committed or None)
     order = draw(st.permutations(list(tasks)))
     cut = draw(st.integers(min_value=0, max_value=n - 1))
@@ -824,7 +828,7 @@ def test_pool_sides_give_the_same_bits(case):
     the same offers, for any slack and with or without the pins; so do
     `_plain_offers` over each, each from its own screen memo."""
     heur, seq, tasks, dead, slack = case
-    state = heur._state(heur.req.vehicles[0], seq)
+    state = heur._state(heur.req.vehicles[0], rows_of(heur, seq))
     lists, arrays = both_pools(heur, tasks, dead)
     if isinstance(slack, int):
         slack = slack_at(float(arrays.screen(state, math.inf)[0][slack]))
@@ -861,9 +865,8 @@ def _golden_asymmetric_matrix():
                build_path(vehicles[1], [tasks[12], tasks[5]], travel)),
         round_duration=420.0,
     )
-    return SolverRequest(
-        tasks=tasks, vehicles=vehicles, travel=travel, budget=420.0,
-        customers=("c1", "c2", "c3"), weights=np.array([1.0, 0.6, 1.7]),
+    return request_for(
+        Instance(tasks, vehicles, travel, 420.0), np.array([1.0, 0.6, 1.7]),
         committed={"m04": "v2"}, warm_starts=(warm,),
         config=SolverConfig(time_limit_s=0.3, seed=3),
     )
@@ -884,9 +887,8 @@ def _golden_deadlines_two_speeds():
         Vehicle("slow", (-200.0, 300.0), speed=8.0),
         Vehicle("late", (0.0, 0.0), speed=8.0, ready_offset=60.0),
     )
-    return SolverRequest(
-        tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID, budget=600.0,
-        customers=("c1", "c2"), weights=np.array([0.4, 1.0]),
+    return request_for(
+        Instance(tasks, vehicles, EUCLID, 600.0), np.array([0.4, 1.0]),
         config=SolverConfig(time_limit_s=0.4, seed=9),
     )
 
@@ -909,9 +911,8 @@ def _golden_pairs_capacity_two():
         Vehicle("r0", (0.0, 0.0), capacity=2, return_home=True),
         Vehicle("r1", (300.0, -300.0), capacity=2),
     )
-    return SolverRequest(
-        tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID, budget=900.0,
-        customers=("c1", "c2"), weights=np.array([1.0, 1.0]),
+    return request_for(
+        Instance(tasks, vehicles, EUCLID, 900.0), np.array([1.0, 1.0]),
         config=SolverConfig(time_limit_s=0.3, seed=1),
         ride_counts_as=2,
     )
@@ -930,9 +931,8 @@ def _golden_shared_best_deadline_drops():
         tasks.append(Task(f"g{i:02d}", f"c{i % 3 + 1}", (x, y), 10.0, deadline=deadline))
     vehicles = tuple(Vehicle(f"u{j}", (0.0, 0.0), speed=10.0) for j in range(4)) + (
         Vehicle("w", (500.0, 500.0), speed=12.0, return_home=True),)
-    return SolverRequest(
-        tasks=tuple(tasks), vehicles=vehicles, travel=EUCLID, budget=500.0,
-        customers=("c1", "c2", "c3"), weights=np.array([1.0, 0.5, 2.0]),
+    return request_for(
+        Instance(tasks, vehicles, EUCLID, 500.0), np.array([1.0, 0.5, 2.0]),
         config=SolverConfig(time_limit_s=0.2, seed=5),
     )
 
@@ -976,7 +976,7 @@ def test_heuristic_golden_schedules(build, expected):
     sched = heuristic_vrp(req)
     assert {p.vehicle_id: p.task_ids for p in sched.paths} == expected
     for v, p in zip(req.vehicles, sched.paths):
-        assert path_violation(p.tasks, v, req.travel, req.budget) is None
+        assert path_violation(p.tasks, v, req.table.travel, req.table.budget) is None
 
 
 def test_golden_shared_best_exercises_verify_drops(monkeypatch):
@@ -996,12 +996,20 @@ def test_golden_shared_best_exercises_verify_drops(monkeypatch):
     assert dropped
 
 
+def fresh_table(req, table):
+    """A new table over the request's own tasks and vehicles, on the
+    travel model, budget and round start of `table`."""
+    return RoundTable(Instance(req.tasks, req.vehicles, table.travel, table.budget,
+                               table.round_start))
+
+
 @st.composite
 def round_tables(draw):
     """A round of tasks and vehicles with its table, and one request over
-    a subset of them: a dedicated-style sub-solve when the subset is
-    proper, with drawn commitments, two speeds and Euclidean or matrix travel.
-    With `moved`, the table was built for one task at another point."""
+    a subset of them on a table of its own: a dedicated-style sub-solve
+    when the subset is proper, with drawn commitments, two speeds and
+    Euclidean or matrix travel.  With `moved`, the round's table was
+    built for one of the request's tasks at another point."""
     coord = st.floats(min_value=-1500, max_value=1500, allow_nan=False)
     n = draw(st.integers(min_value=1, max_value=9))
     points = [(draw(coord), draw(coord)) for _ in range(n + 4)]
@@ -1041,9 +1049,10 @@ def round_tables(draw):
         for t in sub_tasks if draw(st.integers(min_value=0, max_value=3)) == 0
     }
     req = SolverRequest(
-        tasks=sub_tasks, vehicles=sub_vehicles, travel=travel, budget=600.0,
+        tasks=sub_tasks, vehicles=sub_vehicles,
         customers=("c1", "c2"),
         weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
+        table=RoundTable(Instance(sub_tasks, sub_vehicles, travel, 600.0)),
         committed=committed or None,
         config=SolverConfig(time_limit_s=0.05, seed=draw(st.integers(0, 9))),
     )
@@ -1052,12 +1061,11 @@ def round_tables(draw):
 
 @st.composite
 def shared_rounds(draw):
-    """A round's tasks, vehicles, travel, budget and round start, and a
-    few requests over them in the order a round would solve them.  The
-    requests differ in commitments, weights and seed, and some cover a
-    subset of the tasks; each later request carries the earlier results
-    as warm starts, as `RoundSolver` does.  The tasks hold pairs and, in half the
-    rounds, deadlines; the vehicles hold capacity 1 or 2; travel is
+    """A round's table, and a few requests on it in the order a round
+    would solve them.  The requests differ in commitments, weights and
+    seed, and some cover a subset of the tasks; each later request
+    carries the earlier results as warm starts, as `RoundSolver` does.
+    The tasks hold pairs and, in half the rounds, deadlines; the vehicles hold capacity 1 or 2; travel is
     Euclidean or an asymmetric matrix."""
     coord = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
     service = st.floats(min_value=0, max_value=30)
@@ -1097,6 +1105,7 @@ def shared_rounds(draw):
         travel = TravelModel.matrix([f"{x!r};{y!r}" for x, y in distinct], seconds)
     budget = draw(st.sampled_from([200.0, 400.0, 600.0]))
     round_start = draw(st.sampled_from([0.0, 150.0, 300.0]))
+    table = RoundTable(Instance(tasks, vehicles, travel, budget, round_start))
     requests = []
     for _ in range(draw(st.integers(min_value=3, max_value=6))):
         sub = tuple(tasks)
@@ -1109,15 +1118,14 @@ def shared_rounds(draw):
                 for t in sub if draw(st.integers(min_value=0, max_value=2)) == 0
             }
         requests.append(SolverRequest(
-            tasks=sub, vehicles=vehicles, travel=travel,
-            budget=budget,
+            tasks=sub, vehicles=vehicles,
             customers=("c1", "c2"),
             weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
-            round_start=round_start,
+            table=table,
             committed=committed or None,
             config=SolverConfig(time_limit_s=0.05, seed=draw(st.integers(0, 9))),
         ))
-    return RoundTable(Instance(tasks, vehicles, travel, budget, round_start)), requests
+    return table, requests
 
 
 class TestRoundTable:
@@ -1131,38 +1139,26 @@ class TestRoundTable:
         done = []
         for req in requests:
             req = replace(req, warm_starts=tuple(done))
-            shared = heuristic_vrp(replace(req, table=table))
-            assert ids(shared) == ids(heuristic_vrp(req))
+            shared = heuristic_vrp(req)
+            assert ids(shared) == ids(heuristic_vrp(replace(req, table=fresh_table(req, table))))
             done.append(shared)
 
     @given(case=round_tables())
     @settings(max_examples=120, deadline=None)
     def test_round_table_gives_the_same_schedule(self, case):
+        """A request on the round's table solves as on a table of its
+        own; one naming a task the round's table holds elsewhere is
+        refused."""
         req, table, moved = case
+        assert table.covers(req) is not moved
+        if moved:
+            with pytest.raises(ValueError, match="must be its table's"):
+                replace(req, table=table)
+            return
         with_table = replace(req, table=table)
-        assert table.covers(with_table) is not moved
-        assert (_Heuristic(with_table).table is table) is not moved
+        assert _Heuristic(with_table).table is table
         ids = lambda s: {p.vehicle_id: p.task_ids for p in s.paths}
         assert ids(heuristic_vrp(with_table)) == ids(heuristic_vrp(req))
-
-    @given(case=shared_rounds(), budget=st.sampled_from([0.0, 100.0]),
-           start=st.sampled_from([0.0, 75.0]))
-    @settings(max_examples=60, deadline=None)
-    def test_other_budget_or_start_is_not_covered(self, case, budget, start):
-        """The table owns its round's budget and start: a request under
-        another budget or round start is not covered, and on the shared
-        table, after the round's solves filled its memos, it solves on a
-        table of its own, exactly as on a fresh one."""
-        table, requests = case
-        timed = lambda s: [(p.vehicle_id, p.task_ids, p.completions) for p in s.paths]
-        for req in requests:
-            heuristic_vrp(replace(req, table=table))
-        req = requests[-1]
-        assert table.covers(req)
-        other = replace(req, budget=req.budget + budget, round_start=req.round_start + start)
-        assert table.covers(other) is (budget == start == 0.0)
-        assert (_Heuristic(replace(other, table=table)).table is table) is table.covers(other)
-        assert timed(heuristic_vrp(replace(other, table=table))) == timed(heuristic_vrp(other))
 
     def test_round_solver_shares_one_table(self, monkeypatch):
         """Every heuristic solve of a round, the suite's included, reads
@@ -1191,7 +1187,8 @@ class ScanEveryMove(_Heuristic):
         """First-improvement segment reversal; cost-only (membership fixed)."""
         seq = state.seq
         m = len(seq)
-        if m < 3 or any(t.pair_id is not None for t in state.tasks):
+        task_at = self.table.task_at
+        if m < 3 or any(task_at[r].pair_id is not None for r in seq):
             return False
         idx = list(range(m - 1))
         self.rng.shuffle(idx)
@@ -1206,27 +1203,26 @@ class ScanEveryMove(_Heuristic):
                 trial_seq = seq[:i] + seq[i:j + 1][::-1] + seq[j + 1:]
                 cost = self._cost(state, trial_seq)
                 if cost < state.cost - 1e-9:
-                    tasks = state.tasks
-                    trial = tasks[:i] + tasks[i:j + 1][::-1] + tasks[j + 1:]
-                    if self._feasible(state.vehicle, trial):
-                        self._assign(state, trial, trial_seq, cost)
+                    if self._feasible(state.vehicle, trial_seq):
+                        self._assign(state, trial_seq, cost)
                         return True
         return False
 
     def _relocate_pass(self, states) -> bool:
         """Move one plain task to the cheapest position anywhere."""
+        task_at = self.table.task_at
         order = [
             (s_i, t_i)
             for s_i, s in enumerate(states)
-            for t_i, t in enumerate(s.tasks)
-            if t.pair_id is None
+            for t_i, r in enumerate(s.seq)
+            if task_at[r].pair_id is None
         ]
         self.rng.shuffle(order)
         committed = self.req.committed
         for s_i, t_i in order:
             src = states[s_i]
-            task = src.tasks[t_i]
             x = src.seq[t_i]
+            task = task_at[x]
             removed = src.seq[:t_i] + src.seq[t_i + 1:]
             removal = self._removal_delta(src, t_i)
             removed_cost: Optional[float] = None
@@ -1264,18 +1260,15 @@ class ScanEveryMove(_Heuristic):
                 if new_total < old_total - 1e-9:
                     if self.table.budget_slack[dst.vehicle.vehicle_id] < cost - 1e-9:
                         continue
-                    kept = src.tasks[:t_i] + src.tasks[t_i + 1:]
-                    host = kept if same else dst.tasks
-                    trial = host[:pos] + [task] + host[pos:]
-                    if not self._feasible(dst.vehicle, trial):
+                    if not self._feasible(dst.vehicle, trial_seq):
                         continue
                     # Without the triangle inequality, taking a task out
                     # can lengthen the path it leaves.
-                    if not (same or self._feasible(src.vehicle, kept)):
+                    if not (same or self._feasible(src.vehicle, removed)):
                         continue
                     if not same:
-                        self._assign(src, kept, removed, removed_cost)
-                    self._assign(dst, trial, trial_seq, cost)
+                        self._assign(src, removed, removed_cost)
+                    self._assign(dst, trial_seq, cost)
                     return True
         return False
 
@@ -1287,13 +1280,14 @@ class ScanEveryMove(_Heuristic):
                 pairs.append((a_i, b_i))
         self.rng.shuffle(pairs)
         committed = self.req.committed
+        task_at = self.table.task_at
         for a_i, b_i in pairs:
             a, b = states[a_i], states[b_i]
             deltas = self._swap_deltas(a, b)
-            for i, ta in enumerate(a.tasks):
+            for i, ta in enumerate(map(task_at.__getitem__, a.seq)):
                 if ta.pair_id is not None or not may_serve(committed, ta, b.vehicle):
                     continue
-                for j, tb in enumerate(b.tasks):
+                for j, tb in enumerate(map(task_at.__getitem__, b.seq)):
                     if tb.pair_id is not None or not may_serve(committed, tb, a.vehicle):
                         continue
                     self.evals -= 1
@@ -1310,12 +1304,10 @@ class ScanEveryMove(_Heuristic):
                             continue
                         if cb > self.table.budget_slack[b.vehicle.vehicle_id] + 1e-9:
                             continue
-                        ta_tasks = a.tasks[:i] + [tb] + a.tasks[i + 1:]
-                        tb_tasks = b.tasks[:j] + [ta] + b.tasks[j + 1:]
-                        if not (self._feasible(a.vehicle, ta_tasks) and self._feasible(b.vehicle, tb_tasks)):
+                        if not (self._feasible(a.vehicle, ta_seq) and self._feasible(b.vehicle, tb_seq)):
                             continue
-                        self._assign(a, ta_tasks, ta_seq, ca)
-                        self._assign(b, tb_tasks, tb_seq, cb)
+                        self._assign(a, ta_seq, ca)
+                        self._assign(b, tb_seq, cb)
                         return True
         return False
 
@@ -1365,8 +1357,11 @@ class TestVoidScans:
     @settings(max_examples=120, deadline=None)
     def test_sub_solves_keep_the_bits(self, case, effort):
         """A sub-solve with commitments, solved twice on the round's
-        table, the second seeded with the first."""
-        req, table, _ = case
+        table, the second seeded with the first; on its own table when
+        the round's table holds one of its tasks elsewhere."""
+        req, table, moved = case
+        if moved:
+            table = req.table
         ref_table = RoundTable(Instance(list(table.tasks.values()), list(table.vehicles.values()),
                                         table.travel, table.budget, table.round_start))
         first = _solve_both(req, table, ref_table, effort)
