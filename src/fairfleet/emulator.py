@@ -23,7 +23,6 @@ from .model import (
     TravelModel,
     Vehicle,
     empty_schedule,
-    step_of,
     task_count,
     travel_time,
 )
@@ -434,30 +433,17 @@ def baseline_round_robin(instance: Instance, committed: Optional[Mapping[str, st
             offered[t.customer_id][t.task_id] = t
     cycle: dict[str, int] = {v.vehicle_id: 0 for v in instance.vehicles}
 
-    def nearest_feasible(
-        walk: PathState, customer: str, unserved: dict[str, Task]
-    ) -> Optional[tuple]:
-        veh = walk.vehicle
-        best = None
-        for t in offered[customer].values():
-            # The first test spares the hot loop a call when nothing is committed.
-            if committed and not may_serve(committed, t, veh):
-                continue
-            d = travel_time(walk.loc, t.location, instance.travel, veh)
-            # A candidate that cannot displace `best` needs no check.
-            if best is not None and not d < best[0] - 1e-12:
-                continue
-            step = step_of(t, unserved)
-            if step is not None and walk.violation(step) is None:
-                best = (d, step)
-        return best
-
     def pick(walk: PathState, unserved: dict[str, Task]) -> Optional[tuple[Task, ...]]:
-        vid = walk.vehicle.vehicle_id
+        veh = walk.vehicle
+        vid = veh.vehicle_id
         k = len(customers)
         for off in range(k):
             c = customers[(cycle[vid] + off) % k]
-            found = nearest_feasible(walk, c, unserved)
+            candidates = offered[c].values()
+            # The test spares the hot loop a filter when nothing is committed.
+            if committed:
+                candidates = [t for t in candidates if may_serve(committed, t, veh)]
+            found = walk.nearest(candidates, unserved)
             if found is not None:
                 cycle[vid] = (cycle[vid] + off + 1) % k
                 _, step = found

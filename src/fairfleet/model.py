@@ -289,6 +289,11 @@ def step_of(task: Task, unserved: Mapping[str, Task]) -> Optional[tuple[Task, ..
 
 _NONE_OPEN: frozenset[str] = frozenset()
 
+def _reason(broken: tuple[str, tuple]) -> str:
+    """The reason a broken rule, as `PathState._walk` reports it, gives."""
+    rule, subject = broken
+    return rule.format(*subject)
+
 
 def path_violation(
     tasks: Sequence[Task],
@@ -312,13 +317,14 @@ class PathState:
     reached.  `onboard` names riders the vehicle carries from the start
     (see `riders_on_board`); their dropoffs need no pickup.
 
-    The rules live here alone.  `violation(tasks)` is the reason the
-    prefix plus `tasks` is no valid path, or None, and leaves the state
-    as it is; `advance(tasks)` appends accepted tasks; `step(task)`
-    returns the state one task further; `closes()` tells whether the
-    prefix is a valid path.  They cost O(len(tasks)), not O(len(prefix)),
-    and the clock adds the same floats in the same order as a walk from
-    the start.
+    The rules live here alone, in `_walk`.  `violation(tasks)` is the
+    reason the prefix plus `tasks` is no valid path, or None, and leaves
+    the state as it is; `advance(tasks)` appends accepted tasks;
+    `step(task)` returns the state one task further; `closes()` tells
+    whether the prefix is a valid path; `nearest(candidates, unserved)`
+    is the nearest candidate whose step keeps it valid.  They cost
+    O(len(tasks)), not O(len(prefix)), and the clock adds the same
+    floats in the same order as a walk from the start.
     """
 
     __slots__ = ("vehicle", "model", "budget", "round_start", "budget_end", "onboard",
@@ -345,16 +351,21 @@ class PathState:
         self.length = 0
 
     def _walk(
-        self, tasks: Sequence[Task], leg: Optional[float] = None
-    ) -> tuple[Optional[str], float, Point, frozenset[str]]:
+        self, tasks: Sequence[Task], leg: Optional[float] = None, whole: bool = False
+    ) -> tuple[Optional[tuple[str, tuple]], float, Point, frozenset[str]]:
         """The rules of each task after the prefix: it completes by the
         budget's end and its deadline, a pickup fits the vehicle's
         capacity, and a dropoff follows its pickup or a rider on board.
-        `leg`, if given, is the travel time to the first task.
+        `leg`, if given, is the travel time to the first task.  With
+        `whole`, also the rules of the whole path prefix + `tasks`: a
+        path with no task breaks none; any other must be back home by
+        the budget's end if the vehicle returns there, with every pair
+        closed.
 
-        Returns the first broken rule's reason (None when there is none)
-        and the clock, location and open pickups after the last task
-        walked.
+        Returns the first broken rule as a (rule, subject) pair, the
+        rule a reason with blanks that its subject fills (None when no
+        rule breaks), and the clock, location and open pickups after the
+        last task walked.
         """
         vehicle, model, budget_end = self.vehicle, self.model, self.budget_end
         clock, loc, open_pairs = self.clock, self.loc, self.open_pairs
@@ -363,60 +374,47 @@ class PathState:
             clock += t.service_time
             loc, leg = t.location, None
             if clock > budget_end:
-                return f"task {t.task_id} completes after the budget ends", clock, loc, open_pairs
+                broken = ("task {} completes after the budget ends", (t.task_id,))
+                return broken, clock, loc, open_pairs
             if t.deadline is not None and clock > t.deadline + TIME_TOL:
-                return f"task {t.task_id} completes after its deadline", clock, loc, open_pairs
+                broken = ("task {} completes after its deadline", (t.task_id,))
+                return broken, clock, loc, open_pairs
             if t.pickup_of is not None:
                 if len(open_pairs) >= vehicle.capacity:
-                    reason = f"pickup {t.task_id} exceeds capacity {vehicle.capacity}"
-                    return reason, clock, loc, open_pairs
+                    broken = ("pickup {} exceeds capacity {}", (t.task_id, vehicle.capacity))
+                    return broken, clock, loc, open_pairs
                 open_pairs = open_pairs | {t.task_id}
             elif t.dropoff_of is not None:
                 if t.dropoff_of not in open_pairs and t.dropoff_of not in self.onboard:
-                    return f"dropoff {t.task_id} precedes its pickup", clock, loc, open_pairs
+                    return ("dropoff {} precedes its pickup", (t.task_id,)), clock, loc, open_pairs
                 open_pairs = open_pairs - {t.dropoff_of}
+        if whole and (self.length or tasks):
+            if vehicle.return_home:
+                end = clock + travel_time(loc, vehicle.start_location, model, vehicle)
+                if end > budget_end:
+                    broken = ("path cost {:.3f}s exceeds budget {}s",
+                              (end - self.round_start, self.budget))
+                    return broken, clock, loc, open_pairs
+            if open_pairs:
+                broken = ("pickup {} is never dropped off", (min(open_pairs),))
+                return broken, clock, loc, open_pairs
         return None, clock, loc, open_pairs
-
-    def _end(
-        self, clock: float, loc: Point, open_pairs: frozenset[str], served: int
-    ) -> Optional[str]:
-        """The rules of a whole path of `served` tasks whose last one
-        ends at `clock` and `loc` with `open_pairs` open.  A path with no
-        task breaks none; any other must be back home by the budget's end
-        if the vehicle returns there, with every pair closed."""
-        if not served:
-            return None
-        if self.vehicle.return_home:
-            end = clock + travel_time(loc, self.vehicle.start_location, self.model, self.vehicle)
-            if end > self.budget_end:
-                return f"path cost {end - self.round_start:.3f}s exceeds budget {self.budget}s"
-        if open_pairs:
-            return f"pickup {min(open_pairs)} is never dropped off"
-        return None
-
-    def _path(self, tasks: Sequence[Task]) -> tuple[Optional[str], float, Point, frozenset[str]]:
-        """`_walk`, then the rules of the whole path prefix + `tasks`."""
-        reason, clock, loc, open_pairs = self._walk(tasks)
-        if reason is None:
-            reason = self._end(clock, loc, open_pairs, self.length + len(tasks))
-        return reason, clock, loc, open_pairs
 
     def violation(self, tasks: Sequence[Task]) -> Optional[str]:
         """None when prefix + `tasks` is a valid path, else a reason."""
-        return self._path(tasks)[0]
+        broken = self._walk(tasks, whole=True)[0]
+        return None if broken is None else _reason(broken)
 
     def closes(self) -> bool:
         """Whether the prefix is a valid path: `violation(()) is None`."""
-        return not self.open_pairs and self._end(
-            self.clock, self.loc, self.open_pairs, self.length
-        ) is None
+        return self._walk((), whole=True)[0] is None
 
     def advance(self, tasks: Sequence[Task]) -> None:
         """Append `tasks`, which must keep the path valid."""
-        reason, self.clock, self.loc, self.open_pairs = self._path(tasks)
+        broken, self.clock, self.loc, self.open_pairs = self._walk(tasks, whole=True)
         self.length += len(tasks)
-        if reason is not None:
-            raise ValueError(f"advanced past a broken rule: {reason}")
+        if broken is not None:
+            raise ValueError(f"advanced past a broken rule: {_reason(broken)}")
 
     def step(self, task: Task, leg: Optional[float] = None) -> Optional["PathState"]:
         """The state after `task`, reached by a leg of `leg` seconds (by
@@ -424,8 +422,8 @@ class PathState:
         rule of its own.  The return leg is not checked here: under a
         matrix model a later task can make it shorter.  The state itself
         is left as it is."""
-        reason, clock, loc, open_pairs = self._walk((task,), leg)
-        if reason is not None:
+        broken, clock, loc, open_pairs = self._walk((task,), leg)
+        if broken is not None:
             return None
         child = PathState.__new__(PathState)
         child.vehicle, child.model, child.budget = self.vehicle, self.model, self.budget
@@ -433,6 +431,33 @@ class PathState:
         child.onboard, child.clock, child.loc = self.onboard, clock, loc
         child.open_pairs, child.length = open_pairs, self.length + 1
         return child
+
+    def nearest(
+        self, candidates: Iterable[Task], unserved: Mapping[str, Task]
+    ) -> Optional[tuple[float, tuple[Task, ...]]]:
+        """The nearest of `candidates` whose `step_of` keeps the path
+        valid, as (leg, step), or None when no step does.  A later
+        candidate displaces the best only by a leg more than 1e-12 s
+        shorter, and one that cannot is not checked.  Each leg is
+        computed once and checks its own step."""
+        vehicle, model, loc = self.vehicle, self.model, self.loc
+        # `travel_time`'s euclidean expression, inline: a call per
+        # candidate would be most of a round-robin scan's cost.
+        (x, y), speed = loc, vehicle.speed
+        euclidean = model.variant == "euclidean"
+        best = None
+        for t in candidates:
+            if euclidean:
+                tx, ty = t.location
+                leg = math.hypot(tx - x, ty - y) / speed
+            else:
+                leg = travel_time(loc, t.location, model, vehicle)
+            if best is not None and not leg < bound:
+                continue
+            step = step_of(t, unserved)
+            if step is not None and self._walk(step, leg, True)[0] is None:
+                best, bound = (leg, step), leg - 1e-12
+        return best
 
 
 @dataclass(frozen=True)

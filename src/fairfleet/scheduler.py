@@ -96,6 +96,9 @@ class RoundConfig:
     expiry_s: float = 600.0
 
     def __post_init__(self) -> None:
+        # Written so that NaN fails it too.
+        if not self.round_s > 0:
+            raise ValueError("round_s must be > 0")
         if self.replan_s is None:
             self.replan_s = self.round_s
         if not (0 < self.replan_s <= self.round_s):
@@ -106,6 +109,8 @@ class RoundConfig:
             raise ValueError("return_home_every_s must be > 0")
         if self.expiry_s <= 0:
             raise ValueError("expiry_s must be > 0")
+        if self.prune_after_rounds < 0:
+            raise ValueError("prune_after_rounds must be >= 0")
         if self.discount is not None and not (0 < self.discount <= 1):
             raise ValueError("discount must lie in (0, 1]")
         if self.ride_counts_as not in (1, 2):

@@ -309,10 +309,15 @@ class TestConfigHandling:
             rc = main([command, "--config", str(cfg), "--set", "ride_counts_as=3"])
             assert rc != 0
             assert "ride_counts_as must be 1 or 2" in capsys.readouterr().err
-            for key in ("return_home_every_s", "expiry_s"):
-                rc = main([command, "--config", str(cfg), "--set", f"{key}=0"])
+            for key, value, rule in (("return_home_every_s", "0", "> 0"),
+                                     ("expiry_s", "0", "> 0"),
+                                     ("round_s", "0", "> 0"),
+                                     ("round_s", "-5", "> 0"),
+                                     ("round_s", "nan", "> 0"),
+                                     ("prune_after_rounds", "-3", ">= 0")):
+                rc = main([command, "--config", str(cfg), "--set", f"{key}={value}"])
                 assert rc != 0
-                assert f"{key} must be > 0" in capsys.readouterr().err
+                assert f"{key} must be {rule}" in capsys.readouterr().err
             for value in ("1", "2"):
                 out = tmp_path / command / value
                 rc = main([command, "--config", str(cfg), "--out", str(out),

@@ -82,13 +82,22 @@ def attribute_reads(path):
 
 def test_path_rules_live_in_model_alone():
     """Capacity is read by `model` alone, and the oracle reads no
-    deadline: both searches take their rules from `model.PathState`."""
+    deadline: both searches take their rules from `model.PathState`.
+    Inside `PathState`, `_walk` alone reads what the rules check."""
     package = Path(fairfleet.__file__).resolve().parent
     modules = sorted(package.glob("*.py"))
     assert {m.name for m in modules} >= {"model.py", "oracle.py", "vrp.py"}
     readers = [m.name for m in modules if "capacity" in attribute_reads(m)]
     assert readers == ["model.py"]
     assert "deadline" not in attribute_reads(package / "oracle.py")
+    tree = ast.parse((package / "model.py").read_text(encoding="utf-8"))
+    state = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "PathState")
+    rules = {"deadline", "capacity", "service_time", "return_home"}
+    readers = [method.name for method in state.body if isinstance(method, ast.FunctionDef)
+               and rules & {node.attr for node in ast.walk(method)
+                            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}]
+    assert readers == ["_walk"]
 
 
 def test_only_model_turns_points_into_seconds():

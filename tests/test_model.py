@@ -207,14 +207,22 @@ class TestPathViolation:
 
 
 def _walk_case(seed, travel_kind, return_home, ready_offset, capacity, round_start,
-               lone_pickup=False):
+               lone_pickup=False, lattice=False):
     """A shuffled mix of plain tasks and pickup/dropoff pairs, some with
     deadlines, and a vehicle and budget that some prefixes break.  With
-    `lone_pickup`, one more pickup whose dropoff is not in the mix."""
+    `lone_pickup`, one more pickup whose dropoff is not in the mix; with
+    `lattice`, the points shrunk threefold onto a 100 m lattice and half
+    of them moved on by one ulp in x, so that legs tie or come within
+    1e-12 s of each other."""
     rng = np.random.default_rng(seed)
     n_plain, n_pairs = int(rng.integers(1, 5)), int(rng.integers(0, 4))
     n_points = n_plain + 2 * n_pairs + 2
-    pts = [(float(x), float(y)) for x, y in np.round(rng.uniform(-600, 600, (n_points, 2)), 1)]
+    xy = np.round(rng.uniform(-600, 600, (n_points, 2)), 1)
+    if lattice:
+        xy = np.round(xy / 300.0) * 100.0
+        nudge = rng.random(n_points) < 0.5
+        xy[nudge, 0] = np.nextafter(xy[nudge, 0], np.inf)
+    pts = [(float(x), float(y)) for x, y in xy]
     speed = 13.0
     if travel_kind == "matrix":
         arr = np.array(pts)
@@ -332,6 +340,52 @@ class TestPathState:
                     assert got == path_violation(seq[:end], vehicle, travel, budget,
                                                  round_start)
                     assert _snapshot(state) == before
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        travel_kind=st.sampled_from(["fast", "slow", "matrix"]),
+        return_home=st.booleans(),
+        ready_offset=st.sampled_from([0.0, 37.5, 800.0]),
+        capacity=st.integers(min_value=1, max_value=3),
+        round_start=st.sampled_from([0.0, 600.0]),
+        lone_pickup=st.booleans(),
+        lattice=st.booleans(),
+        cut=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_matches_the_scan(self, seed, travel_kind, return_home, ready_offset,
+                                      capacity, round_start, lone_pickup, lattice, cut):
+        seq, vehicle, travel, budget = _walk_case(seed, travel_kind, return_home,
+                                                  ready_offset, capacity, round_start,
+                                                  lone_pickup, lattice)
+        valid = [k for k in range(len(seq) + 1)
+                 if path_violation(seq[:k], vehicle, travel, budget, round_start) is None]
+        cut = valid[cut % len(valid)]
+        state = PathState(vehicle, travel, budget, round_start)
+        state.advance(seq[:cut])
+        unserved = {t.task_id: t for t in sorted(seq[cut:], key=lambda t: t.task_id)}
+        offered = [t for t in unserved.values() if t.dropoff_of is None]
+
+        def scan():
+            # The round-robin scan `nearest` replaces, leg by leg.
+            best = None
+            for t in offered:
+                d = travel_time(state.loc, t.location, travel, vehicle)
+                if best is not None and not d < best[0] - 1e-12:
+                    continue
+                step = step_of(t, unserved)
+                if step is not None and state.violation(step) is None:
+                    best = (d, step)
+            return best
+
+        before = _snapshot(state)
+        got = state.nearest(offered, unserved)
+        assert got == scan()
+        assert _snapshot(state) == before
+        if got is not None:
+            leg, step = got
+            assert leg.hex() == travel_time(state.loc, step[0].location, travel,
+                                            vehicle).hex()
 
     def test_clock_matches_build_path(self):
         v = mk_vehicle(speed=7.0, ready_offset=3.25)
