@@ -23,6 +23,7 @@ from .model import (
     TravelModel,
     Vehicle,
     empty_schedule,
+    path_times,
     task_count,
     travel_time,
 )
@@ -245,19 +246,22 @@ def _commit(
     now: float,
     locked: dict[str, _Leg],
     travel: TravelModel,
-    home_flags: dict[str, bool],
+    snapshot: Sequence[Vehicle],
 ) -> None:
-    """Replace future plans with `schedule`; legs in service stay.  A
-    vehicle whose flag in `home_flags` is set drives home after its last
-    task; one left with no task keeps a drive home already under way."""
+    """Replace future plans with `schedule`, timed from `now` on the
+    snapshot vehicle each path was planned for; legs in service stay.  A
+    vehicle whose snapshot has `return_home` set drives home after its
+    last task; one left with no task keeps a drive home already under
+    way."""
     paths = {p.vehicle_id: p for p in schedule.paths}
+    planned = {v.vehicle_id: v for v in snapshot}
     for vid, vs in sim.vehicles.items():
         vs.position = vs.position_at(now)
         legs = [locked[vid]] if vid in locked else []
         path = paths.get(vid)
         if path is not None:
             origin = legs[-1].dest if legs else vs.position
-            for task, *times in zip(path.tasks, path.departures, path.arrivals, path.completions):
+            for task, times in zip(path.tasks, path_times(planned[vid], path.tasks, travel, now)):
                 legs.append(_Leg(origin, task.location, *times, task))
                 origin = task.location
                 ts = sim.tasks[task.task_id]
@@ -266,7 +270,7 @@ def _commit(
         if not legs:
             legs = [leg for leg in vs.legs
                     if leg.task is None and leg.depart <= now + 1e-9 < leg.arrive]
-        elif home_flags.get(vid, False):
+        elif planned[vid].return_home:
             last, home = legs[-1], vs.vehicle.start_location
             arrive = last.complete + travel_time(last.dest, home, travel, vs.vehicle)
             legs.append(_Leg(last.dest, home, last.complete, arrive, arrive))
@@ -536,8 +540,7 @@ def run_trace(
                 schedule = baseline_round_robin(instance, live_committed)
         scheduled = schedule.task_ids()
         _cancel(sim, [tid for tid in sorted(live_committed) if tid not in scheduled], now)
-        home_flags = {v.vehicle_id: v.return_home for v in snapshot}
-        _commit(sim, schedule, now, locked, travel, home_flags)
+        _commit(sim, schedule, now, locked, travel, snapshot)
         event["scheduled"] = schedule.total_tasks()
         event["cancelled"] = len(sim.cancellations) - cancelled_before
         events.append(event)

@@ -196,24 +196,12 @@ def travel_time(a: Point, b: Point, model: TravelModel, vehicle: Vehicle) -> flo
 
 @dataclass(frozen=True)
 class Path:
-    """One vehicle's ordered task list with per-task timings.
-
-    Timestamps are absolute seconds: each arrival is the previous
-    completion plus leg travel, and each completion is arrival plus
-    service time.  `departures[i]` is when the vehicle leaves the previous
-    location toward task i.
-    """
+    """One vehicle's planned visit order.  A path carries no timings:
+    `path_times` gives them for the vehicle and round start it is
+    served from."""
 
     vehicle_id: str
     tasks: tuple[Task, ...]
-    departures: tuple[float, ...]
-    arrivals: tuple[float, ...]
-    completions: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.tasks)
-        if not (len(self.departures) == len(self.arrivals) == len(self.completions) == n):
-            raise ValueError("path timing arrays must match task count")
 
     @property
     def task_ids(self) -> tuple[str, ...]:
@@ -223,30 +211,25 @@ class Path:
         return len(self.tasks)
 
 
-def build_path(
+def path_times(
     vehicle: Vehicle,
     tasks: Sequence[Task],
     model: TravelModel,
     round_start: float = 0.0,
-) -> Path:
-    """Timed path for serving `tasks` in order from the vehicle's start."""
-    departures, arrivals, completions = [], [], []
+) -> list[tuple[float, float, float]]:
+    """(departure, arrival, completion) in absolute seconds for serving
+    `tasks` in order from the vehicle's start: each arrival is the
+    previous completion plus leg travel, each completion the arrival
+    plus service time."""
+    times = []
     clock = round_start + vehicle.ready_offset
     loc = vehicle.start_location
     for t in tasks:
-        departures.append(clock)
-        clock += travel_time(loc, t.location, model, vehicle)
-        arrivals.append(clock)
-        clock += t.service_time
-        completions.append(clock)
-        loc = t.location
-    return Path(
-        vehicle_id=vehicle.vehicle_id,
-        tasks=tuple(tasks),
-        departures=tuple(departures),
-        arrivals=tuple(arrivals),
-        completions=tuple(completions),
-    )
+        arrive = clock + travel_time(loc, t.location, model, vehicle)
+        done = arrive + t.service_time
+        times.append((clock, arrive, done))
+        clock, loc = done, t.location
+    return times
 
 
 def sequence_cost(
@@ -488,10 +471,7 @@ class Schedule:
 
 
 def empty_schedule(vehicles: Sequence[Vehicle], round_duration: float) -> Schedule:
-    paths = tuple(
-        Path(v.vehicle_id, (), (), (), ()) for v in vehicles
-    )
-    return Schedule(paths=paths, round_duration=round_duration)
+    return Schedule(tuple(Path(v.vehicle_id, ()) for v in vehicles), round_duration)
 
 
 def validate_pairs(tasks: Iterable[Task]) -> None:

@@ -17,12 +17,12 @@ import numpy as np
 
 from .model import (
     Instance,
+    Path,
     PathState,
     Schedule,
     Task,
     Vehicle,
     allocation_of,
-    build_path,
     riders_on_board,
 )
 
@@ -93,7 +93,7 @@ def enumerate_feasible_allocations(instance: Instance, ride_counts_as: int = 1) 
 
     def record(orders: Sequence[tuple[int, ...]]) -> None:
         paths = tuple(
-            build_path(v, [tasks[i] for i in order], instance.travel, instance.round_start)
+            Path(v.vehicle_id, tuple(tasks[i] for i in order))
             for v, order in zip(vehicles, orders)
         )
         schedule = Schedule(paths=paths, round_duration=instance.budget)

@@ -96,18 +96,18 @@ class RoundConfig:
     expiry_s: float = 600.0
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails it too.
+        # Each range check is written so that NaN fails it too.
         if not self.round_s > 0:
             raise ValueError("round_s must be > 0")
         if self.replan_s is None:
             self.replan_s = self.round_s
         if not (0 < self.replan_s <= self.round_s):
             raise ValueError("need 0 < replan_s <= round_s")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
-        if self.return_home_every_s is not None and self.return_home_every_s <= 0:
+        if self.return_home_every_s is not None and not self.return_home_every_s > 0:
             raise ValueError("return_home_every_s must be > 0")
-        if self.expiry_s <= 0:
+        if not self.expiry_s > 0:
             raise ValueError("expiry_s must be > 0")
         if self.prune_after_rounds < 0:
             raise ValueError("prune_after_rounds must be >= 0")

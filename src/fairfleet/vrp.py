@@ -35,7 +35,9 @@ throughput allocation.  Three entry points:
 A `SolverRequest` holds each solve setting once: its round's
 `RoundTable`, which owns the travel model, budget and round start, its
 commitments, whose two rules only this module reads (`_task_weight`,
-`may_serve`), and its `SolverConfig`.
+`may_serve`), and its `SolverConfig`.  Every solver returns untimed
+paths (`model.Path`, a task order); the emulator times the one plan it
+commits.
 
 Ties on the weighted objective are broken toward larger unweighted total
 throughput.  All solvers are deterministic for a fixed (instance, weights,
@@ -56,13 +58,13 @@ from .boundary import TOL_FACE
 from .fairness import alpha_fair_utility, is_leximin
 from .model import (
     Instance,
+    Path,
     PathState,
     Schedule,
     Task,
     TravelModel,
     Vehicle,
     allocation_of,
-    build_path,
     empty_schedule,
     path_violation,
     riders_on_board,
@@ -101,6 +103,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("exact", "heuristic", "auto"):
             raise ValueError(f"unknown solver backend {self.backend!r}")
+        if not self.time_limit_s > 0:
+            raise ValueError("time_limit_s must be > 0")
 
     def picks_exact(self, n_tasks: int, n_vehicles: int) -> bool:
         """The backend rule: `exact`, or `auto` within the exact cutoff."""
@@ -316,12 +320,11 @@ def exact_vrp(req: SolverRequest) -> Schedule:
     if best["paths"] is None:
         return empty_schedule(req.vehicles, table.budget)
 
-    built = []
-    for v, idxs in zip(vehicles, best["paths"]):
-        built.append(
-            build_path(v, [tasks[i] for i in idxs], table.travel, table.round_start)
-        )
-    return Schedule(paths=tuple(built), round_duration=table.budget)
+    built = tuple(
+        Path(v.vehicle_id, tuple(tasks[i] for i in idxs))
+        for v, idxs in zip(vehicles, best["paths"])
+    )
+    return Schedule(paths=built, round_duration=table.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +354,14 @@ class RoundTable:
     budget and round start, which every request it carries solves under;
     `budget_slack` holds each vehicle's budget less its ready offset.
     Rows 0..n-1 are the tasks, `task_at[row]` the task of a row, then one
-    row per vehicle start.  A heuristic path is a list of rows.
+    row per vehicle start.  A heuristic path is a list of rows, and the
+    schedule a solve returns holds their tasks in order, untimed.
     `seconds` holds one row per point, each entry `travel_time` of its
     two points, filled once per distinct vehicle speed (the matrix model
     ignores speed).  `screen` holds the same values as one array per
     speed for the vectorized insertion screen of a large pool, so either
-    side of the screen reads the legs every exact cost, `path_violation`
-    and `build_path` read.
+    side of the screen reads the legs every exact cost and
+    `path_violation` read.
 
     The memos below serve every heuristic solve of the round.  One rule
     keys them all: a key names what an outcome reads that varies inside
@@ -900,8 +904,7 @@ class _Heuristic:
     def _to_schedule(self, paths: dict[str, list[int]]) -> Schedule:
         table = self.table
         built = tuple(
-            build_path(v, [table.task_at[r] for r in paths[v.vehicle_id]],
-                       table.travel, table.round_start)
+            Path(v.vehicle_id, tuple(table.task_at[r] for r in paths[v.vehicle_id]))
             for v in self.req.vehicles
         )
         return Schedule(paths=built, round_duration=table.budget)
@@ -1311,10 +1314,7 @@ def construct(instance: Instance, pick: Pick) -> Schedule:
                 del unserved[t.task_id]
             still.append(vid)
         active = still
-    built = tuple(
-        build_path(v, paths[v.vehicle_id], instance.travel, instance.round_start)
-        for v in instance.vehicles
-    )
+    built = tuple(Path(v.vehicle_id, tuple(paths[v.vehicle_id])) for v in instance.vehicles)
     return Schedule(paths=built, round_duration=instance.budget)
 
 
@@ -1415,21 +1415,24 @@ def build_warm_start_suite(
     """Warm starts: the max-throughput insertion solve, then a dedicated
     vehicle partition when |V| >= |K|, both counting a ride as
     `ride_counts_as`.  Every solve reads `table`, the instance's round
-    table, built here if not given."""
+    table, built here if not given.  An instance with no customers has
+    no warm start."""
     customers = instance.customers
+    if not customers:
+        return []
     suite: list[Schedule] = []
     base = SolverRequest(
         tasks=instance.tasks,
         vehicles=instance.vehicles,
         customers=customers,
-        weights=np.ones(max(len(customers), 1)),
+        weights=np.ones(len(customers)),
         table=RoundTable(instance) if table is None else table,
         config=SolverConfig(time_limit_s=0.5, seed=seed),
         ride_counts_as=ride_counts_as,
     )
     suite.append(heuristic_vrp(base))
 
-    if len(instance.vehicles) >= len(customers) and customers:
+    if len(instance.vehicles) >= len(customers):
         groups = dedicated_partition(instance.vehicles, customers)
         paths = []
         for cust in customers:

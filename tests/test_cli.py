@@ -314,6 +314,9 @@ class TestConfigHandling:
                                      ("round_s", "0", "> 0"),
                                      ("round_s", "-5", "> 0"),
                                      ("round_s", "nan", "> 0"),
+                                     ("alpha", "nan", ">= 0"),
+                                     ("return_home_every_s", "nan", "> 0"),
+                                     ("expiry_s", "nan", "> 0"),
                                      ("prune_after_rounds", "-3", ">= 0")):
                 rc = main([command, "--config", str(cfg), "--set", f"{key}={value}"])
                 assert rc != 0
@@ -324,6 +327,17 @@ class TestConfigHandling:
                            "--set", f"ride_counts_as={value}",
                            "--set", "solver.backend=exact"])
                 assert rc == 0
+
+    def test_solver_time_limit_out_of_range(self, tmp_path, capsys):
+        """A NaN or negative effort budget stops `run` before the first
+        solve, under the heuristic backend that reads it."""
+        cfg = tiny_bundle(tmp_path)
+        for value in ("nan", "-3"):
+            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / value),
+                       "--set", "solver.backend=heuristic",
+                       "--set", f"solver.time_limit_s={value}"])
+            assert rc != 0
+            assert "time_limit_s must be > 0" in capsys.readouterr().err
 
     def test_duplicate_task_id_is_usage_error(self, tmp_path, capsys):
         """A trace that gives one task id to two customers stops `run`

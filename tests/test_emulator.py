@@ -33,7 +33,7 @@ from fairfleet.emulator import (
 )
 from fairfleet.fairness import jain_index
 from fairfleet.gen import Scenario, map_a_small
-from fairfleet.model import Instance, Schedule, build_path, path_violation, task_count
+from fairfleet.model import Instance, Path, Schedule, path_times, path_violation, task_count
 from fairfleet.scheduler import RoundConfig
 from fairfleet.vrp import SolverConfig
 
@@ -121,9 +121,9 @@ class TestStep:
         veh = mk_vehicle()
         sim = SimState(trace, [veh])
         step(sim, 0.0)
-        path = build_path(veh, [sim.tasks["t1"].task], EUCLID)
+        path = Path(veh.vehicle_id, (sim.tasks["t1"].task,))
         _commit(sim, Schedule(paths=(path,), round_duration=600.0), 0.0, {},
-                EUCLID, {"v0": False})
+                EUCLID, [veh])
         assert sim.tasks["t1"].status == COMMITTED
         step(sim, 105.0)  # arrive 100, complete 110: still in service
         assert sim.tasks["t1"].status == COMMITTED
@@ -139,9 +139,9 @@ class TestStep:
         veh = mk_vehicle()
         sim = SimState(trace, [veh])
         step(sim, 0.0)
-        path = build_path(veh, [sim.tasks["t1"].task], EUCLID)
+        path = Path(veh.vehicle_id, (sim.tasks["t1"].task,))
         _commit(sim, Schedule(paths=(path,), round_duration=600.0), 0.0, {},
-                EUCLID, {"v0": False})
+                EUCLID, [veh])
         stale = SimState(trace, [veh])
         step(stale, 650.0)
         assert stale.tasks["t1"].status == EXPIRED  # uncommitted twin expires
@@ -161,9 +161,9 @@ class TestHomeLeg:
         veh = mk_vehicle(return_home=go_home)
         sim = SimState(trace, [veh])
         step(sim, 0.0)
-        path = build_path(veh, [sim.tasks["t1"].task], EUCLID)
+        path = Path(veh.vehicle_id, (sim.tasks["t1"].task,))
         _commit(sim, Schedule(paths=(path,), round_duration=600.0), 0.0, {},
-                EUCLID, {"v0": go_home})
+                EUCLID, [veh])
         return sim
 
     def test_leg_planned_after_last_stop(self):
@@ -194,11 +194,23 @@ class TestHomeLeg:
         step(sim, 300.0)
         assert sim.vehicles["v0"].position == (1000.0, 0.0)
 
+    def test_snapshot_flag_decides_the_drive_home(self):
+        """The snapshot's `return_home`, which the cadence overrides,
+        decides the drive home, not the roster vehicle's."""
+        for roster, forced in ((False, True), (True, False)):
+            sim = SimState(one_task_trace(), [mk_vehicle(return_home=roster)])
+            step(sim, 0.0)
+            snapshot, _ = _snapshot_vehicles(sim, 0.0, forced)
+            path = Path("v0", (sim.tasks["t1"].task,))
+            _commit(sim, Schedule(paths=(path,), round_duration=600.0), 0.0, {},
+                    EUCLID, snapshot)
+            assert len(sim.vehicles["v0"].legs) == (2 if forced else 1)
+
     def test_inflight_leg_survives_empty_replan(self):
         sim = self.setup_sim()
         step(sim, 160.0)  # homebound
         _commit(sim, Schedule(paths=(), round_duration=600.0), 160.0, {},
-                EUCLID, {"v0": False})
+                EUCLID, [mk_vehicle()])
         assert [leg.task for leg in sim.vehicles["v0"].legs] == [None]
         step(sim, 210.0)
         assert sim.vehicles["v0"].position == (0.0, 0.0)
@@ -207,7 +219,7 @@ class TestHomeLeg:
         sim = self.setup_sim()
         step(sim, 160.0)  # homebound, at (500, 0)
         _commit(sim, Schedule(paths=(), round_duration=600.0), 160.0, {},
-                EUCLID, {"v0": False})
+                EUCLID, [mk_vehicle()])
         # Three quarters of the drive from (1000, 0), not a quarter of
         # the way on from the replan point.
         assert sim.vehicles["v0"].position_at(185.0) == pytest.approx((250.0, 0.0))
@@ -216,7 +228,7 @@ class TestHomeLeg:
         sim = self.setup_sim()
         step(sim, 50.0)  # still outbound; the old plan is abandoned
         _commit(sim, Schedule(paths=(), round_duration=600.0), 50.0, {},
-                EUCLID, {"v0": False})
+                EUCLID, [mk_vehicle()])
         assert sim.vehicles["v0"].legs == []
         assert sim.vehicles["v0"].position == pytest.approx((500.0, 0.0))
 
@@ -227,9 +239,9 @@ class TestSnapshot:
         veh = mk_vehicle()
         sim = SimState(trace, [veh])
         step(sim, 0.0)
-        path = build_path(veh, [sim.tasks["t1"].task], EUCLID)
+        path = Path(veh.vehicle_id, (sim.tasks["t1"].task,))
         _commit(sim, Schedule(paths=(path,), round_duration=600.0), 0.0, {},
-                EUCLID, {"v0": False})
+                EUCLID, [veh])
         step(sim, 15.0)
         return sim
 
@@ -266,7 +278,13 @@ class TestSnapshot:
                                   locked, vehicles)
         assert [t.task_id for t in inst.tasks] == ["t2"]  # locked one excluded
         sched = baseline_max_throughput(inst, EXACT)
-        _commit(sim, sched, 15.0, locked, EUCLID, {"v0": False})
+        _commit(sim, sched, 15.0, locked, EUCLID, vehicles)
+        # The plan is timed on the snapshot vehicle from the replan time:
+        # its first leg departs when the locked stop completes.
+        planned = sim.vehicles["v0"].legs[1:]
+        assert [(leg.depart, leg.arrive, leg.complete) for leg in planned] == path_times(
+            vehicles[0], sched.paths[0].tasks, EUCLID, 15.0)
+        assert planned[0].depart == 20.0
         step(sim, 600.0)
         assert sim.tasks["t1"].status == COMPLETED
         assert sim.tasks["t2"].status == COMPLETED
@@ -479,9 +497,9 @@ class TestCancel:
         sim = SimState(one_task_trace(x=100.0), [mk_vehicle()])
         step(sim, 0.0)
         veh = sim.vehicles["v0"].vehicle
-        path = build_path(veh, [sim.tasks["t1"].task], EUCLID)
+        path = Path(veh.vehicle_id, (sim.tasks["t1"].task,))
         _commit(sim, Schedule(paths=(path,), round_duration=600.0), 0.0, {},
-                EUCLID, {"v0": False})
+                EUCLID, [veh])
         _cancel(sim, ["t1", "missing"], 42.0)
         assert sim.tasks["t1"].status == EXPIRED
         assert sim.tasks["t1"].expired_at == 42.0

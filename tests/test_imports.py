@@ -262,3 +262,18 @@ def test_pool_side_is_chosen_in_one_place():
     for f in list_side:
         names = {node.id for node in ast.walk(f) if isinstance(node, ast.Name)}
         assert not names & {"np", "numpy"}, f.name
+
+
+def test_plans_are_timed_where_committed():
+    """A planned path is its task order: inside the package only
+    `emulator._commit` calls `path_times`, to time the one plan it
+    commits, so no solve times the paths it returns."""
+    callers = set()
+    for name, tree in package_modules().items():
+        owner = innermost_functions(tree)
+        callers |= {(name, owner[node]) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and (isinstance(node.func, ast.Name) and node.func.id == "path_times"
+                         or isinstance(node.func, ast.Attribute)
+                         and node.func.attr == "path_times")}
+    assert callers == {("emulator.py", "_commit")}

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 from conftest import EUCLID, mk_task, mk_vehicle
 from fairfleet.model import (
     Instance,
+    Path,
     PathState,
     Schedule,
     Task,
     TravelModel,
     Vehicle,
     allocation_of,
-    build_path,
     count_fulfilled,
     customers_of,
     empty_schedule,
+    path_times,
     path_violation,
     read_tasks_jsonl,
     read_travel_matrix_csv,
@@ -104,29 +105,19 @@ class TestTravel:
 
 
 class TestBuildPath:
+    """`path_times`, the one routine that times a planned path."""
+
     # Derived by hand: speed 10 m/s, legs 100 m then 40 m.
     def test_timings(self):
         v = mk_vehicle()
         t1 = mk_task("t1", "c1", 100, 0, service=10.0)
         t2 = mk_task("t2", "c1", 100, 40, service=5.0)
-        p = build_path(v, [t1, t2], EUCLID)
-        assert p.departures == (0.0, 20.0)
-        assert p.arrivals == (10.0, 24.0)
-        assert p.completions == (20.0, 29.0)
+        assert path_times(v, [t1, t2], EUCLID) == [(0.0, 10.0, 20.0), (20.0, 24.0, 29.0)]
 
     def test_round_start_and_ready_offset_shift_clock(self):
         v = mk_vehicle(ready_offset=7.0)
         t1 = mk_task("t1", "c1", 100, 0, service=10.0)
-        p = build_path(v, [t1], EUCLID, round_start=600.0)
-        assert p.departures == (607.0,)
-        assert p.arrivals == (617.0,)
-        assert p.completions == (627.0,)
-
-    def test_timing_array_length_check(self):
-        from fairfleet.model import Path
-
-        with pytest.raises(ValueError, match="timing"):
-            Path("v0", (mk_task("t", "c1", 0, 0),), (), (), ())
+        assert path_times(v, [t1], EUCLID, round_start=600.0) == [(607.0, 617.0, 627.0)]
 
 
 class TestCosts:
@@ -262,9 +253,9 @@ def _first_stop(seq, vehicle, travel, budget, round_start):
     """Index of the first task that misses its deadline, exceeds the
     capacity, precedes its pickup or completes past the budget's end;
     len(seq) if none does."""
-    completions = build_path(vehicle, seq, travel, round_start).completions
+    times = path_times(vehicle, seq, travel, round_start)
     open_pairs = set()
-    for k, (t, done) in enumerate(zip(seq, completions)):
+    for k, (t, (_, _, done)) in enumerate(zip(seq, times)):
         if done > round_start + budget + 1e-9:
             return k
         if t.deadline is not None and done > t.deadline + 1e-9:
@@ -315,8 +306,8 @@ class TestPathState:
                 assert child is None
                 break
             assert (child.length, child.loc) == (k + 1, seq[k].location)
-            assert child.clock == build_path(vehicle, seq[:k + 1], travel,
-                                             round_start).completions[-1]
+            assert child.clock == path_times(vehicle, seq[:k + 1], travel,
+                                             round_start)[-1][2]
             assert state.length == k  # stepping leaves the state as it is
             state = child
 
@@ -392,7 +383,7 @@ class TestPathState:
         seq = [mk_task("t1", "c1", 100.3, 7.1), mk_task("t2", "c1", -40.9, 33.3, service=4.7)]
         state = PathState(v, EUCLID, 600.0, round_start=1200.0)
         state.advance(seq)
-        assert state.clock == build_path(v, seq, EUCLID, 1200.0).completions[-1]
+        assert state.clock == path_times(v, seq, EUCLID, 1200.0)[-1][2]
         assert state.loc == seq[-1].location
 
     def test_advance_past_a_broken_rule_raises(self):
@@ -421,7 +412,7 @@ class TestCounting:
     def test_allocation_is_per_minute(self):
         v = mk_vehicle()
         sched = Schedule(
-            paths=(build_path(v, [mk_task("a", "c1", 10, 0)], EUCLID),),
+            paths=(Path(v.vehicle_id, (mk_task("a", "c1", 10, 0),)),),
             round_duration=120.0,
         )
         assert allocation_of(sched, ("c1",)).tolist() == [0.5]
@@ -437,7 +428,7 @@ class TestScheduleInvariants:
         t = mk_task("t", "c1", 10, 0)
         with pytest.raises(ValueError, match="two paths"):
             Schedule(
-                paths=(build_path(v1, [t], EUCLID), build_path(v2, [t], EUCLID)),
+                paths=(Path(v1.vehicle_id, (t,)), Path(v2.vehicle_id, (t,))),
                 round_duration=600.0,
             )
 

@@ -117,17 +117,23 @@ class TestSelectAllocation:
 
 
 class TestRunRound:
-    def test_empty_instance_records_zero_round(self):
-        inst = Instance(tasks=(), vehicles=(mk_vehicle(),), travel=EUCLID,
-                        budget=600.0)
-        res = run_round(inst, History.zeros(2), RoundConfig(round_s=600.0),
+    @pytest.mark.parametrize("backend, n_vehicles",
+                             [("exact", 1), ("heuristic", 1), ("auto", 4)])
+    def test_empty_instance_records_zero_round(self, backend, n_vehicles):
+        """Every backend plans nothing for a task-free round, the
+        heuristic's warm-start suite included."""
+        vehicles = tuple(mk_vehicle(f"v{i}") for i in range(n_vehicles))
+        inst = Instance(tasks=(), vehicles=vehicles, travel=EUCLID, budget=600.0)
+        config = SolverConfig(backend=backend)
+        res = run_round(inst, History.zeros(2), RoundConfig(round_s=600.0), config,
                         customers=("c1", "c2"))
         assert res.face is None
         assert np.array_equal(res.allocation, np.zeros(2))
         assert res.schedule.total_tasks() == 0
+        assert res.calls == 0
         # The scheduler still folds the empty round into the history.
-        s = Scheduler(RoundConfig(round_s=600.0), customers=("c1", "c2"))
-        s.run_round(inst)
+        s = Scheduler(RoundConfig(round_s=600.0), config, customers=("c1", "c2"))
+        assert s.run_round(inst).calls == 0
         assert s.history.t == 1
         assert np.array_equal(s.history.xbar, np.zeros(2))
 

@@ -25,13 +25,14 @@ from fairfleet.emulator import baseline_round_robin
 from fairfleet.fairness import LEXIMIN_ALPHA, alpha_fair_utility
 from fairfleet.model import (
     Instance,
+    Path,
     PathState,
     Schedule,
     Task,
     TravelModel,
     Vehicle,
     allocation_of,
-    build_path,
+    path_times,
     path_violation,
     sequence_cost,
     task_count,
@@ -196,8 +197,7 @@ class TestHeuristic:
         x, y, z = (mk_task(n, c, *pts[n], service=0.0) for n, c in zip("xyz", ("c1", "c2", "c1")))
         a, b = mk_vehicle("A", *pts["hA"]), mk_vehicle("B", *pts["hB"])
         inst = Instance(tasks=(x, y, z), vehicles=(a, b), travel=travel, budget=150.0)
-        warm = Schedule(paths=(build_path(a, [x, y], travel), build_path(b, [z], travel)),
-                        round_duration=150.0)
+        warm = Schedule(paths=(Path("A", (x, y)), Path("B", (z,))), round_duration=150.0)
         sched = heuristic_vrp(request_for(inst, weights, warm_starts=(warm,)))
         for v, p in zip(inst.vehicles, sched.paths):
             assert path_violation(p.tasks, v, travel, inst.budget) is None
@@ -366,8 +366,7 @@ def _eager_turns(inst, choose):
                 unserved.pop(t.task_id)
             still.append(veh)
         active = still
-    return {v.vehicle_id: build_path(v, paths[v.vehicle_id], inst.travel, inst.round_start)
-            for v in inst.vehicles}
+    return {v.vehicle_id: Path(v.vehicle_id, tuple(paths[v.vehicle_id])) for v in inst.vehicles}
 
 
 def eager_greedy(inst, alpha, ride_counts_as=1):
@@ -430,8 +429,11 @@ def eager_round_robin(inst, pinned=None):
     return _eager_turns(inst, choose)
 
 
-def _timed(paths):
-    return {vid: (p.task_ids, p.completions) for vid, p in paths.items()}
+def _timed(inst, paths):
+    """Each path's task order and its timings on the instance's vehicle."""
+    return {v.vehicle_id: (paths[v.vehicle_id].task_ids,
+                           path_times(v, paths[v.vehicle_id].tasks, inst.travel, inst.round_start))
+            for v in inst.vehicles}
 
 
 @st.composite
@@ -470,7 +472,7 @@ class TestConstruct:
                                            ride_counts_as=rides)
             assert [p.vehicle_id for p in sched.paths] == [v.vehicle_id for v in inst.vehicles]
             got = {p.vehicle_id: p for p in sched.paths}
-            assert _timed(got) == _timed(eager_greedy(inst, alpha, rides))
+            assert _timed(inst, got) == _timed(inst, eager_greedy(inst, alpha, rides))
 
     @given(case=construction_cases())
     @settings(max_examples=150, deadline=None)
@@ -479,7 +481,7 @@ class TestConstruct:
         sched = baseline_round_robin(inst, pins)
         assert [p.vehicle_id for p in sched.paths] == [v.vehicle_id for v in inst.vehicles]
         got = {p.vehicle_id: p for p in sched.paths}
-        assert _timed(got) == _timed(eager_round_robin(inst, pins))
+        assert _timed(inst, got) == _timed(inst, eager_round_robin(inst, pins))
 
 
 class TestWarmStarts:
@@ -861,8 +863,7 @@ def _golden_asymmetric_matrix():
     )
     vehicles = tuple(Vehicle(f"v{j}", pts[17 + j]) for j in range(3))
     warm = Schedule(
-        paths=(build_path(vehicles[0], [tasks[3], tasks[8], tasks[1]], travel),
-               build_path(vehicles[1], [tasks[12], tasks[5]], travel)),
+        paths=(Path("v0", (tasks[3], tasks[8], tasks[1])), Path("v1", (tasks[12], tasks[5]))),
         round_duration=420.0,
     )
     return request_for(
@@ -1326,7 +1327,10 @@ def _solve_both(req, table, ref_table, effort):
 
 def _same_bits(got, want):
     (heur, sched), (ref, ref_sched) = got, want
-    timed = lambda s: [(p.vehicle_id, p.task_ids, p.completions) for p in s.paths]
+    table, vehicles = heur.table, {v.vehicle_id: v for v in heur.req.vehicles}
+    timed = lambda s: [(p.vehicle_id, p.task_ids,
+                        path_times(vehicles[p.vehicle_id], p.tasks, table.travel, table.round_start))
+                       for p in s.paths]
     assert timed(sched) == timed(ref_sched)
     assert heur.evals == ref.evals
     assert heur.rng.getstate() == ref.rng.getstate()
