@@ -119,6 +119,17 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
     return resolved
 
 
+def _int_value(cfg: dict, key: str) -> int:
+    """`cfg[key]` as an int: an int, or a float with an integral value.
+    A bool or anything else is a usage error that names the key."""
+    value = cfg[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+
+
 def _round_config(cfg: dict) -> RoundConfig:
     return RoundConfig(
         round_s=float(cfg["round_s"]),
@@ -130,8 +141,8 @@ def _round_config(cfg: dict) -> RoundConfig:
             if cfg["return_home_every_s"] is None
             else float(cfg["return_home_every_s"])
         ),
-        prune_after_rounds=int(cfg["prune_after_rounds"]),
-        ride_counts_as=int(cfg["ride_counts_as"]),
+        prune_after_rounds=_int_value(cfg, "prune_after_rounds"),
+        ride_counts_as=_int_value(cfg, "ride_counts_as"),
         expiry_s=float(cfg["expiry_s"]),
     )
 
@@ -140,9 +151,9 @@ def _solver_config(cfg: dict) -> SolverConfig:
     return SolverConfig(
         backend=str(cfg["solver.backend"]),
         time_limit_s=float(cfg["solver.time_limit_s"]),
-        seed=int(cfg["solver.seed"]),
-        exact_task_limit=int(cfg["solver.exact_task_limit"]),
-        exact_vehicle_limit=int(cfg["solver.exact_vehicle_limit"]),
+        seed=_int_value(cfg, "solver.seed"),
+        exact_task_limit=_int_value(cfg, "solver.exact_task_limit"),
+        exact_vehicle_limit=_int_value(cfg, "solver.exact_vehicle_limit"),
     )
 
 

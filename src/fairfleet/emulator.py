@@ -469,7 +469,11 @@ def run_trace(
     """Replay `trace` under `policy` (mobius, max_throughput, dedicated,
     or round_robin): inject arrivals, replan at each tick honoring
     committed tasks, advance motion, and compute metrics.  Deterministic
-    for a fixed seed."""
+    for a fixed seed.
+
+    A mobius tick in the round (of `cfg.round_s`) of its last plan seeds
+    its solves from that plan; a tick with no earlier plan in its round
+    builds the warm-start suite (`vrp.RoundSolver`)."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     solver_config = solver_config or SolverConfig()
@@ -478,6 +482,7 @@ def run_trace(
     mobius = Scheduler(cfg, solver_config, customers=customers) if policy == "mobius" else None
     calls: list[int] = []
     events: list[dict] = []
+    last_plan: Optional[tuple[int, Schedule]] = None  # (round index, mobius plan)
 
     ticks = [i * cfg.replan_s for i in range(int(np.ceil(trace.duration / cfg.replan_s)) + 1)]
     for tick, now in enumerate(ticks):
@@ -523,8 +528,13 @@ def run_trace(
         cancelled_before = len(sim.cancellations)
 
         if policy == "mobius":
-            result = mobius.run_round(instance, committed=live_committed)
+            round_index = int(np.floor((now + 1e-9) / cfg.round_s))
+            seeds = None
+            if last_plan is not None and last_plan[0] == round_index:
+                seeds = (last_plan[1],)
+            result = mobius.run_round(instance, committed=live_committed, warm_starts=seeds)
             schedule = result.schedule
+            last_plan = (round_index, schedule)
             calls.append(result.calls)
             event["calls"] = result.calls
             event["stages"] = result.stages

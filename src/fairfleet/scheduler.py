@@ -13,6 +13,7 @@ it exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -97,8 +98,8 @@ class RoundConfig:
 
     def __post_init__(self) -> None:
         # Each range check is written so that NaN fails it too.
-        if not self.round_s > 0:
-            raise ValueError("round_s must be > 0")
+        if not 0 < self.round_s < math.inf:
+            raise ValueError("round_s must be > 0 and finite")
         if self.replan_s is None:
             self.replan_s = self.round_s
         if not (0 < self.replan_s <= self.round_s):
@@ -158,10 +159,13 @@ def run_round(
     solver_config: Optional[SolverConfig] = None,
     customers: Optional[Sequence[str]] = None,
     committed: Optional[Mapping[str, str]] = None,
+    warm_starts: Optional[Sequence[Schedule]] = None,
 ) -> RoundResult:
     """Boundary search and corner pick for one round, every solve
-    honouring `committed` (task_id -> vehicle_id); an empty round plans
-    nothing and allocates zero.  The history is read, not folded."""
+    honouring `committed` (task_id -> vehicle_id) and seeded from
+    `warm_starts` in place of the warm-start suite when given
+    (`vrp.RoundSolver`); an empty round plans nothing and allocates
+    zero.  The history is read, not folded."""
     customers = tuple(customers if customers is not None else instance.customers)
     k = len(customers)
     if k != len(history.xbar):
@@ -172,6 +176,7 @@ def run_round(
         committed=committed,
         ride_counts_as=cfg.ride_counts_as,
         customers=customers,
+        warm_starts=warm_starts,
     )
     face = None
     if customers and instance.tasks:
@@ -231,11 +236,14 @@ class Scheduler:
         self,
         instance: Instance,
         committed: Optional[Mapping[str, str]] = None,
+        warm_starts: Optional[Sequence[Schedule]] = None,
     ) -> RoundResult:
         """Plan one round over the geometry and fold its allocation into
         the full-roster history.  Every solve honours `committed`
-        (`vrp.SolverRequest`); committed tasks the plan leaves out are
-        reported, sorted, in `last_cancelled`."""
+        (`vrp.SolverRequest`) and starts from `warm_starts`, or from the
+        warm-start suite when none are given (`vrp.RoundSolver`);
+        committed tasks the plan leaves out are reported, sorted, in
+        `last_cancelled`."""
         present = {t.customer_id for t in instance.tasks}
         self.observe(present)
         for c in self.roster:
@@ -245,7 +253,7 @@ class Scheduler:
         sub_history = replace(self.history, xbar=self.history.xbar[gidx])
         result = run_round(
             instance, sub_history, self.cfg, self.solver_config, customers=geom,
-            committed=committed,
+            committed=committed, warm_starts=warm_starts,
         )
         self.last_cancelled = tuple(sorted(set(committed or ()) - result.schedule.task_ids()))
         full_alloc = np.zeros(len(self.roster))

@@ -47,6 +47,7 @@ commitments, config).
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -103,8 +104,11 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("exact", "heuristic", "auto"):
             raise ValueError(f"unknown solver backend {self.backend!r}")
-        if not self.time_limit_s > 0:
-            raise ValueError("time_limit_s must be > 0")
+        if not 0 < self.time_limit_s < math.inf:
+            raise ValueError("time_limit_s must be > 0 and finite")
+        for name in ("exact_task_limit", "exact_vehicle_limit"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def picks_exact(self, n_tasks: int, n_vehicles: int) -> bool:
         """The backend rule: `exact`, or `auto` within the exact cutoff."""
@@ -1461,9 +1465,12 @@ class RoundSolver:
     keeps every result as a warm start for the next.
 
     Every call of a round reads one travel table, whichever backend
-    solves it.  A heuristic-backed round first seeds the cache with the
-    warm-start suite, built on the same table and outside the call
-    count.  The call counter verifies the |K| + stages budget per round.
+    solves it.  The cache starts from `warm_starts` when given: a
+    mid-round replan passes the plan it replaces, which each heuristic
+    solve sanitizes to this instance and vets on its vehicles.  Given
+    none, a heuristic-backed round seeds the cache with the warm-start
+    suite, built on the same table.  Either way the seeds stay outside
+    the call count, which verifies the |K| + stages budget per round.
     """
 
     def __init__(
@@ -1473,6 +1480,7 @@ class RoundSolver:
         committed: Optional[Mapping[str, str]] = None,
         ride_counts_as: int = 1,
         customers: Optional[Sequence[str]] = None,
+        warm_starts: Optional[Sequence[Schedule]] = None,
     ):
         self.instance = instance
         self.config = config or SolverConfig()
@@ -1480,17 +1488,20 @@ class RoundSolver:
         self.ride_counts_as = ride_counts_as
         self.customers = tuple(customers) if customers is not None else instance.customers
         self.calls = 0
-        self._cache: list[Schedule] = []
         self._table = RoundTable(instance)
-        if not self.config.picks_exact(len(instance.tasks), len(instance.vehicles)):
-            self._cache.extend(
-                build_warm_start_suite(
-                    instance, self.config.seed, ride_counts_as, table=self._table
-                )
+        if warm_starts is not None:
+            self._cache = list(warm_starts)
+        elif self.config.picks_exact(len(instance.tasks), len(instance.vehicles)):
+            self._cache = []
+        else:
+            self._cache = build_warm_start_suite(
+                instance, self.config.seed, ride_counts_as, table=self._table
             )
 
     @property
-    def suite_size(self) -> int:
+    def warm_start_count(self) -> int:
+        """Schedules a solve is seeded from: the initial warm starts and
+        every result so far."""
         return len(self._cache)
 
     def solve(self, weights: np.ndarray) -> tuple[np.ndarray, Schedule]:

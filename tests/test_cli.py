@@ -314,6 +314,7 @@ class TestConfigHandling:
                                      ("round_s", "0", "> 0"),
                                      ("round_s", "-5", "> 0"),
                                      ("round_s", "nan", "> 0"),
+                                     ("round_s", "inf", "> 0 and finite"),
                                      ("alpha", "nan", ">= 0"),
                                      ("return_home_every_s", "nan", "> 0"),
                                      ("expiry_s", "nan", "> 0"),
@@ -329,15 +330,49 @@ class TestConfigHandling:
                 assert rc == 0
 
     def test_solver_time_limit_out_of_range(self, tmp_path, capsys):
-        """A NaN or negative effort budget stops `run` before the first
-        solve, under the heuristic backend that reads it."""
+        """A NaN, infinite or negative effort budget stops `run` before
+        the first solve, under the heuristic backend that reads it."""
         cfg = tiny_bundle(tmp_path)
-        for value in ("nan", "-3"):
+        for value in ("nan", "-3", "inf"):
             rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / value),
                        "--set", "solver.backend=heuristic",
                        "--set", f"solver.time_limit_s={value}"])
             assert rc != 0
-            assert "time_limit_s must be > 0" in capsys.readouterr().err
+            assert "time_limit_s must be > 0 and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("prune_after_rounds", "2.5", "config key 'prune_after_rounds' must be an integer"),
+        ("ride_counts_as", "1.9", "config key 'ride_counts_as' must be an integer"),
+        ("ride_counts_as", "true", "config key 'ride_counts_as' must be an integer"),
+        ("solver.seed", "3.7", "config key 'solver.seed' must be an integer"),
+        ("solver.seed", "nan", "config key 'solver.seed' must be an integer"),
+        ("solver.exact_vehicle_limit", "2.5",
+         "config key 'solver.exact_vehicle_limit' must be an integer"),
+        ("solver.exact_task_limit", "-4", "exact_task_limit must be >= 0"),
+    ])
+    def test_integer_keys_take_only_integers(self, tmp_path, capsys, key, value, message):
+        """An integer key with a fractional, boolean or non-numeric value,
+        or a negative exact limit, stops `run` naming the key, where the
+        value was once truncated or failed with a bare int() error."""
+        cfg = tiny_bundle(tmp_path)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--set", f"{key}={value}"])
+        assert rc != 0
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_floats_pass_as_integers(self, tmp_path):
+        """A float with an integral value, as a JSON config may hold, runs
+        as that integer: the events and metrics match, byte for byte."""
+        cfg = tiny_bundle(tmp_path)
+        runs = []
+        for value in ("2", "2.0"):
+            out = tmp_path / value
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--set", f"ride_counts_as={value}",
+                         "--set", f"solver.seed={value}"]) == 0
+            runs.append([(out / name).read_bytes() for name in ("events.jsonl", "metrics.csv")])
+        assert runs[0] == runs[1]
 
     def test_duplicate_task_id_is_usage_error(self, tmp_path, capsys):
         """A trace that gives one task id to two customers stops `run`

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EUCLID, construction_instances, mk_task, mk_vehicle
-from fairfleet import emulator
+from fairfleet import emulator, vrp
 from fairfleet.emulator import (
     COMMITTED,
     COMPLETED,
@@ -723,10 +723,9 @@ def ride_trace_digest(metrics):
     return h.hexdigest()
 
 
-def test_ride_trace_golden_digest():
-    """A 3-round mobius replay of a ride trace on the heuristic backend,
-    with pairs, deadlines, capacity 2 and three replans a round, gives
-    the events and metrics rows recorded for it."""
+def golden_ride_trace():
+    """Three 600 s rounds of rides and plain tasks for three customers,
+    some with deadlines, and four vehicles of capacity 2."""
     rng = np.random.default_rng(5)
     round_s, rounds = 600.0, 3
     tasks = []
@@ -749,11 +748,47 @@ def test_ride_trace_golden_digest():
     vehicles = (mk_vehicle("v0", capacity=2), mk_vehicle("v1", 400.0, 0.0, capacity=2),
                 mk_vehicle("v2", -300.0, 200.0, capacity=2),
                 mk_vehicle("v3", 0.0, 0.0, capacity=2, return_home=True))
+    return trace, vehicles
+
+
+def test_ride_trace_golden_digest():
+    """A 3-round mobius replay of a ride trace on the heuristic backend,
+    with pairs, deadlines, capacity 2 and three replans a round, gives
+    the events and metrics rows recorded for it."""
+    trace, vehicles = golden_ride_trace()
+    round_s = 600.0
     cfg = RoundConfig(round_s=round_s, replan_s=round_s / 3, expiry_s=400.0)
     metrics = run_trace(trace, "mobius", cfg, vehicles, EUCLID,
                         SolverConfig(backend="heuristic", time_limit_s=0.05))
-    assert len(metrics.rounds) == rounds * len(trace.customers)
+    assert len(metrics.rounds) == 3 * len(trace.customers)
     assert ride_trace_digest(metrics) == RIDE_TRACE_DIGEST
+
+
+@pytest.mark.parametrize("replans", [1, 3])
+def test_mid_round_replans_seed_from_the_last_plan(replans, monkeypatch):
+    """Only a mobius tick with no earlier plan in its round builds the
+    warm-start suite; a later tick of the round seeds its solves from the
+    plan it replaces.  A task arriving at each round's start makes every
+    tick plan."""
+    trace, vehicles = golden_ride_trace()
+    round_s = 600.0
+    openers = tuple(mk_task(f"r{r}-open", "c1", 100.0, 0.0, arrival_time=r * round_s)
+                    for r in range(3))
+    trace = Trace(tasks=trace.tasks + openers, duration=trace.duration, customers=())
+    built = []
+    real_suite = vrp.build_warm_start_suite
+
+    def counted_suite(*args, **kwargs):
+        built.append(args[0].round_start)
+        return real_suite(*args, **kwargs)
+
+    monkeypatch.setattr(vrp, "build_warm_start_suite", counted_suite)
+    cfg = RoundConfig(round_s=round_s, replan_s=round_s / replans, expiry_s=400.0)
+    metrics = run_trace(trace, "mobius", cfg, vehicles, EUCLID,
+                        SolverConfig(backend="heuristic", time_limit_s=0.05))
+    planned = [e["t_s"] for e in metrics.events if e["calls"] is not None]
+    assert len(planned) == 3 * replans
+    assert built == [0.0, 600.0, 1200.0]
 
 
 # Recorded with the exact backend's own copy of the path rules, before

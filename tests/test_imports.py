@@ -216,13 +216,10 @@ def test_local_search_charges_and_moves_in_one_place():
     assert callers == {"_state", "_insertion_phase", "_take"}
 
 
-def test_round_tables_are_built_once_per_round():
-    """A request carries its round's `RoundTable`, so no solve builds a
-    table of its own: the package builds one only in
-    `RoundSolver.__init__`, in `build_warm_start_suite` (when given
-    none), in `greedy_alpha_heuristic` and in
-    `emulator.baseline_max_throughput`."""
-    builders = set()
+def callers_of(name):
+    """The package scopes, as `module.Class.function`, that call `name`
+    by its bare name or as an attribute."""
+    callers = set()
 
     def visit(module, node, scope):
         for child in ast.iter_child_nodes(node):
@@ -230,15 +227,32 @@ def test_round_tables_are_built_once_per_round():
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
             if isinstance(child, ast.Call) and (
-                    isinstance(child.func, ast.Name) and child.func.id == "RoundTable"
-                    or isinstance(child.func, ast.Attribute) and child.func.attr == "RoundTable"):
-                builders.add(module + scope)
+                    isinstance(child.func, ast.Name) and child.func.id == name
+                    or isinstance(child.func, ast.Attribute) and child.func.attr == name):
+                callers.add(module + scope)
             visit(module, child, inner)
 
-    for name, tree in package_modules().items():
-        visit(name.removesuffix(".py"), tree, "")
-    assert builders == {"vrp.RoundSolver.__init__", "vrp.build_warm_start_suite",
-                        "vrp.greedy_alpha_heuristic", "emulator.baseline_max_throughput"}
+    for module, tree in package_modules().items():
+        visit(module.removesuffix(".py"), tree, "")
+    return callers
+
+
+def test_round_tables_are_built_once_per_round():
+    """A request carries its round's `RoundTable`, so no solve builds a
+    table of its own: the package builds one only in
+    `RoundSolver.__init__`, in `build_warm_start_suite` (when given
+    none), in `greedy_alpha_heuristic` and in
+    `emulator.baseline_max_throughput`."""
+    assert callers_of("RoundTable") == {
+        "vrp.RoundSolver.__init__", "vrp.build_warm_start_suite",
+        "vrp.greedy_alpha_heuristic", "emulator.baseline_max_throughput"}
+
+
+def test_warm_start_suite_is_built_in_one_place():
+    """Only `RoundSolver.__init__` builds the warm-start suite, and only
+    when given no warm starts, so a replan that carries its plan skips
+    it."""
+    assert callers_of("build_warm_start_suite") == {"vrp.RoundSolver.__init__"}
 
 
 def test_pool_side_is_chosen_in_one_place():
@@ -268,12 +282,4 @@ def test_plans_are_timed_where_committed():
     """A planned path is its task order: inside the package only
     `emulator._commit` calls `path_times`, to time the one plan it
     commits, so no solve times the paths it returns."""
-    callers = set()
-    for name, tree in package_modules().items():
-        owner = innermost_functions(tree)
-        callers |= {(name, owner[node]) for node in ast.walk(tree)
-                    if isinstance(node, ast.Call)
-                    and (isinstance(node.func, ast.Name) and node.func.id == "path_times"
-                         or isinstance(node.func, ast.Attribute)
-                         and node.func.attr == "path_times")}
-    assert callers == {("emulator.py", "_commit")}
+    assert callers_of("path_times") == {"emulator._commit"}

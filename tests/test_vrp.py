@@ -610,10 +610,40 @@ class TestDispatchAndFacade:
         rng = np.random.default_rng(24)
         inst = random_instance(rng, max_tasks=12, max_vehicles=2, span=1200.0)
         solver = RoundSolver(inst, SolverConfig(backend="heuristic", time_limit_s=0.5))
-        assert solver.suite_size >= 2
-        before = solver.suite_size
+        assert solver.warm_start_count >= 2
+        before = solver.warm_start_count
         solver.solve(np.ones(len(inst.customers)))
-        assert solver.suite_size == before + 1
+        assert solver.warm_start_count == before + 1
+
+    def test_carried_plan_replaces_the_suite(self):
+        """Given the plan it replaces, a round solver builds no suite, and
+        no solve returns less than that plan's value once vetted on the
+        new instance: some of its tasks done, the rest still live."""
+        rng = np.random.default_rng(31)
+        config = SolverConfig(backend="heuristic", time_limit_s=0.2)
+        with mock.patch.object(vrp, "build_warm_start_suite",
+                               wraps=vrp.build_warm_start_suite) as suite:
+            for _ in range(6):
+                inst = random_instance(rng, max_tasks=14, max_vehicles=3, span=1600.0,
+                                       allow_pairs=True, deadlines=True)
+                plan = heuristic_vrp(request_for(inst, np.ones(len(inst.customers)),
+                                                 config=config))
+                done = {t.task_id for t in plan.all_tasks() if t.pair_id is None}
+                done = set(sorted(done)[::2])
+                later = replace(inst, tasks=tuple(t for t in inst.tasks
+                                                  if t.task_id not in done))
+                solver = RoundSolver(later, config, warm_starts=(plan,))
+                assert solver.warm_start_count == 1
+                for _ in range(3):
+                    w = rng.uniform(0.1, 2.0, len(later.customers))
+                    _, got = solver.solve(w)
+                    req = request_for(later, w / w.sum(), config=config)
+                    heur = _Heuristic(req)
+                    vetted = heur._to_schedule(heur._vet(plan))
+                    assert vetted.task_ids() == plan.task_ids() - done
+                    assert schedule_value(req, got)[0] >= schedule_value(req, vetted)[0] - 1e-9
+                assert solver.calls == 3
+        assert suite.call_count == 0
 
 
 class TestScheduleValue:
