@@ -191,21 +191,21 @@ def opt_in_face(face: Face, alpha: float) -> tuple[Optional[np.ndarray], bool]:
 
     evaluated in log space.  In max-min mode the optimum is the equal
     allocation (c/sum(w), ..., c/sum(w)), the plane's max-min point.
-    Nonpositive weights or offset admit no real stationary point:
-    returns (None, False).  `inside` tests the barycentric coordinates
-    of x* with respect to the corners, by least squares so degenerate
-    faces still resolve.
+    Nonpositive weights or offset admit no real stationary point, nor
+    does alpha = 0, a linear objective: returns (None, False).  `inside`
+    tests the barycentric coordinates of x* with respect to the corners,
+    by least squares so degenerate faces still resolve.
     """
     w = np.asarray(face.w, dtype=float)
     c = face.c
-    if c <= 0 or np.any(w <= 0):
+    if c <= 0 or np.any(w <= 0) or alpha == 0:
         return None, False
     k = len(w)
     if is_leximin(alpha):
         x_star = np.full(k, c / float(np.sum(w)))
     else:
-        if alpha <= 0:
-            raise ValueError("alpha must be > 0 for the stationary point")
+        if alpha < 0:
+            raise ValueError("alpha must be >= 0")
         log_w = np.log(w)
         log_s = _logsumexp((1.0 - 1.0 / alpha) * log_w)
         log_lambda = -alpha * (math.log(c) - log_s)

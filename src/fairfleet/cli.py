@@ -130,31 +130,46 @@ def _int_value(cfg: dict, key: str) -> int:
     raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
 
 
+def _float_value(cfg: dict, key: str) -> Optional[float]:
+    """`cfg[key]` as a float or None; else a usage error naming the key."""
+    value = cfg[key]
+    if value is None:
+        return None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"config key {key!r} must be a number, got {value!r}")
+
+
 def _round_config(cfg: dict) -> RoundConfig:
-    return RoundConfig(
-        round_s=float(cfg["round_s"]),
-        replan_s=None if cfg["replan_s"] is None else float(cfg["replan_s"]),
-        alpha=float(cfg["alpha"]),
-        discount=None if cfg["discount"] is None else float(cfg["discount"]),
-        return_home_every_s=(
-            None
-            if cfg["return_home_every_s"] is None
-            else float(cfg["return_home_every_s"])
-        ),
-        prune_after_rounds=_int_value(cfg, "prune_after_rounds"),
-        ride_counts_as=_int_value(cfg, "ride_counts_as"),
-        expiry_s=float(cfg["expiry_s"]),
-    )
+    try:
+        return RoundConfig(
+            round_s=_float_value(cfg, "round_s"),
+            replan_s=_float_value(cfg, "replan_s"),
+            alpha=_float_value(cfg, "alpha"),
+            discount=_float_value(cfg, "discount"),
+            return_home_every_s=_float_value(cfg, "return_home_every_s"),
+            prune_after_rounds=_int_value(cfg, "prune_after_rounds"),
+            ride_counts_as=_int_value(cfg, "ride_counts_as"),
+            expiry_s=_float_value(cfg, "expiry_s"),
+        )
+    except ValueError as exc:  # a range check: a usage error, with its message
+        raise UsageError(str(exc)) from exc
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    return SolverConfig(
-        backend=str(cfg["solver.backend"]),
-        time_limit_s=float(cfg["solver.time_limit_s"]),
-        seed=_int_value(cfg, "solver.seed"),
-        exact_task_limit=_int_value(cfg, "solver.exact_task_limit"),
-        exact_vehicle_limit=_int_value(cfg, "solver.exact_vehicle_limit"),
-    )
+    try:
+        return SolverConfig(
+            backend=str(cfg["solver.backend"]),
+            time_limit_s=_float_value(cfg, "solver.time_limit_s"),
+            seed=_int_value(cfg, "solver.seed"),
+            exact_task_limit=_int_value(cfg, "solver.exact_task_limit"),
+            exact_vehicle_limit=_int_value(cfg, "solver.exact_vehicle_limit"),
+        )
+    except ValueError as exc:  # a range check: a usage error, with its message
+        raise UsageError(str(exc)) from exc
 
 
 def _travel_model(cfg: dict) -> TravelModel:
@@ -178,19 +193,16 @@ def _load(reader, path: str):
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _load_trace(cfg: dict) -> Trace:
+def _load_trace(cfg: dict, round_s: float) -> Trace:
     if not cfg.get("trace"):
         raise UsageError("config needs a 'trace' path")
     tasks = _load(read_tasks_jsonl, cfg["trace"])
     if not tasks:
         raise UsageError(f"{cfg['trace']}: trace has no tasks")
-    round_s = float(cfg["round_s"])
     last = max(t.arrival_time for t in tasks)
-    duration = (
-        float(cfg["duration_s"])
-        if cfg["duration_s"] is not None
-        else (np.floor(last / round_s) + 1) * round_s
-    )
+    duration = _float_value(cfg, "duration_s")
+    if duration is None:
+        duration = (np.floor(last / round_s) + 1) * round_s
     return Trace(tasks=tuple(tasks), duration=float(duration), customers=())
 
 
@@ -237,13 +249,13 @@ def _replay(cfg: dict, policy: str, summary: dict) -> Iterator[tuple[str, Metric
     `summary`.  Under "all", a policy the fleet cannot run (a ValueError,
     e.g. dedicated with fewer vehicles than customers) is skipped with a
     line on stderr and an error entry; a single policy's error stands."""
-    trace = _load_trace(cfg)
+    round_cfg = _round_config(cfg)
+    solver_cfg = _solver_config(cfg)
+    trace = _load_trace(cfg, round_cfg.round_s)
     vehicles = _load_vehicles(cfg)
     travel = _travel_model(cfg)
     if policy != "all" and policy not in POLICIES:
         raise UsageError(f"unknown policy {policy!r}; expected one of {POLICIES + ('all',)}")
-    round_cfg = _round_config(cfg)
-    solver_cfg = _solver_config(cfg)
     Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
     for p in POLICIES if policy == "all" else (policy,):
         try:
@@ -340,7 +352,7 @@ def _snapshot_instance(cfg: dict, snapshot_s: float) -> Instance:
 
 def cmd_boundary(cfg: dict) -> int:
     round_cfg = _round_config(cfg)
-    snapshot_s = float(cfg["snapshot_s"])
+    snapshot_s = _float_value(cfg, "snapshot_s")
     instance = _snapshot_instance(cfg, snapshot_s)
     if not instance.tasks:
         raise UsageError(f"no live tasks at t={snapshot_s:g}s")
@@ -370,7 +382,7 @@ def cmd_boundary(cfg: dict) -> int:
 
 def cmd_oracle(cfg: dict) -> int:
     ride_counts_as = _round_config(cfg).ride_counts_as
-    instance = _snapshot_instance(cfg, float(cfg["snapshot_s"]))
+    instance = _snapshot_instance(cfg, _float_value(cfg, "snapshot_s"))
     report = oracle_report(instance, ride_counts_as)
     report["config"] = cfg
     out = Path(cfg["out_dir"])

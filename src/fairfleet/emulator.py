@@ -471,9 +471,9 @@ def run_trace(
     committed tasks, advance motion, and compute metrics.  Deterministic
     for a fixed seed.
 
-    A mobius tick in the round (of `cfg.round_s`) of its last plan seeds
-    its solves from that plan; a tick with no earlier plan in its round
-    builds the warm-start suite (`vrp.RoundSolver`)."""
+    A mobius tick in the round (of `cfg.round_s`) of its last plan gives
+    its solves that plan as their floor; a tick with no earlier plan in
+    its round builds the warm-start suite (`vrp.RoundSolver`)."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     solver_config = solver_config or SolverConfig()

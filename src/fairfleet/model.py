@@ -681,15 +681,22 @@ def vehicle_to_record(v: Vehicle) -> dict:
 
 
 def vehicle_from_record(rec: dict) -> Vehicle:
+    """A roster record as a `Vehicle`, its values taken as they are typed."""
     missing = {"vehicle_id", "x", "y"} - rec.keys()
     if missing:
         raise ValueError(f"missing vehicle fields {sorted(missing)}")
+    vid = str(rec["vehicle_id"])
+    capacity, home = rec.get("capacity", 1), rec.get("return_home", False)
+    if type(capacity) not in (int, float) or not float(capacity).is_integer():
+        raise ValueError(f"vehicle {vid!r}: capacity must be an integer, got {capacity!r}")
+    if type(home) is not bool:
+        raise ValueError(f"vehicle {vid!r}: return_home must be true or false, got {home!r}")
     return Vehicle(
-        vehicle_id=str(rec["vehicle_id"]),
+        vehicle_id=vid,
         start_location=(float(rec["x"]), float(rec["y"])),
         speed=float(rec.get("speed_mps", 10.0)),
-        capacity=int(rec.get("capacity", 1)),
-        return_home=bool(rec.get("return_home", False)),
+        capacity=int(capacity),
+        return_home=home,
     )
 
 

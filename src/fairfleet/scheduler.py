@@ -162,8 +162,8 @@ def run_round(
     warm_starts: Optional[Sequence[Schedule]] = None,
 ) -> RoundResult:
     """Boundary search and corner pick for one round, every solve
-    honouring `committed` (task_id -> vehicle_id) and seeded from
-    `warm_starts` in place of the warm-start suite when given
+    honouring `committed` (task_id -> vehicle_id) and falling back on
+    `warm_starts`, in place of the warm-start suite, when given
     (`vrp.RoundSolver`); an empty round plans nothing and allocates
     zero.  The history is read, not folded."""
     customers = tuple(customers if customers is not None else instance.customers)

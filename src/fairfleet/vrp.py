@@ -7,9 +7,10 @@ throughput allocation.  Three entry points:
 * exact_vrp       -- branch and bound over task sequences with an
                      admissible remaining-weight bound and dominance
                      pruning; provably optimal on small instances.
-* heuristic_vrp   -- warm-start seeding, cheapest insertion by marginal
-                     weighted gain per second, then local search; never
-                     worse than its best seed.  A path is a list of
+* heuristic_vrp   -- cheapest insertion by marginal weighted gain per
+                     second from empty paths, then local search; the
+                     best vetted warm start, taken unchanged, is the
+                     floor it must beat.  A path is a list of
                      rows of the round's `RoundTable` of travel
                      seconds, which every solve of the round reads.
                      Each path keeps its insertion offers until it
@@ -396,8 +397,8 @@ class RoundTable:
       paths and their feasibility, for solves over the whole round.
 
     Most paths recur across the suite and the `|K| + stages` calls of a
-    round: every solve starts once from empty paths, and its seeded start
-    often repeats an earlier solve's.
+    round: every solve searches from empty paths, and the paths it passes
+    through often repeat an earlier solve's.
     """
 
     def __init__(self, instance: Instance):
@@ -850,18 +851,18 @@ class _Heuristic:
                 count += self.count[r]
         return value, count
 
-    # -- seeding ------------------------------------------------------------
+    # -- warm starts --------------------------------------------------------
 
-    def _sanitize_seed(self, schedule: Schedule) -> dict[str, list[int]]:
-        """Seed paths filtered to live tasks, commitment-respecting, whole
-        pairs, as rows."""
+    def _vet(self, schedule: Schedule) -> Optional[dict[str, list[int]]]:
+        """The warm start's paths as rows, cut to the live tasks each
+        vehicle may serve and to whole pairs; None if one is infeasible."""
         live = {t.task_id: t for t in self.req.tasks}
-        out: dict[str, list[int]] = {v.vehicle_id: [] for v in self.req.vehicles}
         vmap = {v.vehicle_id: v for v in self.req.vehicles}
+        out: dict[str, list[int]] = {vid: [] for vid in vmap}
         for p in schedule.paths:
-            if p.vehicle_id not in out:
+            veh = vmap.get(p.vehicle_id)
+            if veh is None:
                 continue
-            veh = vmap[p.vehicle_id]
             kept = [
                 live[t.task_id]
                 for t in p.tasks
@@ -871,39 +872,30 @@ class _Heuristic:
             out[p.vehicle_id] = [
                 self.row[t.task_id] for t in kept if t.pair_id is None or t.pair_id in ids
             ]
-        return out
+        return out if all(self._feasible(v, out[v.vehicle_id]) for v in vmap.values()) else None
 
-    def _vet(self, schedule: Schedule) -> Optional[dict[str, list[int]]]:
-        """The seed's sanitized paths, or None if one is infeasible."""
-        paths = self._sanitize_seed(schedule)
-        if all(self._feasible(v, paths[v.vehicle_id]) for v in self.req.vehicles):
-            return paths
-        return None
-
-    def _seed_states(self) -> list[_Route]:
+    def _best_seed(self) -> tuple[tuple[float, float], dict[str, list[int]]]:
+        """The best vetted warm start, the first among equals: its
+        `(value, count)` and its row paths, which the round table may
+        share and so are only read.  With none, `(-inf, -inf)`."""
         req, table = self.req, self.table
         # A solve over all of the table's tasks and vehicles shares the
         # table's verdicts with the other solves of the round that have
         # the same commitments.
         full = len(req.tasks) == len(table.tasks) and len(req.vehicles) == len(table.vehicles)
         memo = table.vetted if full else {}
-        best_paths: Optional[dict[str, list[int]]] = None
-        best_key = (-np.inf, -np.inf, 0)
-        for order, s in enumerate(req.warm_starts):
+        best: tuple[tuple[float, float], dict[str, list[int]]] = ((-np.inf, -np.inf), {})
+        for s in req.warm_starts:
             key = (id(s), self.commit_id)
             if key not in memo:
                 memo[key] = (s, self._vet(s))  # holding s keeps its id unique
             paths = memo[key][1]
             if paths is None:
                 continue
-            value, count = self._value(paths)
-            key = (value, count, -order)
-            if key > best_key:
-                best_key = key
-                best_paths = paths
-        if best_paths is None:
-            best_paths = {v.vehicle_id: [] for v in self.req.vehicles}
-        return [self._state(v, list(best_paths[v.vehicle_id])) for v in req.vehicles]
+            value = self._value(paths)
+            if value > best[0]:
+                best = (value, paths)
+        return best
 
     def _to_schedule(self, paths: dict[str, list[int]]) -> Schedule:
         table = self.table
@@ -1210,8 +1202,8 @@ class _Heuristic:
         pairs = list(combinations(range(len(states)), 2))
         self.rng.shuffle(pairs)
         # The plain tasks that may leave each path.  A committed task sits
-        # on its own vehicle (seeds, insertion and every move keep
-        # `may_serve`), so it may leave for none.
+        # on its own vehicle (insertion and every move keep `may_serve`),
+        # so it may leave for none.
         committed = self.req.committed or {}
         task_at = self.table.task_at
         movers = [
@@ -1258,26 +1250,19 @@ class _Heuristic:
                 return
 
     def run(self) -> Schedule:
-        # Insertion from scratch escapes seeds whose zero-gain tasks
-        # crowd out profitable ones; the seeded run keeps the guarantee
-        # of never finishing below the best warm start.
-        starts = [[self._state(v, []) for v in self.req.vehicles]]
-        seeded = self._seed_states()
-        if any(s.seq for s in seeded):
-            starts.append(seeded)
-        best: Optional[tuple[tuple[float, float], dict[str, list[int]]]] = None
-        for states in starts:
-            self._improve(states)
-            paths = {s.vehicle.vehicle_id: s.seq for s in states}
-            key = self._value(paths)
-            if best is None or key > best[0]:
-                best = (key, paths)
-        return self._to_schedule(best[1])
+        # One search, from empty paths; the best warm start, taken
+        # unchanged, is the floor it must beat, and a tie goes to the
+        # search.
+        floor, floor_paths = self._best_seed()
+        states = [self._state(v, []) for v in self.req.vehicles]
+        self._improve(states)
+        paths = {s.vehicle.vehicle_id: s.seq for s in states}
+        return self._to_schedule(paths if self._value(paths) >= floor else floor_paths)
 
 
 def heuristic_vrp(req: SolverRequest) -> Schedule:
-    """Warm-started insertion + local search; never worse than its best
-    warm start on the weighted objective."""
+    """Insertion + local search from empty paths, or the best vetted warm
+    start if that scores higher on the weighted objective."""
     return _Heuristic(req).run()
 
 
@@ -1462,15 +1447,18 @@ def solve_weighted_vrp(req: SolverRequest) -> Schedule:
 class RoundSolver:
     """Per-round solver facade: counts calls, passes the round's
     commitments (task_id -> vehicle_id) and config with each call, and
-    keeps every result as a warm start for the next.
+    keeps every result as a warm start for the next: a heuristic solve
+    returns the best of them, unchanged, when its own search scores
+    lower.
 
     Every call of a round reads one travel table, whichever backend
     solves it.  The cache starts from `warm_starts` when given: a
     mid-round replan passes the plan it replaces, which each heuristic
     solve sanitizes to this instance and vets on its vehicles.  Given
-    none, a heuristic-backed round seeds the cache with the warm-start
-    suite, built on the same table.  Either way the seeds stay outside
-    the call count, which verifies the |K| + stages budget per round.
+    none, a heuristic-backed round fills the cache with the warm-start
+    suite, built on the same table.  Either way the warm starts stay
+    outside the call count, which verifies the |K| + stages budget per
+    round.
     """
 
     def __init__(
@@ -1500,8 +1488,8 @@ class RoundSolver:
 
     @property
     def warm_start_count(self) -> int:
-        """Schedules a solve is seeded from: the initial warm starts and
-        every result so far."""
+        """Schedules a solve may fall back to: the initial warm starts
+        and every result so far."""
         return len(self._cache)
 
     def solve(self, weights: np.ndarray) -> tuple[np.ndarray, Schedule]:

@@ -307,7 +307,7 @@ class TestConfigHandling:
         cfg = tiny_bundle(tmp_path)
         for command in ("run", "boundary"):
             rc = main([command, "--config", str(cfg), "--set", "ride_counts_as=3"])
-            assert rc != 0
+            assert rc == 2
             assert "ride_counts_as must be 1 or 2" in capsys.readouterr().err
             for key, value, rule in (("return_home_every_s", "0", "> 0"),
                                      ("expiry_s", "0", "> 0"),
@@ -316,11 +316,12 @@ class TestConfigHandling:
                                      ("round_s", "nan", "> 0"),
                                      ("round_s", "inf", "> 0 and finite"),
                                      ("alpha", "nan", ">= 0"),
+                                     ("alpha", "-1", ">= 0"),
                                      ("return_home_every_s", "nan", "> 0"),
                                      ("expiry_s", "nan", "> 0"),
                                      ("prune_after_rounds", "-3", ">= 0")):
                 rc = main([command, "--config", str(cfg), "--set", f"{key}={value}"])
-                assert rc != 0
+                assert rc == 2
                 assert f"{key} must be {rule}" in capsys.readouterr().err
             for value in ("1", "2"):
                 out = tmp_path / command / value
@@ -330,14 +331,14 @@ class TestConfigHandling:
                 assert rc == 0
 
     def test_solver_time_limit_out_of_range(self, tmp_path, capsys):
-        """A NaN, infinite or negative effort budget stops `run` before
+        """A NaN, infinite, zero or negative effort budget stops `run` before
         the first solve, under the heuristic backend that reads it."""
         cfg = tiny_bundle(tmp_path)
-        for value in ("nan", "-3", "inf"):
+        for value in ("nan", "-3", "0", "inf"):
             rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / value),
                        "--set", "solver.backend=heuristic",
                        "--set", f"solver.time_limit_s={value}"])
-            assert rc != 0
+            assert rc == 2
             assert "time_limit_s must be > 0 and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
@@ -349,17 +350,36 @@ class TestConfigHandling:
         ("solver.exact_vehicle_limit", "2.5",
          "config key 'solver.exact_vehicle_limit' must be an integer"),
         ("solver.exact_task_limit", "-4", "exact_task_limit must be >= 0"),
+        ("alpha", "abc", "config key 'alpha' must be a number, got 'abc'"),
+        ("round_s", "true", "config key 'round_s' must be a number, got True"),
+        ("replan_s", "9999", "need 0 < replan_s <= round_s"),
+        ("solver.backend", "fast", "unknown solver backend 'fast'"),
     ])
     def test_integer_keys_take_only_integers(self, tmp_path, capsys, key, value, message):
         """An integer key with a fractional, boolean or non-numeric value,
-        or a negative exact limit, stops `run` naming the key, where the
-        value was once truncated or failed with a bare int() error."""
+        a float key that is not a number, or a value a range check
+        refuses, stops `run` as a usage error naming the key, where the
+        value was once truncated, failed with a bare int() or float()
+        error, or exited 1."""
         cfg = tiny_bundle(tmp_path)
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
                    "--set", f"{key}={value}"])
-        assert rc != 0
+        assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_roster_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys):
+        """A roster value of the wrong type stops `run` with exit 2,
+        naming the vehicle and the field, where it once ran coerced."""
+        cfg = tiny_bundle(tmp_path)
+        roster = cfg.parent / "vehicles.json"
+        records = json.loads(roster.read_text())
+        records[0]["return_home"] = "false"
+        roster.write_text(json.dumps(records))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        message = "vehicle 'v0': return_home must be true or false, got 'false'"
+        assert message in capsys.readouterr().err
 
     def test_integral_floats_pass_as_integers(self, tmp_path):
         """A float with an integral value, as a JSON config may hold, runs
@@ -495,6 +515,24 @@ class TestBoundary:
         assert payload["target"] == pytest.approx([0.3, 0.3])
         assert payload["faces"] >= 1
         assert payload["solver_calls"] >= 3
+
+    def test_alpha_zero_targets_the_largest_total(self, tmp_path):
+        """At alpha 0 the objective is linear, with no stationary point
+        inside a face, so the target is the corner with the largest total;
+        the command once failed there with exit 1."""
+        out = tmp_path / "bundle"
+        assert main(["gen", "--preset", "map_a", "--rounds", "2", "--out", str(out)]) == 0
+        payloads = {}
+        for alpha in ("0", "1"):
+            dest = tmp_path / f"bnd{alpha}"
+            rc = main(["boundary", "--config", str(out / "config.json"), "--out", str(dest),
+                       "--set", f"alpha={alpha}", "--set", "solver.time_limit_s=0.2"])
+            assert rc == 0
+            payloads[alpha] = json.loads((dest / "boundary.json").read_text())
+        targets = {alpha: payload["target"] for alpha, payload in payloads.items()}
+        assert targets["0"] == max(payloads["0"]["corners"], key=sum)
+        assert targets["0"] == pytest.approx([4.0, 0.2])
+        assert targets["1"] == pytest.approx([2.2, 1.8])
 
     def test_snapshot_after_expiry_is_empty(self, tmp_path, capsys):
         cfg = gen_bundle(tmp_path)

@@ -1,6 +1,8 @@
 """Core data model: timing arithmetic, feasibility, counting, file formats."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -516,6 +518,28 @@ class TestFileFormats:
         write_vehicles_json(str(path), [mk_vehicle("v0"), mk_vehicle("v1", 5), mk_vehicle("v0", 9)])
         with pytest.raises(ValueError, match="duplicate vehicle_id 'v0'"):
             read_vehicles_json(str(path))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("capacity", 2.5, "vehicle 'v0': capacity must be an integer, got 2.5"),
+        ("capacity", True, "vehicle 'v0': capacity must be an integer, got True"),
+        ("return_home", "false", "vehicle 'v0': return_home must be true or false, got 'false'"),
+    ])
+    def test_vehicles_json_rejects_coerced_values(self, tmp_path, field, value, message):
+        """A capacity that is not an integer, or a return_home that is not
+        a JSON bool, names the vehicle and the field; once they ran as 2,
+        1 and True."""
+        path = tmp_path / "vehicles.json"
+        write_vehicles_json(str(path), [mk_vehicle("v0")])
+        records = json.loads(path.read_text())
+        records[0][field] = value
+        path.write_text(json.dumps(records))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_vehicles_json(str(path))
+
+    def test_vehicles_json_takes_integral_float_capacity(self, tmp_path):
+        path = tmp_path / "vehicles.json"
+        path.write_text(json.dumps([{"vehicle_id": "v0", "x": 0, "y": 0, "capacity": 2.0}]))
+        assert read_vehicles_json(str(path))[0].capacity == 2
 
     def test_vehicles_json_round_trip(self, tmp_path):
         vehicles = [

@@ -645,6 +645,23 @@ class TestDispatchAndFacade:
                 assert solver.calls == 3
         assert suite.call_count == 0
 
+    def test_one_search_per_heuristic_solve(self, monkeypatch):
+        """A solve whose vetted warm start holds tasks searches once, from
+        empty paths; the warm start is a floor, not a second search."""
+        req = _golden_asymmetric_matrix()
+        (warm,) = req.warm_starts
+        assert any(_Heuristic(req)._vet(warm).values())
+        searches = []
+        improve = _Heuristic._improve
+
+        def count(self, states):
+            searches.append([list(s.seq) for s in states])
+            improve(self, states)
+
+        monkeypatch.setattr(_Heuristic, "_improve", count)
+        heuristic_vrp(req)
+        assert searches == [[[] for _ in req.vehicles]]
+
 
 class TestScheduleValue:
     def test_ride_counts_as_two_counts_both_halves(self):
@@ -1173,6 +1190,36 @@ class TestRoundTable:
             shared = heuristic_vrp(req)
             assert ids(shared) == ids(heuristic_vrp(replace(req, table=fresh_table(req, table))))
             done.append(shared)
+
+    @given(case=shared_rounds())
+    @settings(max_examples=150, deadline=None)
+    def test_best_warm_start_is_a_floor(self, case):
+        """Each solve of a round returns the better, on `(weighted value,
+        count)`, of its search without warm starts and its best vetted
+        warm start (the first among equals), taken unchanged; the search
+        wins a tie.  The table's vetted warm starts are left as they
+        were."""
+        table, requests = case
+        ids = lambda s: {p.vehicle_id: p.task_ids for p in s.paths}
+        done = []
+        for req in requests:
+            req = replace(req, warm_starts=tuple(done))
+            heur = _Heuristic(req)
+            floor, floor_paths = (-math.inf, -math.inf), None
+            for warm in done:
+                paths = heur._vet(warm)
+                if paths is not None and heur._value(paths) > floor:
+                    floor, floor_paths = heur._value(paths), paths
+            got = heuristic_vrp(req)
+            searched = heuristic_vrp(replace(req, warm_starts=()))
+            if schedule_value(req, searched) >= floor:
+                assert ids(got) == ids(searched)
+            else:
+                assert ids(got) == ids(heur._to_schedule(floor_paths))
+            vetted = {k: repr(paths) for k, (_, paths) in table.vetted.items()}
+            heuristic_vrp(req)
+            assert {k: repr(paths) for k, (_, paths) in table.vetted.items()} == vetted
+            done.append(got)
 
     @given(case=round_tables())
     @settings(max_examples=120, deadline=None)
