@@ -471,9 +471,11 @@ def run_trace(
     committed tasks, advance motion, and compute metrics.  Deterministic
     for a fixed seed.
 
-    A mobius tick in the round (of `cfg.round_s`) of its last plan gives
-    its solves that plan as their floor; a tick with no earlier plan in
-    its round builds the warm-start suite (`vrp.RoundSolver`)."""
+    A mobius tick gives its solves its last plan as their floor when
+    that plan was made in the tick's round (of `cfg.round_s`) or still
+    holds one of its open tasks.  Only a cold tick builds the warm-start
+    suite (`vrp.RoundSolver`): one with no plan yet, or whose last plan,
+    from an earlier round, holds none of its open tasks."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     solver_config = solver_config or SolverConfig()
@@ -530,7 +532,9 @@ def run_trace(
         if policy == "mobius":
             round_index = int(np.floor((now + 1e-9) / cfg.round_s))
             seeds = None
-            if last_plan is not None and last_plan[0] == round_index:
+            if last_plan is not None and (
+                last_plan[0] == round_index or not planned.isdisjoint(last_plan[1].task_ids())
+            ):
                 seeds = (last_plan[1],)
             result = mobius.run_round(instance, committed=live_committed, warm_starts=seeds)
             schedule = result.schedule

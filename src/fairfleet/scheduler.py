@@ -106,8 +106,9 @@ class RoundConfig:
             raise ValueError("need 0 < replan_s <= round_s")
         if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
-        if self.return_home_every_s is not None and not self.return_home_every_s > 0:
-            raise ValueError("return_home_every_s must be > 0")
+        # Unset already means never; an infinite period only computes 0 * inf.
+        if self.return_home_every_s is not None and not 0 < self.return_home_every_s < math.inf:
+            raise ValueError("return_home_every_s must be > 0 and finite")
         if not self.expiry_s > 0:
             raise ValueError("expiry_s must be > 0")
         if self.prune_after_rounds < 0:
@@ -240,10 +241,11 @@ class Scheduler:
     ) -> RoundResult:
         """Plan one round over the geometry and fold its allocation into
         the full-roster history.  Every solve honours `committed`
-        (`vrp.SolverRequest`) and starts from `warm_starts`, or from the
-        warm-start suite when none are given (`vrp.RoundSolver`);
-        committed tasks the plan leaves out are reported, sorted, in
-        `last_cancelled`."""
+        (`vrp.SolverRequest`) and takes `warm_starts`, or the warm-start
+        suite when none are given, as its floor; once a solve serves
+        every task, the later ones return it unsearched
+        (`vrp.RoundSolver`).  Committed tasks the plan leaves out are
+        reported, sorted, in `last_cancelled`."""
         present = {t.customer_id for t in instance.tasks}
         self.observe(present)
         for c in self.roster:

@@ -1449,16 +1449,16 @@ class RoundSolver:
     commitments (task_id -> vehicle_id) and config with each call, and
     keeps every result as a warm start for the next: a heuristic solve
     returns the best of them, unchanged, when its own search scores
-    lower.
+    lower.  Once a result serves every task of the instance, each later
+    call returns it without a solve; it still counts.
 
     Every call of a round reads one travel table, whichever backend
-    solves it.  The cache starts from `warm_starts` when given: a
-    mid-round replan passes the plan it replaces, which each heuristic
-    solve sanitizes to this instance and vets on its vehicles.  Given
-    none, a heuristic-backed round fills the cache with the warm-start
-    suite, built on the same table.  Either way the warm starts stay
-    outside the call count, which verifies the |K| + stages budget per
-    round.
+    solves it.  The cache starts from `warm_starts` when given: a replan
+    passes the plan it replaces, which each heuristic solve sanitizes to
+    this instance and vets on its vehicles.  Given none, a
+    heuristic-backed round fills the cache with the warm-start suite,
+    built on the same table.  Either way the warm starts stay outside
+    the call count, which verifies the |K| + stages budget per round.
     """
 
     def __init__(
@@ -1476,6 +1476,7 @@ class RoundSolver:
         self.ride_counts_as = ride_counts_as
         self.customers = tuple(customers) if customers is not None else instance.customers
         self.calls = 0
+        self._serves_all: Optional[Schedule] = None
         self._table = RoundTable(instance)
         if warm_starts is not None:
             self._cache = list(warm_starts)
@@ -1493,7 +1494,16 @@ class RoundSolver:
         return len(self._cache)
 
     def solve(self, weights: np.ndarray) -> tuple[np.ndarray, Schedule]:
-        """One counted weighted-VRP call; returns (allocation, schedule)."""
+        """One counted weighted-VRP call; returns (allocation, schedule).
+
+        Once a result of this round serves every task, later calls return
+        the earliest such result without searching: the weights are
+        clamped to >= 0, so it maximizes every customer's count at once
+        and a search could only tie it.  Warm starts never qualify."""
+        self.calls += 1
+        if self._serves_all is not None:
+            schedule = self._serves_all
+            return allocation_of(schedule, self.customers, self.ride_counts_as), schedule
         w = np.asarray(weights, dtype=float)
         if np.any(w < 0):
             # Entries within TOL_FACE of zero are rounding noise.
@@ -1515,7 +1525,8 @@ class RoundSolver:
             ride_counts_as=self.ride_counts_as,
         )
         schedule = solve_weighted_vrp(req)
-        self.calls += 1
         self._cache.append(schedule)
+        if schedule.total_tasks() == len(self.instance.tasks):
+            self._serves_all = schedule
         allocation = allocation_of(schedule, self.customers, self.ride_counts_as)
         return allocation, schedule

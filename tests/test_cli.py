@@ -318,6 +318,7 @@ class TestConfigHandling:
                                      ("alpha", "nan", ">= 0"),
                                      ("alpha", "-1", ">= 0"),
                                      ("return_home_every_s", "nan", "> 0"),
+                                     ("return_home_every_s", "inf", "> 0 and finite"),
                                      ("expiry_s", "nan", "> 0"),
                                      ("prune_after_rounds", "-3", ">= 0")):
                 rc = main([command, "--config", str(cfg), "--set", f"{key}={value}"])

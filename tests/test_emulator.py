@@ -34,7 +34,7 @@ from fairfleet.emulator import (
 from fairfleet.fairness import jain_index
 from fairfleet.gen import Scenario, map_a_small
 from fairfleet.model import Instance, Path, Schedule, path_times, path_violation, task_count
-from fairfleet.scheduler import RoundConfig
+from fairfleet.scheduler import RoundConfig, Scheduler
 from fairfleet.vrp import SolverConfig
 
 EXACT = SolverConfig(backend="exact")
@@ -764,31 +764,96 @@ def test_ride_trace_golden_digest():
     assert ride_trace_digest(metrics) == RIDE_TRACE_DIGEST
 
 
-@pytest.mark.parametrize("replans", [1, 3])
-def test_mid_round_replans_seed_from_the_last_plan(replans, monkeypatch):
-    """Only a mobius tick with no earlier plan in its round builds the
-    warm-start suite; a later tick of the round seeds its solves from the
-    plan it replaces.  A task arriving at each round's start makes every
-    tick plan."""
-    trace, vehicles = golden_ride_trace()
-    round_s = 600.0
-    openers = tuple(mk_task(f"r{r}-open", "c1", 100.0, 0.0, arrival_time=r * round_s)
-                    for r in range(3))
-    trace = Trace(tasks=trace.tasks + openers, duration=trace.duration, customers=())
-    built = []
+def replay_recording_warm_starts(trace, vehicles, cfg, monkeypatch):
+    """Replay `trace` under mobius on the heuristic backend.  Returns the
+    round starts at which the warm-start suite was built, and per planned
+    tick its start, its open task ids, the warm starts it was given and
+    the plan it made."""
+    built, ticks = [], []
     real_suite = vrp.build_warm_start_suite
+    real_run_round = Scheduler.run_round
 
     def counted_suite(*args, **kwargs):
         built.append(args[0].round_start)
         return real_suite(*args, **kwargs)
 
+    def recorded_run_round(self, instance, committed=None, warm_starts=None):
+        result = real_run_round(self, instance, committed=committed, warm_starts=warm_starts)
+        ticks.append((instance.round_start, {t.task_id for t in instance.tasks},
+                      warm_starts, result.schedule))
+        return result
+
     monkeypatch.setattr(vrp, "build_warm_start_suite", counted_suite)
+    monkeypatch.setattr(Scheduler, "run_round", recorded_run_round)
+    run_trace(trace, "mobius", cfg, vehicles, EUCLID,
+              SolverConfig(backend="heuristic", time_limit_s=0.05))
+    return built, ticks
+
+
+def assert_cold_start_rule(built, ticks, round_s):
+    """A tick takes its last plan as its one warm start when that plan is
+    of its round or holds one of its open tasks; every other tick, and
+    only such a tick, builds the suite."""
+    cold = []
+    for i, (now, planned, warm_starts, _) in enumerate(ticks):
+        if i and (ticks[i - 1][0] // round_s == now // round_s
+                  or planned & ticks[i - 1][3].task_ids()):
+            assert warm_starts is not None and len(warm_starts) == 1
+            assert warm_starts[0] is ticks[i - 1][3]
+        else:
+            assert warm_starts is None
+            cold.append(now)
+    assert built == cold
+
+
+@pytest.mark.parametrize("replans, suites", [(1, [0.0, 600.0, 1200.0]), (3, [0.0, 600.0])],
+                         ids=["1", "3"])
+def test_mid_round_replans_seed_from_the_last_plan(replans, suites, monkeypatch):
+    """A mobius tick seeds its solves from its last plan when that plan
+    was made in its round or still holds one of its open tasks; only the
+    other, cold, ticks build the warm-start suite.  A task arriving at
+    each round's start makes every tick plan.  With three replans a
+    round, the plan made at 1000 s still holds an open task at 1200 s."""
+    trace, vehicles = golden_ride_trace()
+    round_s = 600.0
+    openers = tuple(mk_task(f"r{r}-open", "c1", 100.0, 0.0, arrival_time=r * round_s)
+                    for r in range(3))
+    trace = Trace(tasks=trace.tasks + openers, duration=trace.duration, customers=())
     cfg = RoundConfig(round_s=round_s, replan_s=round_s / replans, expiry_s=400.0)
-    metrics = run_trace(trace, "mobius", cfg, vehicles, EUCLID,
-                        SolverConfig(backend="heuristic", time_limit_s=0.05))
-    planned = [e["t_s"] for e in metrics.events if e["calls"] is not None]
-    assert len(planned) == 3 * replans
-    assert built == [0.0, 600.0, 1200.0]
+    built, ticks = replay_recording_warm_starts(trace, vehicles, cfg, monkeypatch)
+    assert len(ticks) == 3 * replans
+    assert_cold_start_rule(built, ticks, round_s)
+    assert built == suites
+
+
+# A plan made at 300 s sends the one vehicle to three tasks in a line,
+# and at 600 s it is still on its way: the round opening carries it.
+OUTLIVES_ITS_ROUND = (mk_task("s", "c1", 100.0, 0.0, arrival_time=0.0),
+                      mk_task("a", "c1", 2500.0, 0.0, arrival_time=300.0),
+                      mk_task("b", "c2", 3000.0, 0.0, arrival_time=300.0),
+                      mk_task("c", "c1", 3500.0, 0.0, arrival_time=300.0))
+# Every planned task completes within its round: each opening is cold.
+DONE_WITHIN_ITS_ROUND = (mk_task("s0", "c1", 100.0, 0.0, arrival_time=0.0),
+                         mk_task("m0", "c2", 150.0, 0.0, arrival_time=300.0),
+                         mk_task("s1", "c1", 200.0, 0.0, arrival_time=600.0),
+                         mk_task("s2", "c2", 300.0, 0.0, arrival_time=1200.0))
+
+
+@pytest.mark.parametrize("tasks, duration, planned, suites", [
+    (OUTLIVES_ITS_ROUND, 1200.0, [0.0, 300.0, 600.0], [0.0]),
+    (DONE_WITHIN_ITS_ROUND, 1800.0, [0.0, 300.0, 600.0, 1200.0], [0.0, 600.0, 1200.0]),
+], ids=["outlives", "done-within"])
+def test_round_opening_builds_the_suite_only_when_cold(tasks, duration, planned, suites,
+                                                       monkeypatch):
+    """A round-opening tick whose last plan still holds one of its open
+    tasks carries that plan and builds no suite; one whose last plan's
+    tasks all completed in their round builds it."""
+    trace = Trace(tasks=tasks, duration=duration, customers=())
+    cfg = RoundConfig(round_s=600.0, replan_s=300.0)
+    built, ticks = replay_recording_warm_starts(trace, (mk_vehicle(),), cfg, monkeypatch)
+    assert [now for now, *_ in ticks] == planned
+    assert_cold_start_rule(built, ticks, 600.0)
+    assert built == suites
 
 
 # Recorded with the exact backend's own copy of the path rules, before

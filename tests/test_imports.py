@@ -283,3 +283,12 @@ def test_plans_are_timed_where_committed():
     `emulator._commit` calls `path_times`, to time the one plan it
     commits, so no solve times the paths it returns."""
     assert callers_of("path_times") == {"emulator._commit"}
+
+
+def test_counted_solves_pass_the_facade():
+    """A counted solve reaches the backend only through `RoundSolver.solve`,
+    which returns a result of its round serving every task without
+    searching again; the max-throughput baseline solves outside any
+    round."""
+    assert callers_of("solve_weighted_vrp") == {
+        "vrp.RoundSolver.solve", "emulator.baseline_max_throughput"}

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -661,6 +661,98 @@ class TestDispatchAndFacade:
         monkeypatch.setattr(_Heuristic, "_improve", count)
         heuristic_vrp(req)
         assert searches == [[[] for _ in req.vehicles]]
+
+    def test_round_solver_reuses_a_result_that_serves_every_task(self, monkeypatch):
+        """Once a result of the round serves every task, later calls count
+        but reach no backend, return that result and its allocation, and
+        add nothing to the warm starts.  A warm start serving every task
+        does not qualify, and a round that cannot serve every task
+        searches on every call."""
+        backend = []
+
+        def counted(req):
+            backend.append(req)
+            return solve_weighted_vrp(req)
+
+        monkeypatch.setattr(vrp, "solve_weighted_vrp", counted)
+        tasks = tuple(mk_task(f"t{i}", f"c{i % 2 + 1}", 50.0 * i, 0.0) for i in range(4))
+        inst = Instance(tasks=tasks, vehicles=(mk_vehicle(),), travel=EUCLID, budget=600.0)
+        solver = RoundSolver(inst, SolverConfig(backend="exact"))
+        alloc, full = solver.solve(np.array([1.0, 0.0]))
+        assert full.total_tasks() == len(tasks)
+        for w in ([0.0, 1.0], [0.3, 0.7], [-0.2, 1.0]):
+            got_alloc, got = solver.solve(np.array(w))
+            assert got is full
+            assert np.array_equal(got_alloc, alloc)
+        assert (solver.calls, len(backend), solver.warm_start_count) == (4, 1, 1)
+
+        carried = RoundSolver(inst, SolverConfig(backend="exact"), warm_starts=(full,))
+        carried.solve(np.ones(2))
+        carried.solve(np.ones(2))
+        assert (carried.calls, len(backend)) == (2, 2)
+
+        short = replace(inst, budget=30.0)
+        solver = RoundSolver(short, SolverConfig(backend="exact"))
+        for w in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
+            _, got = solver.solve(np.array(w))
+            assert got.total_tasks() < len(tasks)
+        assert (solver.calls, len(backend)) == (3, 5)
+
+
+@st.composite
+def servable_rounds(draw):
+    """A small round, near its vehicles, whose tasks hold pairs and, in
+    half the rounds, deadlines; some are committed to a vehicle.  Returns
+    the instance, the commitments and `ride_counts_as`."""
+    coord = st.floats(min_value=-300, max_value=300, allow_nan=False)
+    deadline = st.one_of(st.none(), st.floats(min_value=60, max_value=600))
+    if not draw(st.booleans()):
+        deadline = st.none()
+    tasks = []
+    for k in range(draw(st.integers(min_value=0, max_value=2))):
+        cust = f"c{k % 2 + 1}"
+        tasks.append(Task(f"p{k}", cust, (draw(coord), draw(coord)), 10.0, pickup_of=f"q{k}"))
+        tasks.append(Task(f"q{k}", cust, (draw(coord), draw(coord)), 10.0,
+                          deadline=draw(deadline), dropoff_of=f"p{k}"))
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        tasks.append(Task(f"s{k}", f"c{k % 2 + 1}", (draw(coord), draw(coord)), 10.0,
+                          deadline=draw(deadline)))
+    vehicles = tuple(
+        Vehicle(f"v{j}", (draw(coord), draw(coord)), speed=10.0,
+                capacity=draw(st.integers(min_value=1, max_value=2)),
+                return_home=draw(st.booleans()))
+        for j in range(2)
+    )
+    budget = draw(st.sampled_from([300.0, 600.0, 1200.0]))
+    committed = {t.task_id: draw(st.sampled_from(vehicles)).vehicle_id
+                 for t in tasks if draw(st.integers(min_value=0, max_value=3)) == 0}
+    inst = Instance(tuple(tasks), vehicles, EUCLID, budget)
+    return inst, committed, draw(st.sampled_from([1, 2]))
+
+
+weight_pairs = st.lists(st.floats(min_value=0, max_value=2), min_size=2, max_size=2)
+
+
+@given(case=servable_rounds(), first=weight_pairs, later=weight_pairs)
+@settings(max_examples=150, deadline=None)
+def test_a_schedule_serving_every_task_is_optimal_for_any_weights(case, first, later):
+    """Whenever some schedule serves every task, `exact_vrp` at any
+    nonnegative weights scores what that schedule scores: the premise on
+    which `RoundSolver` stops searching once a result serves every task."""
+    inst, committed, rides = case
+    table = RoundTable(inst)
+
+    def request(weights):
+        return SolverRequest(tasks=inst.tasks, vehicles=inst.vehicles, customers=("c1", "c2"),
+                             weights=np.array(weights), table=table, committed=committed,
+                             config=SolverConfig(backend="exact"), ride_counts_as=rides)
+
+    full = exact_vrp(request(first))
+    assume(full.total_tasks() == len(inst.tasks))
+    req = request(later)
+    got = exact_vrp(req)
+    assert got.total_tasks() == len(inst.tasks)
+    assert schedule_value(req, got) == pytest.approx(schedule_value(req, full), rel=1e-12)
 
 
 class TestScheduleValue:
