@@ -203,7 +203,10 @@ def _load_trace(cfg: dict, round_s: float) -> Trace:
     duration = _float_value(cfg, "duration_s")
     if duration is None:
         duration = (np.floor(last / round_s) + 1) * round_s
-    return Trace(tasks=tuple(tasks), duration=float(duration), customers=())
+    try:
+        return Trace(tasks=tuple(tasks), duration=float(duration), customers=())
+    except ValueError as exc:  # duration_s out of range, or a task past its end
+        raise UsageError(str(exc)) from exc
 
 
 def _load_vehicles(cfg: dict):
@@ -328,9 +331,13 @@ def cmd_compare(cfg: dict) -> int:
     return 0
 
 
-def _snapshot_instance(cfg: dict, snapshot_s: float) -> Instance:
-    """Freeze the scenario at `snapshot_s`: tasks that have arrived and
-    not yet expired, vehicles at their starting posts."""
+def _snapshot_instance(cfg: dict) -> Instance:
+    """Freeze the scenario at `snapshot_s`, a finite number >= 0: tasks
+    that have arrived and not yet expired, vehicles at their starting
+    posts, and the round starting there."""
+    snapshot_s = _float_value(cfg, "snapshot_s")
+    if snapshot_s is None or not 0 <= snapshot_s < np.inf:
+        raise UsageError(f"snapshot_s must be >= 0 and finite, got {cfg['snapshot_s']!r}")
     source = cfg.get("tasks") or cfg.get("trace")
     if not source:
         raise UsageError("config needs a 'tasks' or 'trace' path")
@@ -352,8 +359,8 @@ def _snapshot_instance(cfg: dict, snapshot_s: float) -> Instance:
 
 def cmd_boundary(cfg: dict) -> int:
     round_cfg = _round_config(cfg)
-    snapshot_s = _float_value(cfg, "snapshot_s")
-    instance = _snapshot_instance(cfg, snapshot_s)
+    instance = _snapshot_instance(cfg)
+    snapshot_s = instance.round_start
     if not instance.tasks:
         raise UsageError(f"no live tasks at t={snapshot_s:g}s")
     customers = instance.customers
@@ -382,7 +389,7 @@ def cmd_boundary(cfg: dict) -> int:
 
 def cmd_oracle(cfg: dict) -> int:
     ride_counts_as = _round_config(cfg).ride_counts_as
-    instance = _snapshot_instance(cfg, _float_value(cfg, "snapshot_s"))
+    instance = _snapshot_instance(cfg)
     report = oracle_report(instance, ride_counts_as)
     report["config"] = cfg
     out = Path(cfg["out_dir"])

@@ -33,7 +33,6 @@ from .vrp import (
     SolverConfig,
     SolverRequest,
     construct,
-    dedicated_partition,
     may_serve,
     solve_weighted_vrp,
 )
@@ -50,19 +49,24 @@ EXPIRED = "expired"
 
 @dataclass(frozen=True)
 class Trace:
-    """Timestamped task arrivals over a fixed horizon."""
+    """Timestamped task arrivals over a fixed horizon of `duration`
+    seconds (the scenario's `duration_s`)."""
 
     tasks: tuple[Task, ...]
     duration: float
     customers: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not 0 < self.duration < np.inf:
+            raise ValueError("duration_s must be > 0 and finite")
         object.__setattr__(
             self, "tasks", tuple(sorted(self.tasks, key=lambda t: (t.arrival_time, t.task_id)))
         )
         for t in self.tasks:
             if t.arrival_time > self.duration:
-                raise ValueError(f"task {t.task_id} arrives after the trace ends")
+                raise ValueError(
+                    f"task {t.task_id} arrives after the trace ends (duration_s={self.duration:g})"
+                )
         listed = {t.customer_id for t in self.tasks}
         if not self.customers:
             object.__setattr__(self, "customers", tuple(sorted(listed)))
@@ -386,16 +390,25 @@ def baseline_max_throughput(
     if not customers:
         return empty_schedule(instance.vehicles, instance.budget)
     req = SolverRequest(
-        tasks=instance.tasks,
-        vehicles=instance.vehicles,
+        table=RoundTable(instance),
         customers=customers,
         weights=np.full(len(customers), 1.0 / len(customers)),
-        table=RoundTable(instance),
         committed=committed,
         config=solver_config or SolverConfig(),
         ride_counts_as=ride_counts_as,
     )
     return solve_weighted_vrp(req)
+
+
+def dedicated_partition(vehicles: Sequence[Vehicle], customers: Sequence[str]) -> dict[str, list[Vehicle]]:
+    """Round-robin vehicle split by index; extra vehicles go to the
+    lowest customer indices.  Requires |V| >= |K|."""
+    if len(vehicles) < len(customers):
+        raise ValueError("dedicated baseline needs at least one vehicle per customer")
+    out: dict[str, list[Vehicle]] = {c: [] for c in customers}
+    for i, v in enumerate(vehicles):
+        out[customers[i % len(customers)]].append(v)
+    return out
 
 
 def baseline_dedicated(

@@ -8,9 +8,10 @@ throughput allocation.  Three entry points:
                      admissible remaining-weight bound and dominance
                      pruning; provably optimal on small instances.
 * heuristic_vrp   -- cheapest insertion by marginal weighted gain per
-                     second from empty paths, then local search; the
-                     best vetted warm start, taken unchanged, is the
-                     floor it must beat.  A path is a list of
+                     second from empty paths, one evaluation per
+                     inserted task, then local search; the best vetted
+                     warm start, taken unchanged, is the floor it must
+                     beat.  A path is a list of
                      rows of the round's `RoundTable` of travel
                      seconds, which every solve of the round reads.
                      Each path keeps its insertion offers until it
@@ -34,11 +35,13 @@ throughput allocation.  Three entry points:
                      return-on-investment.
 
 A `SolverRequest` holds each solve setting once: its round's
-`RoundTable`, which owns the travel model, budget and round start, its
-commitments, whose two rules only this module reads (`_task_weight`,
-`may_serve`), and its `SolverConfig`.  Every solver returns untimed
-paths (`model.Path`, a task order); the emulator times the one plan it
-commits.
+`RoundTable`, which owns the tasks, vehicles, travel model, budget and
+round start, so every solve covers its whole round; its commitments,
+whose two rules only this module reads (`_task_weight`, `may_serve`);
+and its `SolverConfig`.  A heuristic-backed round starts from one warm
+start, its max-throughput solve (`build_warm_start_suite`).  Every
+solver returns untimed paths (`model.Path`, a task order); the emulator
+times the one plan it commits.
 
 Ties on the weighted objective are broken toward larger unweighted total
 throughput.  All solvers are deterministic for a fixed (instance, weights,
@@ -50,7 +53,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -67,6 +70,7 @@ from .model import (
     TravelModel,
     Vehicle,
     allocation_of,
+    customers_of,
     empty_schedule,
     path_violation,
     riders_on_board,
@@ -120,23 +124,21 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverRequest:
-    """One weighted-VRP instance on its round's `table`.
+    """One weighted-VRP instance: its round's `table`, whose tasks and
+    vehicles it solves over.
 
-    The table owns the travel model, the budget and the round start;
-    `tasks` and `vehicles` must be among its own (`RoundTable.covers`).
-    `weights` aligns with `customers` (canonical sorted order).  Negative
-    weights are clamped to zero before solving.  `committed` maps a
-    task_id to the vehicle it was promised to: the task weighs
-    COMMIT_WEIGHT_RATIO in place of its customer's weight, and only that
-    vehicle may serve it (`may_serve`).  `config` names the backend, the
-    effort budget, the seed and the exact cutoff.
+    The table owns the tasks, the vehicles, the travel model, the budget
+    and the round start.  `weights` aligns with `customers` (canonical
+    sorted order).  Negative weights are clamped to zero before solving.
+    `committed` maps a task_id to the vehicle it was promised to: the
+    task weighs COMMIT_WEIGHT_RATIO in place of its customer's weight,
+    and only that vehicle may serve it (`may_serve`).  `config` names the
+    backend, the effort budget, the seed and the exact cutoff.
     """
 
-    tasks: tuple[Task, ...]
-    vehicles: tuple[Vehicle, ...]
+    table: RoundTable = field(repr=False, compare=False)
     customers: tuple[str, ...]
     weights: np.ndarray
-    table: RoundTable = field(repr=False, compare=False)
     committed: Optional[Mapping[str, str]] = None
     warm_starts: tuple[Schedule, ...] = ()
     config: SolverConfig = field(default_factory=SolverConfig)
@@ -150,10 +152,16 @@ class SolverRequest:
             logger.warning("negative weights clamped to 0: %s", w)
             w = np.maximum(w, 0.0)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "vehicles", tuple(self.vehicles))
-        if not self.table.covers(self):
-            raise ValueError("the request's tasks and vehicles must be its table's")
+
+    @property
+    def tasks(self) -> tuple[Task, ...]:
+        """The round's tasks, the table's."""
+        return self.table.tasks
+
+    @property
+    def vehicles(self) -> tuple[Vehicle, ...]:
+        """The round's vehicles, the table's."""
+        return self.table.vehicles
 
 
 def _customer_weights(req: SolverRequest) -> dict[str, float]:
@@ -355,12 +363,13 @@ def _offer_key(gain: float, delta: float, task_id: str) -> tuple:
 class RoundTable:
     """Travel seconds between the tasks and vehicle starts of one round.
 
-    Built from the round's `Instance`, the table owns its travel model,
-    budget and round start, which every request it carries solves under;
-    `budget_slack` holds each vehicle's budget less its ready offset.
-    Rows 0..n-1 are the tasks, `task_at[row]` the task of a row, then one
-    row per vehicle start.  A heuristic path is a list of rows, and the
-    schedule a solve returns holds their tasks in order, untimed.
+    Built from the round's `Instance`, the table owns its tasks,
+    vehicles, travel model, budget and round start: every request on it
+    solves the whole round under them.  `budget_slack` holds each
+    vehicle's budget less its ready offset.  Rows 0..n-1 are the tasks,
+    `tasks[row]` the task of a row, then one row per vehicle start.  A
+    heuristic path is a list of rows, and the schedule a solve returns
+    holds their tasks in order, untimed.
     `seconds` holds one row per point, each entry `travel_time` of its
     two points, filled once per distinct vehicle speed (the matrix model
     ignores speed).  `screen` holds the same values as one array per
@@ -394,22 +403,20 @@ class RoundTable:
       and the random stream, and so every later choice, come out as if
       the scan had run.
     * `vetted[(id(s), commitments id)]`: each warm start's sanitized
-      paths and their feasibility, for solves over the whole round.
+      paths and their feasibility.
 
-    Most paths recur across the suite and the `|K| + stages` calls of a
-    round: every solve searches from empty paths, and the paths it passes
-    through often repeat an earlier solve's.
+    Most paths recur across the warm-start solve and the `|K| + stages`
+    calls of a round: every solve searches from empty paths, and the
+    paths it passes through often repeat an earlier solve's.
     """
 
     def __init__(self, instance: Instance):
         tasks, vehicles = instance.tasks, instance.vehicles
         self.travel = travel = instance.travel
         self.budget, self.round_start = instance.budget, instance.round_start
-        self.tasks = {t.task_id: t for t in tasks}
-        self.vehicles = {v.vehicle_id: v for v in vehicles}
+        self.tasks, self.vehicles = tasks, vehicles
         self.budget_slack = {v.vehicle_id: instance.budget - v.ready_offset for v in vehicles}
         self.row = {t.task_id: i for i, t in enumerate(tasks)}
-        self.task_at = list(tasks)
         self.home = {v.vehicle_id: len(tasks) + k for k, v in enumerate(vehicles)}
         self.svc = [t.service_time for t in tasks]
         self.svc_array = np.array(self.svc, dtype=float)
@@ -429,13 +436,6 @@ class RoundTable:
         self.void: set[tuple] = set()
         self.contexts: dict[tuple, int] = {}
         self.path_ids: dict[tuple, int] = {}
-
-    def covers(self, req: SolverRequest) -> bool:
-        """Whether the request's tasks and vehicles are the table's."""
-        return (
-            all(self.vehicles.get(v.vehicle_id) == v for v in req.vehicles)
-            and all(self.tasks.get(t.task_id) == t for t in req.tasks)
-        )
 
 
 class _Route:
@@ -681,13 +681,13 @@ class _Heuristic:
         self.req = req
         self.rng = random.Random(req.config.seed)
         self.evals = max(10_000, int(req.config.time_limit_s * _EVALS_PER_SECOND))
-        self.has_deadlines = any(t.deadline is not None for t in req.tasks)
         self.table = table = req.table
-        self.row = row = table.row
-        self.svc, self.home = table.svc, table.home
+        self.has_deadlines = any(t.deadline is not None for t in table.tasks)
+        self.row, self.svc, self.home = table.row, table.svc, table.home
         weights = _customer_weights(req)
-        self.contrib = {row[t.task_id]: _contribution(req, t, weights) for t in req.tasks}
-        self.count = {row[t.task_id]: task_count(t, req.ride_counts_as) for t in req.tasks}
+        # Each row's weighted gain and count.
+        self.contrib = [_contribution(req, t, weights) for t in table.tasks]
+        self.count = [task_count(t, req.ride_counts_as) for t in table.tasks]
         commitments = tuple(sorted((req.committed or {}).items()))
         self.commit_id = table.contexts.setdefault(commitments, len(table.contexts))
 
@@ -839,7 +839,7 @@ class _Heuristic:
 
     def _feasible(self, vehicle: Vehicle, seq: list[int]) -> bool:
         table = self.table
-        tasks = list(map(table.task_at.__getitem__, seq))
+        tasks = list(map(table.tasks.__getitem__, seq))
         return path_violation(tasks, vehicle, table.travel, table.budget, table.round_start) is None
 
     def _value(self, paths: dict[str, list[int]]) -> tuple[float, float]:
@@ -856,36 +856,27 @@ class _Heuristic:
     def _vet(self, schedule: Schedule) -> Optional[dict[str, list[int]]]:
         """The warm start's paths as rows, cut to the live tasks each
         vehicle may serve and to whole pairs; None if one is infeasible."""
-        live = {t.task_id: t for t in self.req.tasks}
-        vmap = {v.vehicle_id: v for v in self.req.vehicles}
+        row, tasks, committed = self.row, self.table.tasks, self.req.committed
+        vmap = {v.vehicle_id: v for v in self.table.vehicles}
         out: dict[str, list[int]] = {vid: [] for vid in vmap}
         for p in schedule.paths:
             veh = vmap.get(p.vehicle_id)
             if veh is None:
                 continue
-            kept = [
-                live[t.task_id]
-                for t in p.tasks
-                if t.task_id in live and may_serve(self.req.committed, live[t.task_id], veh)
-            ]
+            rows = [row[t.task_id] for t in p.tasks if t.task_id in row]
+            kept = [tasks[r] for r in rows if may_serve(committed, tasks[r], veh)]
             ids = {t.task_id for t in kept}
-            out[p.vehicle_id] = [
-                self.row[t.task_id] for t in kept if t.pair_id is None or t.pair_id in ids
-            ]
+            out[p.vehicle_id] = [row[t.task_id] for t in kept if t.pair_id is None or t.pair_id in ids]
         return out if all(self._feasible(v, out[v.vehicle_id]) for v in vmap.values()) else None
 
     def _best_seed(self) -> tuple[tuple[float, float], dict[str, list[int]]]:
         """The best vetted warm start, the first among equals: its
         `(value, count)` and its row paths, which the round table may
-        share and so are only read.  With none, `(-inf, -inf)`."""
-        req, table = self.req, self.table
-        # A solve over all of the table's tasks and vehicles shares the
-        # table's verdicts with the other solves of the round that have
-        # the same commitments.
-        full = len(req.tasks) == len(table.tasks) and len(req.vehicles) == len(table.vehicles)
-        memo = table.vetted if full else {}
+        share and so are only read.  With none, `(-inf, -inf)`.  The
+        solves of a round with the same commitments share each verdict."""
+        memo = self.table.vetted
         best: tuple[tuple[float, float], dict[str, list[int]]] = ((-np.inf, -np.inf), {})
-        for s in req.warm_starts:
+        for s in self.req.warm_starts:
             key = (id(s), self.commit_id)
             if key not in memo:
                 memo[key] = (s, self._vet(s))  # holding s keeps its id unique
@@ -900,7 +891,7 @@ class _Heuristic:
     def _to_schedule(self, paths: dict[str, list[int]]) -> Schedule:
         table = self.table
         built = tuple(
-            Path(v.vehicle_id, tuple(table.task_at[r] for r in paths[v.vehicle_id]))
+            Path(v.vehicle_id, tuple(table.tasks[r] for r in paths[v.vehicle_id]))
             for v in self.req.vehicles
         )
         return Schedule(paths=built, round_duration=table.budget)
@@ -1051,7 +1042,7 @@ class _Heuristic:
             for tid in inserted:
                 unscheduled.pop(tid, None)
             pool.drop(task.task_id)
-            if not self._charge(1, left):  # the step weighed every open candidate
+            if not self._charge(1):  # one evaluation per insertion
                 break
             left -= 1
 
@@ -1116,8 +1107,8 @@ class _Heuristic:
     def _two_opt_pass(self, state: _Route) -> bool:
         """First-improvement segment reversal; cost-only (membership fixed)."""
         m = len(state.seq)
-        task_at = self.table.task_at
-        if m < 3 or any(task_at[r].pair_id is not None for r in state.seq):
+        tasks = self.table.tasks
+        if m < 3 or any(tasks[r].pair_id is not None for r in state.seq):
             return False
         idx = list(range(m - 1))
         self.rng.shuffle(idx)
@@ -1140,12 +1131,12 @@ class _Heuristic:
     def _relocate_pass(self, states: list[_Route]) -> bool:
         """Move one plain task to its cheapest position on a path: a scan
         per task and path, of one trial that weighs every position."""
-        task_at = self.table.task_at
+        tasks = self.table.tasks
         order = [
             (s_i, t_i)
             for s_i, s in enumerate(states)
             for t_i, r in enumerate(s.seq)
-            if task_at[r].pair_id is None
+            if tasks[r].pair_id is None
         ]
         self.rng.shuffle(order)
         committed = self.req.committed or {}
@@ -1157,7 +1148,7 @@ class _Heuristic:
                 src = states[s_i]
                 # A committed task sits on its own vehicle (see `_swap_pass`),
                 # the one path that may take it.
-                for d_i in (s_i,) if task_at[src.seq[t_i]].task_id in committed else everywhere:
+                for d_i in (s_i,) if tasks[src.seq[t_i]].task_id in committed else everywhere:
                     dst = states[d_i]
                     key = ("relocate", self.commit_id, ids[s_i], t_i, ids[d_i])
                     # one evaluation per position
@@ -1205,10 +1196,10 @@ class _Heuristic:
         # on its own vehicle (insertion and every move keep `may_serve`),
         # so it may leave for none.
         committed = self.req.committed or {}
-        task_at = self.table.task_at
+        tasks = self.table.tasks
         movers = [
             [i for i, r in enumerate(s.seq)
-             if task_at[r].pair_id is None and task_at[r].task_id not in committed]
+             if tasks[r].pair_id is None and tasks[r].task_id not in committed]
             for s in states
         ]
 
@@ -1239,7 +1230,7 @@ class _Heuristic:
         finds no move or the effort runs out."""
         while True:
             done = {r for s in states for r in s.seq}
-            remaining = {t.task_id: t for t in self.req.tasks if self.row[t.task_id] not in done}
+            remaining = {t.task_id: t for r, t in enumerate(self.table.tasks) if r not in done}
             if remaining:
                 self._insertion_phase(states, remaining)
             if self.evals <= 0:
@@ -1384,52 +1375,23 @@ def greedy_alpha_heuristic(
 # ---------------------------------------------------------------------------
 
 
-def dedicated_partition(vehicles: Sequence[Vehicle], customers: Sequence[str]) -> dict[str, list[Vehicle]]:
-    """Round-robin vehicle split by index; extra vehicles go to the
-    lowest customer indices.  Requires |V| >= |K|."""
-    if len(vehicles) < len(customers):
-        raise ValueError("dedicated baseline needs at least one vehicle per customer")
-    out: dict[str, list[Vehicle]] = {c: [] for c in customers}
-    for i, v in enumerate(vehicles):
-        out[customers[i % len(customers)]].append(v)
-    return out
-
-
 def build_warm_start_suite(
-    instance: Instance,
-    seed: int = 0,
-    ride_counts_as: int = 1,
-    table: Optional[RoundTable] = None,
+    table: RoundTable, seed: int = 0, ride_counts_as: int = 1
 ) -> list[Schedule]:
-    """Warm starts: the max-throughput insertion solve, then a dedicated
-    vehicle partition when |V| >= |K|, both counting a ride as
-    `ride_counts_as`.  Every solve reads `table`, the instance's round
-    table, built here if not given.  An instance with no customers has
-    no warm start."""
-    customers = instance.customers
+    """The round's warm start: its max-throughput insertion solve on
+    `table`, counting a ride as `ride_counts_as`.  A round with no
+    customers has none."""
+    customers = customers_of(table.tasks)
     if not customers:
         return []
-    suite: list[Schedule] = []
-    base = SolverRequest(
-        tasks=instance.tasks,
-        vehicles=instance.vehicles,
+    req = SolverRequest(
+        table=table,
         customers=customers,
         weights=np.ones(len(customers)),
-        table=RoundTable(instance) if table is None else table,
         config=SolverConfig(time_limit_s=0.5, seed=seed),
         ride_counts_as=ride_counts_as,
     )
-    suite.append(heuristic_vrp(base))
-
-    if len(instance.vehicles) >= len(customers):
-        groups = dedicated_partition(instance.vehicles, customers)
-        paths = []
-        for cust in customers:
-            own = tuple(t for t in instance.tasks if t.customer_id == cust)
-            sub = replace(base, tasks=own, vehicles=tuple(groups[cust]))
-            paths.extend(heuristic_vrp(sub).paths)
-        suite.append(Schedule(paths=tuple(paths), round_duration=instance.budget))
-    return suite
+    return [heuristic_vrp(req)]
 
 
 # ---------------------------------------------------------------------------
@@ -1452,12 +1414,13 @@ class RoundSolver:
     lower.  Once a result serves every task of the instance, each later
     call returns it without a solve; it still counts.
 
-    Every call of a round reads one travel table, whichever backend
-    solves it.  The cache starts from `warm_starts` when given: a replan
-    passes the plan it replaces, which each heuristic solve sanitizes to
-    this instance and vets on its vehicles.  Given none, a
-    heuristic-backed round fills the cache with the warm-start suite,
-    built on the same table.  Either way the warm starts stay outside
+    Every call of a round is a request on one `RoundTable` of the
+    instance, whichever backend solves it.  The cache starts from
+    `warm_starts` when given: a replan passes the plan it replaces, which
+    each heuristic solve sanitizes to this instance and vets on its
+    vehicles.  Given none, a heuristic-backed round starts it from the
+    round's max-throughput solve on the same table
+    (`build_warm_start_suite`).  Either way the warm starts stay outside
     the call count, which verifies the |K| + stages budget per round.
     """
 
@@ -1483,9 +1446,7 @@ class RoundSolver:
         elif self.config.picks_exact(len(instance.tasks), len(instance.vehicles)):
             self._cache = []
         else:
-            self._cache = build_warm_start_suite(
-                instance, self.config.seed, ride_counts_as, table=self._table
-            )
+            self._cache = build_warm_start_suite(self._table, self.config.seed, ride_counts_as)
 
     @property
     def warm_start_count(self) -> int:
@@ -1514,11 +1475,9 @@ class RoundSolver:
         if total > 0:
             w = w / total
         req = SolverRequest(
-            tasks=self.instance.tasks,
-            vehicles=self.instance.vehicles,
+            table=self._table,
             customers=self.customers,
             weights=w,
-            table=self._table,
             committed=self.committed,
             warm_starts=tuple(self._cache),
             config=self.config,

@@ -288,13 +288,11 @@ def test_08_greedy_construction_contract():
             assert not picked
 
         w = rng.uniform(0.1, 1.0, len(inst.customers))
-        suite = build_warm_start_suite(inst, seed=3)
+        suite = build_warm_start_suite(RoundTable(inst), seed=3)
         req = SolverRequest(
-            tasks=inst.tasks,
-            vehicles=inst.vehicles,
+            table=RoundTable(inst),
             customers=inst.customers,
             weights=w,
-            table=RoundTable(inst),
             warm_starts=tuple(suite),
             config=SolverConfig(time_limit_s=0.5, seed=3),
         )
@@ -353,9 +351,11 @@ def test_09_emulation_lifecycle_invariants():
 
 
 # sha256 of the scale round's schedule, one "vehicle_id:task_id,..." line
-# per path in fleet order, recorded before the round-scoped travel table
-# and the incremental insertion step; speed-ups must keep it.
-SCALE_SCHEDULE_SHA256 = "32946d4e315b0710116c76c6842f6830fc71ce6aa93857bdd9a555db9ca95425"
+# per path in fleet order.  Recorded again when insertion began charging
+# one evaluation per inserted task and the warm-start suite shrank to its
+# max-throughput solve: the allocation kept its values, the paths moved.
+# Speed-ups must keep it.
+SCALE_SCHEDULE_SHA256 = "b8e166288d6f42e01476b27719cc9459bf69d6e9b8fab735a77a05f0c980a2de"
 
 
 def test_10_metropolitan_scale_round():
@@ -363,8 +363,9 @@ def test_10_metropolitan_scale_round():
     tasks, 24 vehicles) finishes within 10 minutes, stays on the
     |K| + stages call budget and returns the recorded schedule.  The
     schedule serves every task with an even allocation, so a digest
-    re-recorded after a change cannot hide a collapse: without the
-    dedicated warm start this round served 130 tasks, Jain 0.17."""
+    re-recorded after a change cannot hide a collapse: when insertion
+    stopped after a few dozen tasks, this round's own warm start served
+    31 of them."""
     scn = generate("scale")
     inst = instance_of(scn)
     cfg = RoundConfig(round_s=scn.round_s, alpha=scn.alpha)
@@ -378,3 +379,16 @@ def test_10_metropolitan_scale_round():
     assert jain_index(res.allocation) >= 0.99
     lines = "\n".join(f"{p.vehicle_id}:{','.join(p.task_ids)}" for p in res.schedule.paths)
     assert hashlib.sha256(lines.encode()).hexdigest() == SCALE_SCHEDULE_SHA256
+
+
+def test_max_throughput_serves_the_scale_round():
+    """Insertion charges one evaluation per inserted task, so construction
+    finishes at fleet scale: the max-throughput baseline serves all 999
+    tasks of the scale round on the suite's effort budget.  When each
+    insertion charged every open candidate, it stopped after 31."""
+    inst = instance_of(generate("scale"))
+    sched = baseline_max_throughput(inst, SolverConfig(backend="heuristic", time_limit_s=0.5))
+    assert sched.total_tasks() == len(inst.tasks) == 999
+    by_id = {v.vehicle_id: v for v in inst.vehicles}
+    for path in sched.paths:
+        assert path_violation(path.tasks, by_id[path.vehicle_id], inst.travel, inst.budget) is None

@@ -304,6 +304,18 @@ class TestConfigHandling:
         assert "key=value" in capsys.readouterr().err
 
     def test_ride_counts_as_out_of_range(self, tmp_path, capsys):
+        # Keys one command reads and the other ignores: the trace's
+        # duration, which once failed at NaN or inf with exit 1, and the
+        # snapshot time, which once failed at null with exit 1.
+        read_by = {
+            "run": (("duration_s", "nan", "> 0 and finite"),
+                    ("duration_s", "inf", "> 0 and finite"),
+                    ("duration_s", "-5", "> 0 and finite")),
+            "boundary": (("snapshot_s", "null", ">= 0 and finite"),
+                         ("snapshot_s", "nan", ">= 0 and finite"),
+                         ("snapshot_s", "inf", ">= 0 and finite"),
+                         ("snapshot_s", "-5", ">= 0 and finite")),
+        }
         cfg = tiny_bundle(tmp_path)
         for command in ("run", "boundary"):
             rc = main([command, "--config", str(cfg), "--set", "ride_counts_as=3"])
@@ -320,7 +332,8 @@ class TestConfigHandling:
                                      ("return_home_every_s", "nan", "> 0"),
                                      ("return_home_every_s", "inf", "> 0 and finite"),
                                      ("expiry_s", "nan", "> 0"),
-                                     ("prune_after_rounds", "-3", ">= 0")):
+                                     ("prune_after_rounds", "-3", ">= 0"),
+                                     *read_by[command]):
                 rc = main([command, "--config", str(cfg), "--set", f"{key}={value}"])
                 assert rc == 2
                 assert f"{key} must be {rule}" in capsys.readouterr().err
@@ -330,6 +343,16 @@ class TestConfigHandling:
                            "--set", f"ride_counts_as={value}",
                            "--set", "solver.backend=exact"])
                 assert rc == 0
+
+    def test_task_after_the_trace_ends_is_usage_error(self, tmp_path, capsys):
+        """A `duration_s` that ends the trace before a task arrives stops
+        `run` as a usage error that names the key."""
+        cfg = gen_bundle(tmp_path)  # the second round's tasks arrive at 600 s
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--set", "duration_s=100"])
+        assert rc == 2
+        assert "arrives after the trace ends (duration_s=100)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_solver_time_limit_out_of_range(self, tmp_path, capsys):
         """A NaN, infinite, zero or negative effort budget stops `run` before
@@ -544,6 +567,19 @@ class TestBoundary:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("value", ["null", "nan", "inf", "-5"])
+    def test_snapshot_out_of_range_is_usage_error(self, tmp_path, capsys, value):
+        """A snapshot time that is not a finite number >= 0 is refused
+        before any report is written; NaN, inf and -5 once gave a report
+        over an empty instance, and null exited 1."""
+        cfg = gen_bundle(tmp_path, "--set", "n_each=3")
+        out = tmp_path / "o"
+        rc = main(["oracle", "--config", str(cfg), "--out", str(out),
+                   "--set", f"snapshot_s={value}"])
+        assert rc == 2
+        assert "snapshot_s must be >= 0 and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_over_cap_is_runtime_failure(self, tmp_path, capsys):
         cfg = gen_bundle(tmp_path)  # 10 tasks > the 8-task cap
         rc = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")])

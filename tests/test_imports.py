@@ -240,12 +240,17 @@ def callers_of(name):
 def test_round_tables_are_built_once_per_round():
     """A request carries its round's `RoundTable`, so no solve builds a
     table of its own: the package builds one only in
-    `RoundSolver.__init__`, in `build_warm_start_suite` (when given
-    none), in `greedy_alpha_heuristic` and in
+    `RoundSolver.__init__`, in `greedy_alpha_heuristic` and in
     `emulator.baseline_max_throughput`."""
     assert callers_of("RoundTable") == {
-        "vrp.RoundSolver.__init__", "vrp.build_warm_start_suite",
-        "vrp.greedy_alpha_heuristic", "emulator.baseline_max_throughput"}
+        "vrp.RoundSolver.__init__", "vrp.greedy_alpha_heuristic",
+        "emulator.baseline_max_throughput"}
+
+
+def test_the_fleet_is_split_for_the_dedicated_baseline_alone():
+    """No solve splits the fleet by customer: only the dedicated
+    baseline calls `dedicated_partition`, which lives beside it."""
+    assert callers_of("dedicated_partition") == {"emulator.baseline_dedicated"}
 
 
 def test_warm_start_suite_is_built_in_one_place():

@@ -58,11 +58,9 @@ from fairfleet.vrp import (
 
 def request_for(instance, weights, **kw):
     return SolverRequest(
-        tasks=instance.tasks,
-        vehicles=instance.vehicles,
+        table=RoundTable(instance),
         customers=instance.customers,
         weights=np.asarray(weights, dtype=float),
-        table=RoundTable(instance),
         **kw,
     )
 
@@ -141,7 +139,7 @@ class TestHeuristic:
         for _ in range(10):
             inst = random_instance(rng, max_tasks=14, max_vehicles=3, span=1600.0)
             w = rng.uniform(0.0, 2.0, len(inst.customers))
-            suite = build_warm_start_suite(inst, seed=0)
+            suite = build_warm_start_suite(RoundTable(inst), seed=0)
             req = request_for(inst, w, warm_starts=tuple(suite),
                               config=SolverConfig(time_limit_s=1.0))
             hval = schedule_value(req, heuristic_vrp(req))[0]
@@ -490,7 +488,7 @@ class TestWarmStarts:
         # than the suite member best under its weights.
         rng = np.random.default_rng(19)
         inst = random_instance(rng, max_tasks=10, max_vehicles=2, span=1200.0)
-        suite = build_warm_start_suite(inst, seed=0)
+        suite = build_warm_start_suite(RoundTable(inst), seed=0)
         assert len(suite) >= 1
         w = np.ones(len(inst.customers))
         req = request_for(inst, w, warm_starts=tuple(suite),
@@ -498,20 +496,21 @@ class TestWarmStarts:
         best_member = max(schedule_value(req, s)[0] for s in suite)
         assert schedule_value(req, heuristic_vrp(req))[0] >= best_member - 1e-12
 
-    def test_dedicated_member_skipped_when_fleet_small(self):
-        tasks = (mk_task("a", "c1", 10, 0), mk_task("b", "c2", 20, 0))
-        inst = Instance(tasks=tasks, vehicles=(mk_vehicle(),), travel=EUCLID, budget=600.0)
-        suite = build_warm_start_suite(inst)
-        assert len(suite) == 1
-
-    def test_dedicated_member_covers_multi_vehicle_groups(self):
-        # More vehicles than customers: each customer's tasks are solved
-        # jointly over its vehicle group, so no task lands on two paths.
+    @pytest.mark.parametrize("n_vehicles", [1, 5], ids=["fewer-vehicles", "more-vehicles"])
+    def test_suite_is_the_max_throughput_solve(self, n_vehicles):
+        """Fewer or more vehicles than customers, the suite is one
+        schedule: the uniform-weight heuristic solve on the round's
+        table, at the suite's effort and the given seed and ride count."""
         tasks = tuple(mk_task(f"t{i}", f"c{i % 2 + 1}", 30 * i, 10) for i in range(8))
-        vehicles = tuple(mk_vehicle(f"v{i}", 0, -10 * i) for i in range(5))
+        vehicles = tuple(mk_vehicle(f"v{i}", 0, -10 * i) for i in range(n_vehicles))
         inst = Instance(tasks=tasks, vehicles=vehicles, travel=EUCLID, budget=600.0)
-        suite = build_warm_start_suite(inst)
-        assert len(suite) == 2
+        (member,) = build_warm_start_suite(RoundTable(inst), seed=4, ride_counts_as=2)
+        solo = heuristic_vrp(request_for(inst, np.ones(2), ride_counts_as=2,
+                                         config=SolverConfig(time_limit_s=0.5, seed=4)))
+        assert [p.task_ids for p in member.paths] == [p.task_ids for p in solo.paths]
+        assert member.total_tasks() == len(tasks)
+        empty = Instance(tasks=(), vehicles=vehicles, travel=EUCLID, budget=600.0)
+        assert build_warm_start_suite(RoundTable(empty)) == []
 
 
 class TestDispatchAndFacade:
@@ -610,10 +609,9 @@ class TestDispatchAndFacade:
         rng = np.random.default_rng(24)
         inst = random_instance(rng, max_tasks=12, max_vehicles=2, span=1200.0)
         solver = RoundSolver(inst, SolverConfig(backend="heuristic", time_limit_s=0.5))
-        assert solver.warm_start_count >= 2
-        before = solver.warm_start_count
+        assert solver.warm_start_count == 1
         solver.solve(np.ones(len(inst.customers)))
-        assert solver.warm_start_count == before + 1
+        assert solver.warm_start_count == 2
 
     def test_carried_plan_replaces_the_suite(self):
         """Given the plan it replaces, a round solver builds no suite, and
@@ -743,9 +741,9 @@ def test_a_schedule_serving_every_task_is_optimal_for_any_weights(case, first, l
     table = RoundTable(inst)
 
     def request(weights):
-        return SolverRequest(tasks=inst.tasks, vehicles=inst.vehicles, customers=("c1", "c2"),
-                             weights=np.array(weights), table=table, committed=committed,
-                             config=SolverConfig(backend="exact"), ride_counts_as=rides)
+        return SolverRequest(table=table, customers=("c1", "c2"), weights=np.array(weights),
+                             committed=committed, config=SolverConfig(backend="exact"),
+                             ride_counts_as=rides)
 
     full = exact_vrp(request(first))
     assume(full.total_tasks() == len(inst.tasks))
@@ -921,9 +919,8 @@ def insertion_pools(draw):
                  for t in tasks if draw(st.integers(0, 3)) == 0}
     weights = np.array([draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(3)])
     budget = draw(st.floats(min_value=1, max_value=3000))
-    req = SolverRequest(tasks=tasks, vehicles=vehicles, customers=("c1", "c2", "c3"),
-                        weights=weights,
-                        table=RoundTable(Instance(tasks, vehicles, travel, budget)),
+    req = SolverRequest(table=RoundTable(Instance(tasks, vehicles, travel, budget)),
+                        customers=("c1", "c2", "c3"), weights=weights,
                         committed=committed or None)
     order = draw(st.permutations(list(tasks)))
     cut = draw(st.integers(min_value=0, max_value=n - 1))
@@ -1136,23 +1133,21 @@ def test_golden_shared_best_exercises_verify_drops(monkeypatch):
     assert dropped
 
 
-def fresh_table(req, table):
-    """A new table over the request's own tasks and vehicles, on the
-    travel model, budget and round start of `table`."""
-    return RoundTable(Instance(req.tasks, req.vehicles, table.travel, table.budget,
+def fresh_table(table):
+    """A new table over the round of `table`, its memos empty."""
+    return RoundTable(Instance(table.tasks, table.vehicles, table.travel, table.budget,
                                table.round_start))
 
 
 @st.composite
 def round_tables(draw):
-    """A round of tasks and vehicles with its table, and one request over
-    a subset of them on a table of its own: a dedicated-style sub-solve
-    when the subset is proper, with drawn commitments, two speeds and
-    Euclidean or matrix travel.  With `moved`, the round's table was
-    built for one of the request's tasks at another point."""
+    """A round of tasks and vehicles, and one request over a subset of
+    them on a table of its own: a dedicated-style sub-solve when the
+    subset is proper, with drawn commitments, two speeds and Euclidean
+    or matrix travel."""
     coord = st.floats(min_value=-1500, max_value=1500, allow_nan=False)
     n = draw(st.integers(min_value=1, max_value=9))
-    points = [(draw(coord), draw(coord)) for _ in range(n + 4)]
+    points = [(draw(coord), draw(coord)) for _ in range(n + 3)]
     tasks = []
     for i in range(n):
         deadline = draw(st.one_of(st.none(), st.floats(min_value=100, max_value=600)))
@@ -1167,46 +1162,39 @@ def round_tables(draw):
                 return_home=draw(st.booleans()))
         for j in range(3)
     )
-    moved = draw(st.booleans()) and points[n + 3] != tasks[-1].location
     if draw(st.booleans()):
         travel = TravelModel.euclidean()
     else:
-        distinct = sorted(set(points) | {points[n + 3]})
+        distinct = sorted(set(points))
         k = len(distinct)
         cells = draw(st.lists(st.floats(min_value=0, max_value=400),
                               min_size=k * k, max_size=k * k))
         seconds = np.array(cells).reshape(k, k)
         np.fill_diagonal(seconds, 0.0)
         travel = TravelModel.matrix([f"{x!r};{y!r}" for x, y in distinct], seconds)
-    in_table = list(tasks)
-    if moved:
-        in_table[-1] = replace(in_table[-1], location=points[n + 3])
-    table = RoundTable(Instance(in_table, vehicles, travel, 600.0))
     sub_tasks = tuple(t for t in tasks if draw(st.booleans())) or tuple(tasks)
     sub_vehicles = tuple(v for v in vehicles if draw(st.booleans())) or vehicles[:1]
     committed = {
         t.task_id: draw(st.sampled_from(sub_vehicles)).vehicle_id
         for t in sub_tasks if draw(st.integers(min_value=0, max_value=3)) == 0
     }
-    req = SolverRequest(
-        tasks=sub_tasks, vehicles=sub_vehicles,
+    return SolverRequest(
+        table=RoundTable(Instance(sub_tasks, sub_vehicles, travel, 600.0)),
         customers=("c1", "c2"),
         weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
-        table=RoundTable(Instance(sub_tasks, sub_vehicles, travel, 600.0)),
         committed=committed or None,
         config=SolverConfig(time_limit_s=0.05, seed=draw(st.integers(0, 9))),
     )
-    return req, table, moved and tasks[-1] in sub_tasks
 
 
 @st.composite
 def shared_rounds(draw):
     """A round's table, and a few requests on it in the order a round
     would solve them.  The requests differ in commitments, weights and
-    seed, and some cover a subset of the tasks; each later request
-    carries the earlier results as warm starts, as `RoundSolver` does.
-    The tasks hold pairs and, in half the rounds, deadlines; the vehicles hold capacity 1 or 2; travel is
-    Euclidean or an asymmetric matrix."""
+    seed; each later request carries the earlier results as warm starts,
+    as `RoundSolver` does.  The tasks hold pairs and, in half the rounds,
+    deadlines; the vehicles hold capacity 1 or 2; travel is Euclidean or
+    an asymmetric matrix."""
     coord = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
     service = st.floats(min_value=0, max_value=30)
     if draw(st.booleans()):
@@ -1248,20 +1236,16 @@ def shared_rounds(draw):
     table = RoundTable(Instance(tasks, vehicles, travel, budget, round_start))
     requests = []
     for _ in range(draw(st.integers(min_value=3, max_value=6))):
-        sub = tuple(tasks)
-        if draw(st.integers(min_value=0, max_value=3)) == 0:
-            sub = tuple(t for t in tasks if draw(st.booleans())) or sub
         committed = {}
         if draw(st.booleans()):
             committed = {
                 t.task_id: draw(st.sampled_from(vehicles)).vehicle_id
-                for t in sub if draw(st.integers(min_value=0, max_value=2)) == 0
+                for t in tasks if draw(st.integers(min_value=0, max_value=2)) == 0
             }
         requests.append(SolverRequest(
-            tasks=sub, vehicles=vehicles,
+            table=table,
             customers=("c1", "c2"),
             weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
-            table=table,
             committed=committed or None,
             config=SolverConfig(time_limit_s=0.05, seed=draw(st.integers(0, 9))),
         ))
@@ -1280,7 +1264,7 @@ class TestRoundTable:
         for req in requests:
             req = replace(req, warm_starts=tuple(done))
             shared = heuristic_vrp(req)
-            assert ids(shared) == ids(heuristic_vrp(replace(req, table=fresh_table(req, table))))
+            assert ids(shared) == ids(heuristic_vrp(replace(req, table=fresh_table(table))))
             done.append(shared)
 
     @given(case=shared_rounds())
@@ -1316,23 +1300,21 @@ class TestRoundTable:
     @given(case=round_tables())
     @settings(max_examples=120, deadline=None)
     def test_round_table_gives_the_same_schedule(self, case):
-        """A request on the round's table solves as on a table of its
-        own; one naming a task the round's table holds elsewhere is
-        refused."""
-        req, table, moved = case
-        assert table.covers(req) is not moved
-        if moved:
-            with pytest.raises(ValueError, match="must be its table's"):
-                replace(req, table=table)
-            return
-        with_table = replace(req, table=table)
-        assert _Heuristic(with_table).table is table
+        """A request on a table whose memos the round's warm-start solve
+        filled, uniform and uncommitted, solves as on a fresh table of
+        its own, with that warm start or without."""
+        req = case
+        suite = tuple(build_warm_start_suite(req.table, seed=req.config.seed))
+        assert _Heuristic(req).table is req.table
         ids = lambda s: {p.vehicle_id: p.task_ids for p in s.paths}
-        assert ids(heuristic_vrp(with_table)) == ids(heuristic_vrp(req))
+        for warm_starts in (suite, ()):
+            shared = replace(req, warm_starts=warm_starts)
+            fresh = replace(shared, table=fresh_table(req.table))
+            assert ids(heuristic_vrp(shared)) == ids(heuristic_vrp(fresh))
 
     def test_round_solver_shares_one_table(self, monkeypatch):
-        """Every heuristic solve of a round, the suite's included, reads
-        the table the RoundSolver built."""
+        """Every heuristic solve of a round, the warm-start solve
+        included, reads the table the RoundSolver built."""
         inst = construction_instances()["pins_deadlines"][0]
         seen = []
         init = _Heuristic.__init__
@@ -1344,7 +1326,7 @@ class TestRoundTable:
         monkeypatch.setattr(_Heuristic, "__init__", spy)
         solver = RoundSolver(inst, SolverConfig(backend="heuristic", time_limit_s=0.1))
         solver.solve(np.ones(len(inst.customers)))
-        assert len(seen) >= 3
+        assert len(seen) == 2
         assert all(t is solver._table for t in seen)
 
 
@@ -1357,8 +1339,8 @@ class ScanEveryMove(_Heuristic):
         """First-improvement segment reversal; cost-only (membership fixed)."""
         seq = state.seq
         m = len(seq)
-        task_at = self.table.task_at
-        if m < 3 or any(task_at[r].pair_id is not None for r in seq):
+        tasks = self.table.tasks
+        if m < 3 or any(tasks[r].pair_id is not None for r in seq):
             return False
         idx = list(range(m - 1))
         self.rng.shuffle(idx)
@@ -1380,19 +1362,19 @@ class ScanEveryMove(_Heuristic):
 
     def _relocate_pass(self, states) -> bool:
         """Move one plain task to the cheapest position anywhere."""
-        task_at = self.table.task_at
+        tasks = self.table.tasks
         order = [
             (s_i, t_i)
             for s_i, s in enumerate(states)
             for t_i, r in enumerate(s.seq)
-            if task_at[r].pair_id is None
+            if tasks[r].pair_id is None
         ]
         self.rng.shuffle(order)
         committed = self.req.committed
         for s_i, t_i in order:
             src = states[s_i]
             x = src.seq[t_i]
-            task = task_at[x]
+            task = tasks[x]
             removed = src.seq[:t_i] + src.seq[t_i + 1:]
             removal = self._removal_delta(src, t_i)
             removed_cost: Optional[float] = None
@@ -1450,14 +1432,14 @@ class ScanEveryMove(_Heuristic):
                 pairs.append((a_i, b_i))
         self.rng.shuffle(pairs)
         committed = self.req.committed
-        task_at = self.table.task_at
+        tasks = self.table.tasks
         for a_i, b_i in pairs:
             a, b = states[a_i], states[b_i]
             deltas = self._swap_deltas(a, b)
-            for i, ta in enumerate(map(task_at.__getitem__, a.seq)):
+            for i, ta in enumerate(map(tasks.__getitem__, a.seq)):
                 if ta.pair_id is not None or not may_serve(committed, ta, b.vehicle):
                     continue
-                for j, tb in enumerate(map(task_at.__getitem__, b.seq)):
+                for j, tb in enumerate(map(tasks.__getitem__, b.seq)):
                     if tb.pair_id is not None or not may_serve(committed, tb, a.vehicle):
                         continue
                     self.evals -= 1
@@ -1517,8 +1499,7 @@ class TestVoidScans:
         completion times, the effort left and the random state of
         scanning every move, also when the effort runs out mid-pass."""
         table, requests = case
-        ref_table = RoundTable(Instance(list(table.tasks.values()), list(table.vehicles.values()),
-                                        table.travel, table.budget, table.round_start))
+        ref_table = fresh_table(table)
         done = []
         for req in requests:
             got, want = _solve_both(replace(req, warm_starts=tuple(done)), table, ref_table,
@@ -1529,14 +1510,10 @@ class TestVoidScans:
     @given(case=round_tables(), effort=effort_budgets)
     @settings(max_examples=120, deadline=None)
     def test_sub_solves_keep_the_bits(self, case, effort):
-        """A sub-solve with commitments, solved twice on the round's
-        table, the second seeded with the first; on its own table when
-        the round's table holds one of its tasks elsewhere."""
-        req, table, moved = case
-        if moved:
-            table = req.table
-        ref_table = RoundTable(Instance(list(table.tasks.values()), list(table.vehicles.values()),
-                                        table.travel, table.budget, table.round_start))
+        """A sub-solve with commitments, solved twice on its own table,
+        the second seeded with the first."""
+        req = case
+        table, ref_table = req.table, fresh_table(req.table)
         first = _solve_both(req, table, ref_table, effort)
         _same_bits(*first)
         again = _solve_both(replace(req, warm_starts=(first[0][1],)), table, ref_table, effort)
