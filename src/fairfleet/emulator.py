@@ -384,16 +384,16 @@ def baseline_max_throughput(
     committed: Optional[Mapping[str, str]] = None,
     ride_counts_as: int = 1,
 ) -> Schedule:
-    """Uniform-weight solve: pure throughput, fairness-blind, honouring
-    `committed` (task_id -> vehicle_id) as `vrp.SolverRequest` does."""
+    """Uniform-weight solve: pure throughput, fairness-blind, on a round
+    table that holds `committed` (task_id -> vehicle_id), which every
+    solve on it honours (`vrp.RoundTable`).  One backend call, no floor."""
     customers = instance.customers
     if not customers:
         return empty_schedule(instance.vehicles, instance.budget)
     req = SolverRequest(
-        table=RoundTable(instance),
+        table=RoundTable(instance, committed),
         customers=customers,
         weights=np.full(len(customers), 1.0 / len(customers)),
-        committed=committed,
         config=solver_config or SolverConfig(),
         ride_counts_as=ride_counts_as,
     )

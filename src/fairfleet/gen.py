@@ -87,12 +87,16 @@ class Scenario:
 def _params(given: dict, **defaults) -> list:
     """A preset's parameters in the order of `defaults`, each the given
     value as its default's type, else the default; a key the preset does
-    not take raises ValueError."""
+    not take, or a float that is not finite, raises ValueError."""
     unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ValueError(
             f"unknown parameter {unknown[0]!r}; the preset takes {sorted(defaults)}")
-    return [type(value)(given.get(key, value)) for key, value in defaults.items()]
+    values = [type(value)(given.get(key, value)) for key, value in defaults.items()]
+    for key, value in zip(defaults, values):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
+    return values
 
 
 def _grid(center: tuple[float, float], n: int, spacing: float, cols: int) -> list[tuple[float, float]]:

@@ -56,8 +56,15 @@ class Task:
     dropoff_of: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.service_time < 0:
-            raise ValueError(f"task {self.task_id}: service_time must be >= 0")
+        object.__setattr__(self, "location", _point(*self.location))
+        if not all(map(math.isfinite, self.location)):
+            raise ValueError(f"task {self.task_id}: location must be finite")
+        if not 0 <= self.service_time < math.inf:
+            raise ValueError(f"task {self.task_id}: service_time must be >= 0 and finite")
+        if not math.isfinite(self.arrival_time):
+            raise ValueError(f"task {self.task_id}: arrival_time must be finite")
+        if self.deadline is not None and not math.isfinite(self.deadline):
+            raise ValueError(f"task {self.task_id}: deadline must be finite")
         if self.deadline is not None and self.deadline <= self.arrival_time:
             raise ValueError(
                 f"task {self.task_id}: deadline must be after arrival_time"
@@ -66,7 +73,6 @@ class Task:
             raise ValueError(
                 f"task {self.task_id}: cannot be both pickup and dropoff"
             )
-        object.__setattr__(self, "location", _point(*self.location))
 
     @property
     def is_pickup(self) -> bool:
@@ -105,13 +111,15 @@ class Vehicle:
     ready_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.speed <= 0:
-            raise ValueError(f"vehicle {self.vehicle_id}: speed must be > 0")
+        object.__setattr__(self, "start_location", _point(*self.start_location))
+        if not all(map(math.isfinite, self.start_location)):
+            raise ValueError(f"vehicle {self.vehicle_id}: start_location must be finite")
+        if not 0 < self.speed < math.inf:
+            raise ValueError(f"vehicle {self.vehicle_id}: speed must be > 0 and finite")
         if self.capacity < 1:
             raise ValueError(f"vehicle {self.vehicle_id}: capacity must be >= 1")
-        if self.ready_offset < 0:
-            raise ValueError(f"vehicle {self.vehicle_id}: ready_offset must be >= 0")
-        object.__setattr__(self, "start_location", _point(*self.start_location))
+        if not 0 <= self.ready_offset < math.inf:
+            raise ValueError(f"vehicle {self.vehicle_id}: ready_offset must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,8 @@ class TravelModel:
                 raise ValueError(
                     f"matrix shape {m.shape} does not match {n} location ids"
                 )
-            if np.any(m < 0):
-                raise ValueError("travel matrix entries must be >= 0")
+            if not np.all(m >= 0):  # NaN fails too
+                raise ValueError("travel matrix entries must be >= 0, not NaN")
             if np.any(np.abs(np.diag(m)) > TIME_TOL):
                 raise ValueError("travel matrix diagonal must be 0")
             object.__setattr__(self, "seconds", m)

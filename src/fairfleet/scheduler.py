@@ -162,11 +162,11 @@ def run_round(
     committed: Optional[Mapping[str, str]] = None,
     warm_starts: Optional[Sequence[Schedule]] = None,
 ) -> RoundResult:
-    """Boundary search and corner pick for one round, every solve
-    honouring `committed` (task_id -> vehicle_id) and falling back on
-    `warm_starts`, in place of the warm-start suite, when given
-    (`vrp.RoundSolver`); an empty round plans nothing and allocates
-    zero.  The history is read, not folded."""
+    """Boundary search and corner pick for one round on one
+    `vrp.RoundSolver`, which holds `committed` (task_id -> vehicle_id)
+    for every solve and floors each at `warm_starts`, or at the
+    warm-start suite when none are given; an empty round plans nothing
+    and allocates zero.  The history is read, not folded."""
     customers = tuple(customers if customers is not None else instance.customers)
     k = len(customers)
     if k != len(history.xbar):
@@ -241,7 +241,7 @@ class Scheduler:
     ) -> RoundResult:
         """Plan one round over the geometry and fold its allocation into
         the full-roster history.  Every solve honours `committed`
-        (`vrp.SolverRequest`) and takes `warm_starts`, or the warm-start
+        (`vrp.RoundTable`) and takes `warm_starts`, or the warm-start
         suite when none are given, as its floor; once a solve serves
         every task, the later ones return it unsearched
         (`vrp.RoundSolver`).  Committed tasks the plan leaves out are

@@ -9,10 +9,8 @@ throughput allocation.  Three entry points:
                      pruning; provably optimal on small instances.
 * heuristic_vrp   -- cheapest insertion by marginal weighted gain per
                      second from empty paths, one evaluation per
-                     inserted task, then local search; the best vetted
-                     warm start, taken unchanged, is the floor it must
-                     beat.  A path is a list of
-                     rows of the round's `RoundTable` of travel
+                     inserted task, then local search.  A path is a list
+                     of rows of the round's `RoundTable` of travel
                      seconds, which every solve of the round reads.
                      Each path keeps its insertion offers until it
                      changes, so a step rescans only the path the last
@@ -34,14 +32,16 @@ throughput allocation.  Three entry points:
 * greedy_alpha_heuristic -- fairness-guided construction by greatest
                      return-on-investment.
 
-A `SolverRequest` holds each solve setting once: its round's
-`RoundTable`, which owns the tasks, vehicles, travel model, budget and
-round start, so every solve covers its whole round; its commitments,
-whose two rules only this module reads (`_task_weight`, `may_serve`);
-and its `SolverConfig`.  A heuristic-backed round starts from one warm
-start, its max-throughput solve (`build_warm_start_suite`).  Every
-solver returns untimed paths (`model.Path`, a task order); the emulator
-times the one plan it commits.
+A `SolverRequest` is a round's `RoundTable` and weights: the table owns
+what is fixed for the round, its tasks, vehicles, travel model, budget,
+round start and commitments, whose two rules only this module reads
+(`_task_weight`, `may_serve`); the request adds the weights and its
+`SolverConfig`.  The round's floors live on its facade, `RoundSolver`:
+the warm starts, each vetted once (`RoundTable.vet`), and every result;
+a heuristic-backed round's warm start is its max-throughput solve
+(`build_warm_start_suite`).  Every solver returns untimed paths
+(`model.Path`, a task order); the emulator times the one plan it
+commits.
 
 Ties on the weighted objective are broken toward larger unweighted total
 throughput.  All solvers are deterministic for a fixed (instance, weights,
@@ -124,23 +124,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverRequest:
-    """One weighted-VRP instance: its round's `table`, whose tasks and
-    vehicles it solves over.
+    """One weighted-VRP instance: its round's `table` and the weights.
 
-    The table owns the tasks, the vehicles, the travel model, the budget
-    and the round start.  `weights` aligns with `customers` (canonical
-    sorted order).  Negative weights are clamped to zero before solving.
-    `committed` maps a task_id to the vehicle it was promised to: the
-    task weighs COMMIT_WEIGHT_RATIO in place of its customer's weight,
-    and only that vehicle may serve it (`may_serve`).  `config` names the
-    backend, the effort budget, the seed and the exact cutoff.
+    The table owns the tasks, the vehicles, the travel model, the budget,
+    the round start and the commitments.  `weights` aligns with
+    `customers` (canonical sorted order).  Negative weights are clamped
+    to zero before solving.  `config` names the backend, the effort
+    budget, the seed and the exact cutoff.
     """
 
     table: RoundTable = field(repr=False, compare=False)
     customers: tuple[str, ...]
     weights: np.ndarray
-    committed: Optional[Mapping[str, str]] = None
-    warm_starts: tuple[Schedule, ...] = ()
     config: SolverConfig = field(default_factory=SolverConfig)
     ride_counts_as: int = 1
 
@@ -177,7 +172,7 @@ def may_serve(committed: Optional[Mapping[str, str]], task: Task, vehicle: Vehic
 
 
 def _task_weight(req: SolverRequest, task: Task, weights: dict[str, float]) -> float:
-    if req.committed and task.task_id in req.committed:
+    if task.task_id in req.table.committed:
         return COMMIT_WEIGHT_RATIO
     return weights.get(task.customer_id, 0.0)
 
@@ -236,7 +231,7 @@ def exact_vrp(req: SolverRequest) -> Schedule:
     weights = _customer_weights(req)
     contrib = [_contribution(req, t, weights) for t in tasks]
     counts = [task_count(t, req.ride_counts_as) for t in tasks]
-    serves = [[may_serve(req.committed, t, veh) for t in tasks] for veh in vehicles]
+    serves = [[may_serve(req.table.committed, t, veh) for t in tasks] for veh in vehicles]
 
     # Travel seconds from the round's table: legs[v][row][row], where a
     # path starts at its vehicle's home row and moves to rows[i].
@@ -363,9 +358,12 @@ def _offer_key(gain: float, delta: float, task_id: str) -> tuple:
 class RoundTable:
     """Travel seconds between the tasks and vehicle starts of one round.
 
-    Built from the round's `Instance`, the table owns its tasks,
-    vehicles, travel model, budget and round start: every request on it
-    solves the whole round under them.  `budget_slack` holds each
+    Built from the round's `Instance` and commitments, the table owns its
+    tasks, vehicles, travel model, budget, round start and `committed`
+    (task_id -> the vehicle it was promised to): every request on it
+    solves the whole round under them.  A committed task weighs
+    COMMIT_WEIGHT_RATIO in place of its customer's weight, and only its
+    vehicle may serve it (`may_serve`).  `budget_slack` holds each
     vehicle's budget less its ready offset.  Rows 0..n-1 are the tasks,
     `tasks[row]` the task of a row, then one row per vehicle start.  A
     heuristic path is a list of rows, and the schedule a solve returns
@@ -377,13 +375,13 @@ class RoundTable:
     side of the screen reads the legs every exact cost and
     `path_violation` read.
 
-    The memos below serve every heuristic solve of the round.  One rule
-    keys them all: a key names what an outcome reads that varies inside
-    the round, so a hit gives the bits a fresh computation would.  A
-    path is its id in `path_ids`, interned from its vehicle id and task
-    sequence (`_Heuristic._path_id`); a solve's commitments are their id
-    in `contexts`, interned from the sorted commitments.  No outcome
-    reads the weights, the effort budget or the random draws.
+    The three memos below serve every heuristic solve of the round.  One
+    rule keys them all: a key names what an outcome reads that varies
+    inside the round, so a hit gives the bits a fresh computation would.
+    A path is its id in `path_ids`, interned from its vehicle id and task
+    sequence (`_Heuristic._path_id`).  No outcome reads the weights, the
+    effort budget or the random draws, and the commitments are the
+    table's.
 
     * `pair_fits[(path id, pickup row)]`: where a pickup and its dropoff
       fit best on the path, `(i, j, delta)`, or None if nowhere.
@@ -393,25 +391,24 @@ class RoundTable:
       ints for a small pool, keyed by a tuple of its rows, or arrays,
       the positions int32 to keep the memo small, keyed by the rows'
       bytes.
-    * `void[(pass, commitments id, path ids...)]`: every local-search
-      scan that ended without a move, voided as it ends: one path under
-      2-opt, one ordered pair of paths under swap, and under relocate
-      one task to one path, keyed (source path id, task position,
-      destination path id).  A skipped scan still charges the
+    * `void[(pass, path ids...)]`: every local-search scan that ended
+      without a move, voided as it ends: one path under 2-opt, one
+      ordered pair of paths under swap, and under relocate one task to
+      one path, keyed (source path id, task position, destination path
+      id).  A skipped scan still charges the
       evaluations it would have charged, and its pass still shuffles,
       whose draws depend on the list's length alone: the effort budget
       and the random stream, and so every later choice, come out as if
       the scan had run.
-    * `vetted[(id(s), commitments id)]`: each warm start's sanitized
-      paths and their feasibility.
 
     Most paths recur across the warm-start solve and the `|K| + stages`
     calls of a round: every solve searches from empty paths, and the
     paths it passes through often repeat an earlier solve's.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, committed: Optional[Mapping[str, str]] = None):
         tasks, vehicles = instance.tasks, instance.vehicles
+        self.committed = dict(committed or {})
         self.travel = travel = instance.travel
         self.budget, self.round_start = instance.budget, instance.round_start
         self.tasks, self.vehicles = tasks, vehicles
@@ -430,12 +427,26 @@ class RoundTable:
                 rows = [[travel_time(a, b, travel, v) for b in points] for a in points]
                 by_key[key] = (rows, np.array(rows))
             self.seconds[v.vehicle_id], self.screen[v.vehicle_id] = by_key[key]
-        self.vetted: dict[tuple, tuple[Schedule, Optional[dict[str, list[int]]]]] = {}
         self.pair_fits: dict[tuple, Optional[tuple[int, int, float]]] = {}
         self.screens: dict[tuple, tuple] = {}
         self.void: set[tuple] = set()
-        self.contexts: dict[tuple, int] = {}
         self.path_ids: dict[tuple, int] = {}
+
+    def vet(self, schedule: Schedule) -> Optional[Schedule]:
+        """`schedule` cut to this round: each of its paths keeps the live
+        tasks its vehicle may serve, then only whole pairs.  One path per
+        vehicle, in table order; None if a path breaks `path_violation`."""
+        given = {p.vehicle_id: p.tasks for p in schedule.paths}
+        paths = []
+        for v in self.vehicles:
+            live = [self.tasks[self.row[t.task_id]] for t in given.get(v.vehicle_id, ())
+                    if t.task_id in self.row and may_serve(self.committed, t, v)]
+            ids = {t.task_id for t in live}
+            tasks = tuple(t for t in live if t.pair_id is None or t.pair_id in ids)
+            if path_violation(tasks, v, self.travel, self.budget, self.round_start) is not None:
+                return None
+            paths.append(Path(v.vehicle_id, tasks))
+        return Schedule(paths=tuple(paths), round_duration=self.budget)
 
 
 class _Route:
@@ -496,7 +507,7 @@ class _Pool:
         gain = [heur.contrib[r] for r in rows]
         # `may_serve` lets a vehicle serve the candidates nobody committed
         # and those committed to it.
-        committed = heur.req.committed or {}
+        committed = heur.table.committed
         free = [t.task_id not in committed for t in tasks]
         self.promised: dict[str, list[int]] = {}
         for u, t in enumerate(tasks):
@@ -678,18 +689,14 @@ class _Offers:
 
 class _Heuristic:
     def __init__(self, req: SolverRequest):
-        self.req = req
         self.rng = random.Random(req.config.seed)
         self.evals = max(10_000, int(req.config.time_limit_s * _EVALS_PER_SECOND))
         self.table = table = req.table
         self.has_deadlines = any(t.deadline is not None for t in table.tasks)
         self.row, self.svc, self.home = table.row, table.svc, table.home
         weights = _customer_weights(req)
-        # Each row's weighted gain and count.
+        # Each row's weighted gain.
         self.contrib = [_contribution(req, t, weights) for t in table.tasks]
-        self.count = [task_count(t, req.ride_counts_as) for t in table.tasks]
-        commitments = tuple(sorted((req.committed or {}).items()))
-        self.commit_id = table.contexts.setdefault(commitments, len(table.contexts))
 
     # -- path states --------------------------------------------------------
 
@@ -842,60 +849,6 @@ class _Heuristic:
         tasks = list(map(table.tasks.__getitem__, seq))
         return path_violation(tasks, vehicle, table.travel, table.budget, table.round_start) is None
 
-    def _value(self, paths: dict[str, list[int]]) -> tuple[float, float]:
-        """`schedule_value` of these paths, summed in the same order."""
-        value = count = 0.0
-        for v in self.req.vehicles:
-            for r in paths[v.vehicle_id]:
-                value += self.contrib[r]
-                count += self.count[r]
-        return value, count
-
-    # -- warm starts --------------------------------------------------------
-
-    def _vet(self, schedule: Schedule) -> Optional[dict[str, list[int]]]:
-        """The warm start's paths as rows, cut to the live tasks each
-        vehicle may serve and to whole pairs; None if one is infeasible."""
-        row, tasks, committed = self.row, self.table.tasks, self.req.committed
-        vmap = {v.vehicle_id: v for v in self.table.vehicles}
-        out: dict[str, list[int]] = {vid: [] for vid in vmap}
-        for p in schedule.paths:
-            veh = vmap.get(p.vehicle_id)
-            if veh is None:
-                continue
-            rows = [row[t.task_id] for t in p.tasks if t.task_id in row]
-            kept = [tasks[r] for r in rows if may_serve(committed, tasks[r], veh)]
-            ids = {t.task_id for t in kept}
-            out[p.vehicle_id] = [row[t.task_id] for t in kept if t.pair_id is None or t.pair_id in ids]
-        return out if all(self._feasible(v, out[v.vehicle_id]) for v in vmap.values()) else None
-
-    def _best_seed(self) -> tuple[tuple[float, float], dict[str, list[int]]]:
-        """The best vetted warm start, the first among equals: its
-        `(value, count)` and its row paths, which the round table may
-        share and so are only read.  With none, `(-inf, -inf)`.  The
-        solves of a round with the same commitments share each verdict."""
-        memo = self.table.vetted
-        best: tuple[tuple[float, float], dict[str, list[int]]] = ((-np.inf, -np.inf), {})
-        for s in self.req.warm_starts:
-            key = (id(s), self.commit_id)
-            if key not in memo:
-                memo[key] = (s, self._vet(s))  # holding s keeps its id unique
-            paths = memo[key][1]
-            if paths is None:
-                continue
-            value = self._value(paths)
-            if value > best[0]:
-                best = (value, paths)
-        return best
-
-    def _to_schedule(self, paths: dict[str, list[int]]) -> Schedule:
-        table = self.table
-        built = tuple(
-            Path(v.vehicle_id, tuple(table.tasks[r] for r in paths[v.vehicle_id]))
-            for v in self.req.vehicles
-        )
-        return Schedule(paths=built, round_duration=table.budget)
-
     # -- insertion ----------------------------------------------------------
 
     def _plain_offers(self, state: _Route, pool: _Pool) -> tuple:
@@ -911,7 +864,7 @@ class _Heuristic:
         if screen is None:
             screen = self.table.screens[key] = pool.screen(state, slack)
         best, pos = screen
-        pins = pool.pins(veh) if self.req.committed else None
+        pins = pool.pins(veh) if self.table.committed else None
         return pool.order(best, pins), best, pos
 
     def _verify_insert(self, state: _Route, task: Task, pos: int) -> Optional[list[int]]:
@@ -927,7 +880,7 @@ class _Heuristic:
         """Cheapest feasible (pickup, dropoff) placement on this path, as
         `_place_pair` gives it, from the table's memo when an earlier solve
         of the round placed the pair on the same path."""
-        committed = self.req.committed
+        committed = self.table.committed
         if not (may_serve(committed, pickup, state.vehicle) and may_serve(committed, dropoff, state.vehicle)):
             return None
         p, d = self.row[pickup.task_id], self.row[dropoff.task_id]
@@ -1112,7 +1065,7 @@ class _Heuristic:
             return False
         idx = list(range(m - 1))
         self.rng.shuffle(idx)
-        key = ("2-opt", self.commit_id, self._path_id(state))
+        key = ("2-opt", self._path_id(state))
         return self._search([(key, (m - 1) * (m - 2) // 2, 1, self._reversals, (state, idx))])
 
     def _reversals(self, state: _Route, idx: list[int]) -> Iterator[tuple]:
@@ -1139,7 +1092,7 @@ class _Heuristic:
             if tasks[r].pair_id is None
         ]
         self.rng.shuffle(order)
-        committed = self.req.committed or {}
+        committed = self.table.committed
         ids = [self._path_id(s) for s in states]
         everywhere = range(len(states))
 
@@ -1150,7 +1103,7 @@ class _Heuristic:
                 # the one path that may take it.
                 for d_i in (s_i,) if tasks[src.seq[t_i]].task_id in committed else everywhere:
                     dst = states[d_i]
-                    key = ("relocate", self.commit_id, ids[s_i], t_i, ids[d_i])
+                    key = ("relocate", ids[s_i], t_i, ids[d_i])
                     # one evaluation per position
                     yield (key, 1, len(dst.seq) + (d_i != s_i),
                            self._relocation, (src, t_i, dst))
@@ -1195,7 +1148,7 @@ class _Heuristic:
         # The plain tasks that may leave each path.  A committed task sits
         # on its own vehicle (insertion and every move keep `may_serve`),
         # so it may leave for none.
-        committed = self.req.committed or {}
+        committed = self.table.committed
         tasks = self.table.tasks
         movers = [
             [i for i, r in enumerate(s.seq)
@@ -1208,7 +1161,7 @@ class _Heuristic:
                 ia, ib = movers[a_i], movers[b_i]
                 if ia and ib:
                     a, b = states[a_i], states[b_i]
-                    key = ("swap", self.commit_id, self._path_id(a), self._path_id(b))
+                    key = ("swap", self._path_id(a), self._path_id(b))
                     yield key, len(ia) * len(ib), 1, self._swaps, (a, b, ia, ib)
 
         return self._search(scans())
@@ -1241,19 +1194,16 @@ class _Heuristic:
                 return
 
     def run(self) -> Schedule:
-        # One search, from empty paths; the best warm start, taken
-        # unchanged, is the floor it must beat, and a tie goes to the
-        # search.
-        floor, floor_paths = self._best_seed()
-        states = [self._state(v, []) for v in self.req.vehicles]
+        table = self.table
+        states = [self._state(v, []) for v in table.vehicles]
         self._improve(states)
-        paths = {s.vehicle.vehicle_id: s.seq for s in states}
-        return self._to_schedule(paths if self._value(paths) >= floor else floor_paths)
+        paths = (Path(s.vehicle.vehicle_id, tuple(map(table.tasks.__getitem__, s.seq)))
+                 for s in states)
+        return Schedule(paths=tuple(paths), round_duration=table.budget)
 
 
 def heuristic_vrp(req: SolverRequest) -> Schedule:
-    """Insertion + local search from empty paths, or the best vetted warm
-    start if that scores higher on the weighted objective."""
+    """Insertion + local search, one search from empty paths."""
     return _Heuristic(req).run()
 
 
@@ -1407,20 +1357,16 @@ def solve_weighted_vrp(req: SolverRequest) -> Schedule:
 
 
 class RoundSolver:
-    """Per-round solver facade: counts calls, passes the round's
-    commitments (task_id -> vehicle_id) and config with each call, and
-    keeps every result as a warm start for the next: a heuristic solve
-    returns the best of them, unchanged, when its own search scores
-    lower.  Once a result serves every task of the instance, each later
-    call returns it without a solve; it still counts.
+    """Per-round solver facade: counts calls, solves each on one
+    `RoundTable` of the instance and the round's commitments (task_id ->
+    vehicle_id), whichever backend solves it, and holds the round's
+    floors.
 
-    Every call of a round is a request on one `RoundTable` of the
-    instance, whichever backend solves it.  The cache starts from
-    `warm_starts` when given: a replan passes the plan it replaces, which
-    each heuristic solve sanitizes to this instance and vets on its
-    vehicles.  Given none, a heuristic-backed round starts it from the
-    round's max-throughput solve on the same table
-    (`build_warm_start_suite`).  Either way the warm starts stay outside
+    The floors start as the warm starts, each vetted once
+    (`RoundTable.vet`), and every result joins them.  A replan passes
+    the plan it replaces as its warm start; given none, a
+    heuristic-backed round starts from its max-throughput solve on the
+    same table (`build_warm_start_suite`).  The warm starts stay outside
     the call count, which verifies the |K| + stages budget per round.
     """
 
@@ -1435,32 +1381,33 @@ class RoundSolver:
     ):
         self.instance = instance
         self.config = config or SolverConfig()
-        self.committed = dict(committed or {})
         self.ride_counts_as = ride_counts_as
         self.customers = tuple(customers) if customers is not None else instance.customers
         self.calls = 0
         self._serves_all: Optional[Schedule] = None
-        self._table = RoundTable(instance)
-        if warm_starts is not None:
-            self._cache = list(warm_starts)
-        elif self.config.picks_exact(len(instance.tasks), len(instance.vehicles)):
-            self._cache = []
-        else:
-            self._cache = build_warm_start_suite(self._table, self.config.seed, ride_counts_as)
+        self._table = RoundTable(instance, committed)
+        if warm_starts is None and not self.config.picks_exact(len(instance.tasks),
+                                                                len(instance.vehicles)):
+            warm_starts = build_warm_start_suite(self._table, self.config.seed, ride_counts_as)
+        vetted = (self._table.vet(s) for s in warm_starts or ())
+        self._floors = [s for s in vetted if s is not None]
 
     @property
     def warm_start_count(self) -> int:
-        """Schedules a solve may fall back to: the initial warm starts
-        and every result so far."""
-        return len(self._cache)
+        """Schedules a solve may fall back to: the vetted warm starts and
+        every result so far."""
+        return len(self._floors)
 
     def solve(self, weights: np.ndarray) -> tuple[np.ndarray, Schedule]:
         """One counted weighted-VRP call; returns (allocation, schedule).
 
-        Once a result of this round serves every task, later calls return
-        the earliest such result without searching: the weights are
-        clamped to >= 0, so it maximizes every customer's count at once
-        and a search could only tie it.  Warm starts never qualify."""
+        Floor rule: the backend's schedule, unless the round's best floor,
+        the first among equals on `schedule_value`, scores strictly
+        higher.  Reuse rule: once a result of this round serves every
+        task, later calls return the earliest such result without
+        searching: the weights are clamped to >= 0, so it maximizes every
+        customer's count at once and a search could only tie it.  A warm
+        start never qualifies before a call has searched."""
         self.calls += 1
         if self._serves_all is not None:
             schedule = self._serves_all
@@ -1478,13 +1425,15 @@ class RoundSolver:
             table=self._table,
             customers=self.customers,
             weights=w,
-            committed=self.committed,
-            warm_starts=tuple(self._cache),
             config=self.config,
             ride_counts_as=self.ride_counts_as,
         )
         schedule = solve_weighted_vrp(req)
-        self._cache.append(schedule)
+        if self._floors:
+            floor = max(self._floors, key=lambda s: schedule_value(req, s))
+            if schedule_value(req, floor) > schedule_value(req, schedule):
+                schedule = floor
+        self._floors.append(schedule)
         if schedule.total_tasks() == len(self.instance.tasks):
             self._serves_all = schedule
         allocation = allocation_of(schedule, self.customers, self.ride_counts_as)

@@ -82,6 +82,17 @@ class TestGen:
         assert "--rounds must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_generator_param_is_usage_error(self, tmp_path, capsys):
+        """A float parameter that is not finite stops `gen` with exit 2,
+        naming the key, where `side=nan` once exited 1."""
+        for preset, key, value in (("map_d", "side", "nan"), ("map_d", "side", "inf"),
+                                   ("map_a_small", "far_x", "-inf")):
+            out = tmp_path / f"{key}-{value}"
+            rc = main(["gen", "--preset", preset, "--set", f"{key}={value}", "--out", str(out)])
+            assert rc == 2
+            assert f"parameter {key!r} must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_small_preset_takes_round_s(self, tmp_path):
         out = tmp_path / "g"
         rc = main(["gen", "--preset", "map_a_small", "--rounds", "2", "--set", "round_s=300",
@@ -404,6 +415,50 @@ class TestConfigHandling:
         assert rc == 2
         message = "vehicle 'v0': return_home must be true or false, got 'false'"
         assert message in capsys.readouterr().err
+
+    def test_non_finite_input_numbers_are_usage_errors(self, tmp_path, capsys):
+        """A NaN or infinite number in the roster, the trace or the travel
+        matrix stops `run` with exit 2, where each once ran: a NaN speed
+        served nothing, an infinite one teleported."""
+        cfg = tiny_bundle(tmp_path)
+        bundle = cfg.parent
+        roster, trace = bundle / "vehicles.json", bundle / "trace.jsonl"
+        pristine = {f: f.read_text() for f in (roster, trace)}
+        points = [f"{x};0" for x in (0, 50, 100, 150, 200, -100, -150, -200)]
+        matrix = bundle / "matrix.csv"
+        matrix.write_text(",".join(points) + "\n" + "".join(
+            ",".join("0" if i == j else ("nan" if (i, j) == (0, 2) else "5")
+                     for j in range(len(points))) + "\n" for i in range(len(points))))
+
+        def roster_value(field, text):
+            records = json.loads(pristine[roster])
+            records[0][field] = 1.25
+            roster.write_text(json.dumps(records).replace("1.25", text))
+
+        def trace_value(field, text):
+            lines = pristine[trace].splitlines()
+            lines[0] = json.dumps(dict(json.loads(lines[0]), **{field: 1.25})).replace("1.25", text)
+            trace.write_text("\n".join(lines) + "\n")
+
+        cases = [(roster_value, "speed_mps", "NaN", "speed must be > 0 and finite"),
+                 (roster_value, "speed_mps", "Infinity", "speed must be > 0 and finite"),
+                 (roster_value, "x", "NaN", "start_location must be finite"),
+                 (trace_value, "service_s", "NaN", "service_time must be >= 0 and finite"),
+                 (trace_value, "x", "Infinity", "location must be finite"),
+                 (trace_value, "arrival_s", "NaN", "arrival_time must be finite"),
+                 (trace_value, "deadline_s", "Infinity", "deadline must be finite")]
+        for edit, field, text, message in cases:
+            edit(field, text)
+            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert message in capsys.readouterr().err
+            for f, text in pristine.items():
+                f.write_text(text)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--set", "travel=matrix", "--set", f"travel.matrix={matrix}"])
+        assert rc == 2
+        assert "travel matrix entries must be >= 0, not NaN" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_integral_floats_pass_as_integers(self, tmp_path):
         """A float with an integral value, as a JSON config may hold, runs

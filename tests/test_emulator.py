@@ -768,13 +768,16 @@ def replay_recording_warm_starts(trace, vehicles, cfg, monkeypatch):
     """Replay `trace` under mobius on the heuristic backend.  Returns the
     round starts at which the warm-start suite was built, and per planned
     tick its start, its open task ids, the warm starts it was given and
-    the plan it made."""
-    built, ticks = [], []
+    the plan it made.  Every tick that builds the suite holds no live
+    commitment: a committed open task is in the last plan, so the tick
+    carries that plan instead."""
+    built, ticks, commitments = [], [], []
     real_suite = vrp.build_warm_start_suite
     real_run_round = Scheduler.run_round
 
     def counted_suite(*args, **kwargs):
         built.append(args[0].round_start)
+        commitments.append(args[0].committed)
         return real_suite(*args, **kwargs)
 
     def recorded_run_round(self, instance, committed=None, warm_starts=None):
@@ -787,6 +790,7 @@ def replay_recording_warm_starts(trace, vehicles, cfg, monkeypatch):
     monkeypatch.setattr(Scheduler, "run_round", recorded_run_round)
     run_trace(trace, "mobius", cfg, vehicles, EUCLID,
               SolverConfig(backend="heuristic", time_limit_s=0.05))
+    assert commitments == [{}] * len(built)
     return built, ticks
 
 

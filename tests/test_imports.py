@@ -139,7 +139,7 @@ def test_path_states_are_built_in_the_loops_alone():
 
 
 def test_commit_weight_is_read_in_vrp_alone():
-    """Callers pass commitments as `SolverRequest.committed`; only `vrp`
+    """Callers give commitments to the round's `RoundTable`; only `vrp`
     turns one into a weight."""
     readers = sorted(
         name for name, tree in package_modules().items()
@@ -245,6 +245,19 @@ def test_round_tables_are_built_once_per_round():
     assert callers_of("RoundTable") == {
         "vrp.RoundSolver.__init__", "vrp.greedy_alpha_heuristic",
         "emulator.baseline_max_throughput"}
+
+
+def test_requests_are_built_in_vrp_and_the_baseline_alone():
+    """Outside `vrp`, only the max-throughput baseline builds a
+    `SolverRequest`: every other solve is a `RoundSolver` call."""
+    outside = {c for c in callers_of("SolverRequest") if not c.startswith("vrp.")}
+    assert outside == {"emulator.baseline_max_throughput"}
+
+
+def test_floors_are_vetted_in_one_place():
+    """A warm start is vetted once per round, when `RoundSolver` takes it
+    as a floor; no solve vets one again."""
+    assert callers_of("vet") == {"vrp.RoundSolver.__init__"}
 
 
 def test_the_fleet_is_split_for_the_dedicated_baseline_alone():

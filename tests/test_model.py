@@ -52,6 +52,19 @@ class TestTaskValidation:
             Task(task_id="t0", customer_id="c1", location=(0, 0),
                  service_time=1.0, pickup_of="a", dropoff_of="b")
 
+    @pytest.mark.parametrize("field, value", [
+        ("location", (math.nan, 0.0)), ("location", (0.0, math.inf)),
+        ("service_time", math.nan), ("service_time", math.inf),
+        ("arrival_time", math.nan), ("arrival_time", -math.inf),
+        ("deadline", math.nan), ("deadline", math.inf),
+    ])
+    def test_non_finite_numbers_rejected(self, field, value):
+        """Every comparison with NaN is false, so each number is checked
+        to be finite: a NaN or infinite one passed every range check."""
+        fields = dict(task_id="t0", customer_id="c1", location=(0.0, 0.0), service_time=1.0)
+        with pytest.raises(ValueError, match=f"task t0: {field} must be"):
+            Task(**{**fields, field: value})
+
     def test_location_coerced_to_floats(self):
         t = mk_task("t0", "c1", 3, 4)
         assert t.location == (3.0, 4.0)
@@ -78,6 +91,17 @@ class TestVehicleValidation:
         with pytest.raises(ValueError, match="ready_offset"):
             mk_vehicle(ready_offset=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("start_location", (math.nan, 0.0)), ("start_location", (0.0, -math.inf)),
+        ("speed", math.nan), ("speed", math.inf),
+        ("ready_offset", math.nan), ("ready_offset", math.inf),
+    ])
+    def test_non_finite_numbers_rejected(self, field, value):
+        """An infinite speed teleports; a NaN one passed `speed > 0`'s
+        negation and served nothing."""
+        with pytest.raises(ValueError, match=f"vehicle v0: {field} must be"):
+            Vehicle(**{"vehicle_id": "v0", "start_location": (0.0, 0.0), field: value})
+
 
 class TestTravel:
     def test_euclidean_uses_vehicle_speed(self):
@@ -100,6 +124,12 @@ class TestTravel:
             TravelModel.matrix(["a", "b"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
         with pytest.raises(ValueError, match="diagonal"):
             TravelModel.matrix(["0;0", "1;0"], [[3, 1], [1, 0]])
+
+    def test_matrix_rejects_nan_entries(self):
+        """A NaN leg once passed the `>= 0` check, and `path_violation`
+        then took any path over it."""
+        with pytest.raises(ValueError, match="entries must be >= 0, not NaN"):
+            TravelModel.matrix(["0;0", "1;0"], [[0, math.nan], [1, 0]])
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):

@@ -32,6 +32,7 @@ from fairfleet.model import (
     TravelModel,
     Vehicle,
     allocation_of,
+    empty_schedule,
     path_times,
     path_violation,
     sequence_cost,
@@ -56,9 +57,10 @@ from fairfleet.vrp import (
 )
 
 
-def request_for(instance, weights, **kw):
+def request_for(instance, weights, committed=None, **kw):
+    """A request on a new table of `instance` that holds `committed`."""
     return SolverRequest(
-        table=RoundTable(instance),
+        table=RoundTable(instance, committed),
         customers=instance.customers,
         weights=np.asarray(weights, dtype=float),
         **kw,
@@ -135,16 +137,17 @@ class TestExact:
 
 class TestHeuristic:
     def test_never_below_best_warm_start(self):
+        """A heuristic round's solve scores at least its warm-start suite."""
         rng = np.random.default_rng(13)
+        config = SolverConfig(backend="heuristic", time_limit_s=1.0)
         for _ in range(10):
             inst = random_instance(rng, max_tasks=14, max_vehicles=3, span=1600.0)
             w = rng.uniform(0.0, 2.0, len(inst.customers))
             suite = build_warm_start_suite(RoundTable(inst), seed=0)
-            req = request_for(inst, w, warm_starts=tuple(suite),
-                              config=SolverConfig(time_limit_s=1.0))
-            hval = schedule_value(req, heuristic_vrp(req))[0]
+            _, got = RoundSolver(inst, config).solve(w)
+            req = request_for(inst, w)
             best_start = max(schedule_value(req, s)[0] for s in suite)
-            assert hval >= best_start - 1e-9
+            assert schedule_value(req, got)[0] >= best_start - 1e-9
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
@@ -196,9 +199,12 @@ class TestHeuristic:
         a, b = mk_vehicle("A", *pts["hA"]), mk_vehicle("B", *pts["hB"])
         inst = Instance(tasks=(x, y, z), vehicles=(a, b), travel=travel, budget=150.0)
         warm = Schedule(paths=(Path("A", (x, y)), Path("B", (z,))), round_duration=150.0)
-        sched = heuristic_vrp(request_for(inst, weights, warm_starts=(warm,)))
-        for v, p in zip(inst.vehicles, sched.paths):
-            assert path_violation(p.tasks, v, travel, inst.budget) is None
+        searched = heuristic_vrp(request_for(inst, weights))
+        _, floored = RoundSolver(inst, SolverConfig(backend="heuristic"),
+                                 warm_starts=(warm,)).solve(np.array(weights))
+        for sched in (searched, floored):
+            for v, p in zip(inst.vehicles, sched.paths):
+                assert path_violation(p.tasks, v, travel, inst.budget) is None
 
     def test_respects_pins(self):
         tasks = (mk_task("a", "c1", 100, 0), mk_task("b", "c1", -100, 0))
@@ -484,17 +490,17 @@ class TestConstruct:
 
 class TestWarmStarts:
     def test_suite_members_and_selection(self):
-        # Seeded with the whole suite, a heuristic solve ends no worse
-        # than the suite member best under its weights.
+        # A heuristic round's solve ends no worse than the suite member
+        # best under its weights.
         rng = np.random.default_rng(19)
         inst = random_instance(rng, max_tasks=10, max_vehicles=2, span=1200.0)
         suite = build_warm_start_suite(RoundTable(inst), seed=0)
         assert len(suite) >= 1
         w = np.ones(len(inst.customers))
-        req = request_for(inst, w, warm_starts=tuple(suite),
-                          config=SolverConfig(time_limit_s=0.5))
+        _, got = RoundSolver(inst, SolverConfig(backend="heuristic", time_limit_s=0.5)).solve(w)
+        req = request_for(inst, w / w.sum())
         best_member = max(schedule_value(req, s)[0] for s in suite)
-        assert schedule_value(req, heuristic_vrp(req))[0] >= best_member - 1e-12
+        assert schedule_value(req, got)[0] >= best_member - 1e-12
 
     @pytest.mark.parametrize("n_vehicles", [1, 5], ids=["fewer-vehicles", "more-vehicles"])
     def test_suite_is_the_max_throughput_solve(self, n_vehicles):
@@ -636,19 +642,22 @@ class TestDispatchAndFacade:
                     w = rng.uniform(0.1, 2.0, len(later.customers))
                     _, got = solver.solve(w)
                     req = request_for(later, w / w.sum(), config=config)
-                    heur = _Heuristic(req)
-                    vetted = heur._to_schedule(heur._vet(plan))
+                    vetted = req.table.vet(plan)
                     assert vetted.task_ids() == plan.task_ids() - done
                     assert schedule_value(req, got)[0] >= schedule_value(req, vetted)[0] - 1e-9
                 assert solver.calls == 3
         assert suite.call_count == 0
 
     def test_one_search_per_heuristic_solve(self, monkeypatch):
-        """A solve whose vetted warm start holds tasks searches once, from
-        empty paths; the warm start is a floor, not a second search."""
+        """A round solve whose vetted warm start holds tasks searches once,
+        from empty paths; the warm start is a floor, not a second search.
+        On the asymmetric-matrix golden round the search scores higher,
+        so the round returns the golden paths."""
         req = _golden_asymmetric_matrix()
-        (warm,) = req.warm_starts
-        assert any(_Heuristic(req)._vet(warm).values())
+        warm = _asymmetric_matrix_warm_start(req.table)
+        assert req.table.vet(warm).task_ids() == warm.task_ids()
+        solver = RoundSolver(instance_of(req.table), req.config,
+                             committed=req.table.committed, warm_starts=(warm,))
         searches = []
         improve = _Heuristic._improve
 
@@ -657,8 +666,27 @@ class TestDispatchAndFacade:
             improve(self, states)
 
         monkeypatch.setattr(_Heuristic, "_improve", count)
-        heuristic_vrp(req)
+        _, got = solver.solve(req.weights)
         assert searches == [[[] for _ in req.vehicles]]
+        assert {p.vehicle_id: p.task_ids for p in got.paths} == GOLDEN[0][1]
+
+    def test_round_returns_the_first_best_floor(self, monkeypatch):
+        """A solve whose backend schedule scores below the round's floors
+        returns the best floor as vetted, the first among equals; on a
+        tie with the floors it returns the backend's schedule."""
+        a, b = mk_task("a", "c1", 100, 0), mk_task("b", "c2", -100, 0)
+        inst = Instance(tasks=(a, b), vehicles=(mk_vehicle("v0"), mk_vehicle("v1")),
+                        travel=EUCLID, budget=600.0)
+        tie = Schedule((Path("v0", (a,)), Path("v1", ())), 600.0)
+        backend = iter([empty_schedule(inst.vehicles, 600.0), tie])
+        monkeypatch.setattr(vrp, "solve_weighted_vrp", lambda req: next(backend))
+        first = Schedule((Path("v1", (a,)),), 600.0)
+        second = Schedule((Path("v0", (a,)),), 600.0)
+        solver = RoundSolver(inst, SolverConfig(backend="exact"), warm_starts=(first, second))
+        _, got = solver.solve(np.array([1.0, 1.0]))
+        assert [(p.vehicle_id, p.task_ids) for p in got.paths] == [("v0", ()), ("v1", ("a",))]
+        _, got = solver.solve(np.array([1.0, 0.0]))
+        assert got is tie
 
     def test_round_solver_reuses_a_result_that_serves_every_task(self, monkeypatch):
         """Once a result of the round serves every task, later calls count
@@ -731,6 +759,37 @@ def servable_rounds(draw):
 weight_pairs = st.lists(st.floats(min_value=0, max_value=2), min_size=2, max_size=2)
 
 
+@st.composite
+def carried_rounds(draw):
+    """A small round with pairs, deadlines and capacity
+    (`random_instance`), its customers, drawn commitments,
+    `ride_counts_as` 1 or 2, the weights of a few solves, and a plan
+    carried from an earlier tick: the exact solve of the earlier round at
+    the first solve's weights, or its tasks dealt to the vehicles in
+    drawn order, which may break the path rules.  Some of the plan's
+    plain tasks are done since, so the round holds only the others."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    earlier = random_instance(rng, max_tasks=8, max_vehicles=2, allow_pairs=True,
+                              deadlines=True)
+    k = len(earlier.customers)
+    weights = draw(st.lists(st.lists(st.floats(min_value=0, max_value=2), min_size=k,
+                                     max_size=k), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        plan = exact_vrp(request_for(earlier, weights[0]))
+    else:
+        dealt = {v.vehicle_id: [] for v in earlier.vehicles}
+        for t in draw(st.permutations(list(earlier.tasks))):
+            dealt[draw(st.sampled_from(sorted(dealt)))].append(t)
+        plan = Schedule(tuple(Path(vid, tuple(ts)) for vid, ts in dealt.items()),
+                        earlier.budget)
+    done = {t.task_id for t in earlier.tasks
+            if t.pair_id is None and draw(st.integers(min_value=0, max_value=3)) == 0}
+    inst = replace(earlier, tasks=tuple(t for t in earlier.tasks if t.task_id not in done))
+    committed = {t.task_id: draw(st.sampled_from(inst.vehicles)).vehicle_id
+                 for t in inst.tasks if draw(st.integers(min_value=0, max_value=3)) == 0}
+    return inst, earlier.customers, committed, draw(st.sampled_from([1, 2])), plan, weights
+
+
 @given(case=servable_rounds(), first=weight_pairs, later=weight_pairs)
 @settings(max_examples=150, deadline=None)
 def test_a_schedule_serving_every_task_is_optimal_for_any_weights(case, first, later):
@@ -738,12 +797,11 @@ def test_a_schedule_serving_every_task_is_optimal_for_any_weights(case, first, l
     nonnegative weights scores what that schedule scores: the premise on
     which `RoundSolver` stops searching once a result serves every task."""
     inst, committed, rides = case
-    table = RoundTable(inst)
+    table = RoundTable(inst, committed)
 
     def request(weights):
         return SolverRequest(table=table, customers=("c1", "c2"), weights=np.array(weights),
-                             committed=committed, config=SolverConfig(backend="exact"),
-                             ride_counts_as=rides)
+                             config=SolverConfig(backend="exact"), ride_counts_as=rides)
 
     full = exact_vrp(request(first))
     assume(full.total_tasks() == len(inst.tasks))
@@ -808,7 +866,7 @@ class TestTravelTable:
     def test_table_cost_is_sequence_cost(self, case):
         heur, seq_a, seq_b, rest = case
         travel = heur.table.travel
-        for vehicle, tasks in zip(heur.req.vehicles, (seq_a, seq_b + rest)):
+        for vehicle, tasks in zip(heur.table.vehicles, (seq_a, seq_b + rest)):
             state = heur._state(vehicle, rows_of(heur, tasks))
             assert state.cost == sequence_cost(tasks, vehicle, travel)
 
@@ -816,13 +874,13 @@ class TestTravelTable:
     @settings(max_examples=150, deadline=None)
     def test_screened_deltas_match_exact_costs(self, case):
         heur, seq_a, seq_b, rest = case
-        a = heur._state(heur.req.vehicles[0], rows_of(heur, seq_a))
-        b = heur._state(heur.req.vehicles[1], rows_of(heur, seq_b))
+        a = heur._state(heur.table.vehicles[0], rows_of(heur, seq_a))
+        b = heur._state(heur.table.vehicles[1], rows_of(heur, seq_b))
         tol = 1e-9
         assert tol < _GUARD / 100
 
         def cost(state, seq):
-            tasks = [heur.req.tasks[r] for r in seq]
+            tasks = [heur.table.tasks[r] for r in seq]
             return sequence_cost(tasks, state.vehicle, heur.table.travel)
 
         for i, row in enumerate(heur._reversal_deltas(a)):
@@ -919,9 +977,8 @@ def insertion_pools(draw):
                  for t in tasks if draw(st.integers(0, 3)) == 0}
     weights = np.array([draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(3)])
     budget = draw(st.floats(min_value=1, max_value=3000))
-    req = SolverRequest(table=RoundTable(Instance(tasks, vehicles, travel, budget)),
-                        customers=("c1", "c2", "c3"), weights=weights,
-                        committed=committed or None)
+    req = SolverRequest(table=RoundTable(Instance(tasks, vehicles, travel, budget), committed),
+                        customers=("c1", "c2", "c3"), weights=weights)
     order = draw(st.permutations(list(tasks)))
     cut = draw(st.integers(min_value=0, max_value=n - 1))
     pool = sorted(order[cut:], key=lambda t: t.task_id)
@@ -966,7 +1023,7 @@ def test_pool_sides_give_the_same_bits(case):
     the same offers, for any slack and with or without the pins; so do
     `_plain_offers` over each, each from its own screen memo."""
     heur, seq, tasks, dead, slack = case
-    state = heur._state(heur.req.vehicles[0], rows_of(heur, seq))
+    state = heur._state(heur.table.vehicles[0], rows_of(heur, seq))
     lists, arrays = both_pools(heur, tasks, dead)
     if isinstance(slack, int):
         slack = slack_at(float(arrays.screen(state, math.inf)[0][slack]))
@@ -984,8 +1041,7 @@ def test_pool_sides_give_the_same_bits(case):
 
 
 def _golden_asymmetric_matrix():
-    """Asymmetric matrix travel, no return home, a committed task and a
-    warm start."""
+    """Asymmetric matrix travel, no return home and a committed task."""
     rng = np.random.default_rng(101)
     pts = [(float(x), float(y)) for x, y in np.round(rng.uniform(-900, 900, (20, 2)), 1)]
     arr = np.array(pts)
@@ -998,15 +1054,17 @@ def _golden_asymmetric_matrix():
         for i in range(17)
     )
     vehicles = tuple(Vehicle(f"v{j}", pts[17 + j]) for j in range(3))
-    warm = Schedule(
-        paths=(Path("v0", (tasks[3], tasks[8], tasks[1])), Path("v1", (tasks[12], tasks[5]))),
-        round_duration=420.0,
-    )
     return request_for(
         Instance(tasks, vehicles, travel, 420.0), np.array([1.0, 0.6, 1.7]),
-        committed={"m04": "v2"}, warm_starts=(warm,),
-        config=SolverConfig(time_limit_s=0.3, seed=3),
+        committed={"m04": "v2"}, config=SolverConfig(time_limit_s=0.3, seed=3),
     )
+
+
+def _asymmetric_matrix_warm_start(table):
+    """A plan of two paths for the asymmetric-matrix round."""
+    m = table.tasks
+    return Schedule(paths=(Path("v0", (m[3], m[8], m[1])), Path("v1", (m[12], m[5]))),
+                    round_duration=table.budget)
 
 
 def _golden_deadlines_two_speeds():
@@ -1133,18 +1191,23 @@ def test_golden_shared_best_exercises_verify_drops(monkeypatch):
     assert dropped
 
 
+def instance_of(table):
+    """The round `table` was built from."""
+    return Instance(table.tasks, table.vehicles, table.travel, table.budget, table.round_start)
+
+
 def fresh_table(table):
-    """A new table over the round of `table`, its memos empty."""
-    return RoundTable(Instance(table.tasks, table.vehicles, table.travel, table.budget,
-                               table.round_start))
+    """A new table over the round and commitments of `table`, its memos
+    empty."""
+    return RoundTable(instance_of(table), table.committed)
 
 
 @st.composite
 def round_tables(draw):
     """A round of tasks and vehicles, and one request over a subset of
     them on a table of its own: a dedicated-style sub-solve when the
-    subset is proper, with drawn commitments, two speeds and Euclidean
-    or matrix travel."""
+    subset is proper, with drawn commitments on its table, two speeds
+    and Euclidean or matrix travel."""
     coord = st.floats(min_value=-1500, max_value=1500, allow_nan=False)
     n = draw(st.integers(min_value=1, max_value=9))
     points = [(draw(coord), draw(coord)) for _ in range(n + 3)]
@@ -1179,22 +1242,20 @@ def round_tables(draw):
         for t in sub_tasks if draw(st.integers(min_value=0, max_value=3)) == 0
     }
     return SolverRequest(
-        table=RoundTable(Instance(sub_tasks, sub_vehicles, travel, 600.0)),
+        table=RoundTable(Instance(sub_tasks, sub_vehicles, travel, 600.0), committed),
         customers=("c1", "c2"),
         weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
-        committed=committed or None,
         config=SolverConfig(time_limit_s=0.05, seed=draw(st.integers(0, 9))),
     )
 
 
 @st.composite
 def shared_rounds(draw):
-    """A round's table, and a few requests on it in the order a round
-    would solve them.  The requests differ in commitments, weights and
-    seed; each later request carries the earlier results as warm starts,
-    as `RoundSolver` does.  The tasks hold pairs and, in half the rounds,
-    deadlines; the vehicles hold capacity 1 or 2; travel is Euclidean or
-    an asymmetric matrix."""
+    """A few requests over one round, in the order its solves would come.
+    The requests differ in weights and seed, and draw one of one or two
+    commitment sets; those of a set share one table, which holds it.
+    The tasks hold pairs and, in half the rounds, deadlines; the vehicles
+    hold capacity 1 or 2; travel is Euclidean or an asymmetric matrix."""
     coord = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
     service = st.floats(min_value=0, max_value=30)
     if draw(st.booleans()):
@@ -1233,23 +1294,25 @@ def shared_rounds(draw):
         travel = TravelModel.matrix([f"{x!r};{y!r}" for x, y in distinct], seconds)
     budget = draw(st.sampled_from([200.0, 400.0, 600.0]))
     round_start = draw(st.sampled_from([0.0, 150.0, 300.0]))
-    table = RoundTable(Instance(tasks, vehicles, travel, budget, round_start))
-    requests = []
-    for _ in range(draw(st.integers(min_value=3, max_value=6))):
+    instance = Instance(tasks, vehicles, travel, budget, round_start)
+    tables = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
         committed = {}
         if draw(st.booleans()):
             committed = {
                 t.task_id: draw(st.sampled_from(vehicles)).vehicle_id
                 for t in tasks if draw(st.integers(min_value=0, max_value=2)) == 0
             }
-        requests.append(SolverRequest(
-            table=table,
+        tables.append(RoundTable(instance, committed))
+    return [
+        SolverRequest(
+            table=draw(st.sampled_from(tables)),
             customers=("c1", "c2"),
             weights=np.array([draw(st.floats(min_value=0, max_value=2)), 1.0]),
-            committed=committed or None,
             config=SolverConfig(time_limit_s=0.05, seed=draw(st.integers(0, 9))),
-        ))
-    return table, requests
+        )
+        for _ in range(draw(st.integers(min_value=3, max_value=6)))
+    ]
 
 
 class TestRoundTable:
@@ -1258,59 +1321,61 @@ class TestRoundTable:
     def test_shared_table_matches_fresh_tables(self, case):
         """Solves that share one table, and so its placement memos, in
         drawn order give the paths each gives on a table of its own."""
-        table, requests = case
         ids = lambda s: {p.vehicle_id: p.task_ids for p in s.paths}
-        done = []
-        for req in requests:
-            req = replace(req, warm_starts=tuple(done))
+        for req in case:
             shared = heuristic_vrp(req)
-            assert ids(shared) == ids(heuristic_vrp(replace(req, table=fresh_table(table))))
-            done.append(shared)
+            assert ids(shared) == ids(heuristic_vrp(replace(req, table=fresh_table(req.table))))
 
-    @given(case=shared_rounds())
+    @given(case=carried_rounds(), backend=st.sampled_from(["exact", "heuristic"]))
     @settings(max_examples=150, deadline=None)
-    def test_best_warm_start_is_a_floor(self, case):
-        """Each solve of a round returns the better, on `(weighted value,
-        count)`, of its search without warm starts and its best vetted
-        warm start (the first among equals), taken unchanged; the search
-        wins a tie.  The table's vetted warm starts are left as they
-        were."""
-        table, requests = case
+    def test_best_warm_start_is_a_floor(self, case, backend):
+        """Each solve of a round scores at least the round's best vetted
+        floor, the first among equals on `schedule_value`, and returns
+        the backend's own schedule unless that floor scores strictly
+        higher.  The floors are the carried plan, vetted to the round,
+        and every earlier result; once a result serves every task, the
+        later solves return it."""
+        inst, customers, committed, rides, plan, weights = case
+        config = SolverConfig(backend=backend, time_limit_s=0.05, seed=1)
+        solver = RoundSolver(inst, config, committed=committed, ride_counts_as=rides,
+                             customers=customers, warm_starts=(plan,))
+        vetted = RoundTable(inst, committed).vet(plan)
+        floors = [] if vetted is None else [vetted]
         ids = lambda s: {p.vehicle_id: p.task_ids for p in s.paths}
-        done = []
-        for req in requests:
-            req = replace(req, warm_starts=tuple(done))
-            heur = _Heuristic(req)
-            floor, floor_paths = (-math.inf, -math.inf), None
-            for warm in done:
-                paths = heur._vet(warm)
-                if paths is not None and heur._value(paths) > floor:
-                    floor, floor_paths = heur._value(paths), paths
-            got = heuristic_vrp(req)
-            searched = heuristic_vrp(replace(req, warm_starts=()))
-            if schedule_value(req, searched) >= floor:
-                assert ids(got) == ids(searched)
+        full = None
+        for w in map(np.array, weights):
+            _, got = solver.solve(w)
+            if full is not None:
+                assert got is full
+                continue
+            if w.sum() > 0:
+                w = w / w.sum()
+            req = SolverRequest(table=RoundTable(inst, committed), customers=customers,
+                                weights=w, config=config, ride_counts_as=rides)
+            own = solve_weighted_vrp(req)
+            best = max(floors, key=lambda s: schedule_value(req, s), default=None)
+            if best is not None and schedule_value(req, best) > schedule_value(req, own):
+                assert ids(got) == ids(best)
             else:
-                assert ids(got) == ids(heur._to_schedule(floor_paths))
-            vetted = {k: repr(paths) for k, (_, paths) in table.vetted.items()}
-            heuristic_vrp(req)
-            assert {k: repr(paths) for k, (_, paths) in table.vetted.items()} == vetted
-            done.append(got)
+                assert ids(got) == ids(own)
+            if best is not None:
+                assert schedule_value(req, got) >= schedule_value(req, best)
+            floors.append(got)
+            if got.total_tasks() == len(inst.tasks):
+                full = got
 
     @given(case=round_tables())
     @settings(max_examples=120, deadline=None)
     def test_round_table_gives_the_same_schedule(self, case):
         """A request on a table whose memos the round's warm-start solve
-        filled, uniform and uncommitted, solves as on a fresh table of
-        its own, with that warm start or without."""
+        filled, at uniform weights under the table's commitments, solves
+        as on a fresh table of its own."""
         req = case
-        suite = tuple(build_warm_start_suite(req.table, seed=req.config.seed))
+        build_warm_start_suite(req.table, seed=req.config.seed)
         assert _Heuristic(req).table is req.table
         ids = lambda s: {p.vehicle_id: p.task_ids for p in s.paths}
-        for warm_starts in (suite, ()):
-            shared = replace(req, warm_starts=warm_starts)
-            fresh = replace(shared, table=fresh_table(req.table))
-            assert ids(heuristic_vrp(shared)) == ids(heuristic_vrp(fresh))
+        fresh = replace(req, table=fresh_table(req.table))
+        assert ids(heuristic_vrp(req)) == ids(heuristic_vrp(fresh))
 
     def test_round_solver_shares_one_table(self, monkeypatch):
         """Every heuristic solve of a round, the warm-start solve
@@ -1328,6 +1393,45 @@ class TestRoundTable:
         solver.solve(np.ones(len(inst.customers)))
         assert len(seen) == 2
         assert all(t is solver._table for t in seen)
+
+
+class TestVet:
+    def test_cuts_a_plan_to_the_round(self):
+        """A vetted plan keeps, on each path, the round's tasks its vehicle
+        may serve and only whole pairs, as the round's own tasks, with one
+        path per vehicle in table order: unknown tasks and vehicles, tasks
+        committed to another vehicle and half pairs go."""
+        p = mk_task("p", "c1", 10, 0, pickup_of="q")
+        q = mk_task("q", "c1", 20, 0, dropoff_of="p")
+        r = mk_task("r", "c2", -10, 0, pickup_of="s")
+        s_ = mk_task("s", "c2", -20, 0, dropoff_of="r")
+        a, b = mk_task("a", "c1", 0, 10), mk_task("b", "c2", 0, -10)
+        inst = Instance(tasks=(p, q, r, s_, a, b), vehicles=(mk_vehicle("v0"), mk_vehicle("v1")),
+                        travel=EUCLID, budget=600.0)
+        table = RoundTable(inst, {"b": "v1"})
+        ghost = mk_task("ghost", "c1", 5, 5)
+        plan = Schedule(paths=(Path("v9", (a,)), Path("v1", (s_,)),
+                               Path("v0", (r, ghost, p, b, replace(q, service_time=99.0)))),
+                        round_duration=600.0)
+        vetted = table.vet(plan)
+        assert [(path.vehicle_id, path.task_ids) for path in vetted.paths] == [
+            ("v0", ("p", "q")), ("v1", ())]
+        assert vetted.paths[0].tasks[1] is q
+        assert vetted.round_duration == inst.budget
+
+    def test_refuses_a_path_that_breaks_the_rules(self):
+        """A plan with one path past a deadline or past the budget vets to
+        None; cut to the round, the same plan may pass."""
+        near = mk_task("near", "c1", 100, 0, deadline=20.0)
+        far = mk_task("far", "c1", 7000, 0)
+        inst = Instance(tasks=(near, far), vehicles=(mk_vehicle("v0"), mk_vehicle("v1")),
+                        travel=EUCLID, budget=600.0)
+        table = RoundTable(inst)
+        assert table.vet(Schedule((Path("v0", (near,)),), 600.0)) is not None
+        assert table.vet(Schedule((Path("v1", (far,)),), 600.0)) is None
+        assert table.vet(Schedule((Path("v0", (far, near)),), 600.0)) is None
+        assert RoundTable(replace(inst, tasks=(near,))).vet(
+            Schedule((Path("v0", (far, near)),), 600.0)) is not None
 
 
 # A reference copy of the three local-search passes as they were before
@@ -1370,7 +1474,7 @@ class ScanEveryMove(_Heuristic):
             if tasks[r].pair_id is None
         ]
         self.rng.shuffle(order)
-        committed = self.req.committed
+        committed = self.table.committed
         for s_i, t_i in order:
             src = states[s_i]
             x = src.seq[t_i]
@@ -1431,7 +1535,7 @@ class ScanEveryMove(_Heuristic):
             for b_i in range(a_i + 1, len(states)):
                 pairs.append((a_i, b_i))
         self.rng.shuffle(pairs)
-        committed = self.req.committed
+        committed = self.table.committed
         tasks = self.table.tasks
         for a_i, b_i in pairs:
             a, b = states[a_i], states[b_i]
@@ -1478,7 +1582,7 @@ def _solve_both(req, table, ref_table, effort):
 
 def _same_bits(got, want):
     (heur, sched), (ref, ref_sched) = got, want
-    table, vehicles = heur.table, {v.vehicle_id: v for v in heur.req.vehicles}
+    table, vehicles = heur.table, {v.vehicle_id: v for v in heur.table.vehicles}
     timed = lambda s: [(p.vehicle_id, p.task_ids,
                         path_times(vehicles[p.vehicle_id], p.tasks, table.travel, table.round_start))
                        for p in s.paths]
@@ -1494,27 +1598,22 @@ class TestVoidScans:
     @given(case=shared_rounds(), effort=effort_budgets)
     @settings(max_examples=200, deadline=None)
     def test_round_of_solves_keeps_the_bits(self, case, effort):
-        """Solves in drawn order on one table skip the scans an earlier
-        solve, or an earlier pass, found void; each gives the paths, the
-        completion times, the effort left and the random state of
-        scanning every move, also when the effort runs out mid-pass."""
-        table, requests = case
-        ref_table = fresh_table(table)
-        done = []
-        for req in requests:
-            got, want = _solve_both(replace(req, warm_starts=tuple(done)), table, ref_table,
-                                    effort)
-            _same_bits(got, want)
-            done.append(got[1])
+        """Solves in drawn order on their commitments' table skip the
+        scans an earlier solve, or an earlier pass, found void; each gives
+        the paths, the completion times, the effort left and the random
+        state of scanning every move, also when the effort runs out
+        mid-pass."""
+        ref_tables = {}
+        for req in case:
+            ref_table = ref_tables.setdefault(id(req.table), fresh_table(req.table))
+            _same_bits(*_solve_both(req, req.table, ref_table, effort))
 
     @given(case=round_tables(), effort=effort_budgets)
     @settings(max_examples=120, deadline=None)
     def test_sub_solves_keep_the_bits(self, case, effort):
         """A sub-solve with commitments, solved twice on its own table,
-        the second seeded with the first."""
+        the second on the memos the first left."""
         req = case
         table, ref_table = req.table, fresh_table(req.table)
-        first = _solve_both(req, table, ref_table, effort)
-        _same_bits(*first)
-        again = _solve_both(replace(req, warm_starts=(first[0][1],)), table, ref_table, effort)
-        _same_bits(*again)
+        for _ in range(2):
+            _same_bits(*_solve_both(req, table, ref_table, effort))
