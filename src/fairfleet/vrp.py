@@ -39,8 +39,11 @@ round start and commitments, whose two rules only this module reads
 `SolverConfig`.  The round's floors live on its facade, `RoundSolver`:
 the warm starts, each vetted once (`RoundTable.vet`), and every result;
 a heuristic-backed round's warm start is its max-throughput solve
-(`build_warm_start_suite`).  Every solver returns untimed paths
-(`model.Path`, a task order); the emulator times the one plan it
+(`build_warm_start_suite`).  Once a result serves every task the
+round's backend can place (`RoundSolver.placeable`: all of them under
+`exact`, all but riders' dropoffs under the heuristic, which never
+places one), the facade stops searching.  Every solver returns untimed
+paths (`model.Path`, a task order); the emulator times the one plan it
 commits.
 
 Ties on the weighted objective are broken toward larger unweighted total
@@ -1368,6 +1371,11 @@ class RoundSolver:
     heuristic-backed round starts from its max-throughput solve on the
     same table (`build_warm_start_suite`).  The warm starts stay outside
     the call count, which verifies the |K| + stages budget per round.
+
+    `placeable` is the number of tasks the round's backend can place:
+    every task under `exact`, which seeds its walks with the riders on
+    board, and every task but riders' dropoffs under the heuristic, since
+    no heuristic schedule and no vetted floor holds one.
     """
 
     def __init__(
@@ -1386,9 +1394,13 @@ class RoundSolver:
         self.calls = 0
         self._serves_all: Optional[Schedule] = None
         self._table = RoundTable(instance, committed)
-        if warm_starts is None and not self.config.picks_exact(len(instance.tasks),
-                                                                len(instance.vehicles)):
-            warm_starts = build_warm_start_suite(self._table, self.config.seed, ride_counts_as)
+        exact = self.config.picks_exact(len(instance.tasks), len(instance.vehicles))
+        self.placeable = len(instance.tasks)
+        if not exact:
+            self.placeable -= len(riders_on_board(instance.tasks))
+            if warm_starts is None:
+                warm_starts = build_warm_start_suite(self._table, self.config.seed,
+                                                     ride_counts_as)
         vetted = (self._table.vet(s) for s in warm_starts or ())
         self._floors = [s for s in vetted if s is not None]
 
@@ -1403,11 +1415,13 @@ class RoundSolver:
 
         Floor rule: the backend's schedule, unless the round's best floor,
         the first among equals on `schedule_value`, scores strictly
-        higher.  Reuse rule: once a result of this round serves every
-        task, later calls return the earliest such result without
-        searching: the weights are clamped to >= 0, so it maximizes every
-        customer's count at once and a search could only tie it.  A warm
-        start never qualifies before a call has searched."""
+        higher; each floor is valued once.  Reuse rule: once a result of
+        this round serves `placeable` tasks, later calls return the
+        earliest such result without searching: the weights are clamped
+        to >= 0, and no schedule the backend or a floor gives serves a
+        task beyond those, so it maximizes every customer's count at once
+        and a search could only tie it.  A warm start never qualifies
+        before a call has searched."""
         self.calls += 1
         if self._serves_all is not None:
             schedule = self._serves_all
@@ -1430,11 +1444,12 @@ class RoundSolver:
         )
         schedule = solve_weighted_vrp(req)
         if self._floors:
-            floor = max(self._floors, key=lambda s: schedule_value(req, s))
-            if schedule_value(req, floor) > schedule_value(req, schedule):
+            value, floor = max(((schedule_value(req, s), s) for s in self._floors),
+                               key=lambda pair: pair[0])
+            if value > schedule_value(req, schedule):
                 schedule = floor
         self._floors.append(schedule)
-        if schedule.total_tasks() == len(self.instance.tasks):
+        if schedule.total_tasks() == self.placeable:
             self._serves_all = schedule
         allocation = allocation_of(schedule, self.customers, self.ride_counts_as)
         return allocation, schedule

@@ -305,8 +305,18 @@ def test_plans_are_timed_where_committed():
 
 def test_counted_solves_pass_the_facade():
     """A counted solve reaches the backend only through `RoundSolver.solve`,
-    which returns a result of its round serving every task without
-    searching again; the max-throughput baseline solves outside any
-    round."""
+    which returns a result of its round serving every task its backend
+    can place without searching again; the max-throughput baseline solves
+    outside any round."""
     assert callers_of("solve_weighted_vrp") == {
         "vrp.RoundSolver.solve", "emulator.baseline_max_throughput"}
+
+
+def test_riders_on_board_are_exempted_in_one_place():
+    """Besides the path rules' walks in `exact_vrp` and the oracle, only
+    `RoundSolver.__init__` reads `riders_on_board`: it leaves riders'
+    dropoffs, which no heuristic schedule holds, out of the tasks a
+    heuristic-backed round can place.  Once a rider's dropoff is a step
+    of their vehicle, the exemption goes from that one place."""
+    assert callers_of("riders_on_board") == {
+        "vrp.exact_vrp", "oracle._vehicle_feasible_orders", "vrp.RoundSolver.__init__"}

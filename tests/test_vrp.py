@@ -35,6 +35,7 @@ from fairfleet.model import (
     empty_schedule,
     path_times,
     path_violation,
+    riders_on_board,
     sequence_cost,
     task_count,
     travel_time,
@@ -689,16 +690,20 @@ class TestDispatchAndFacade:
         assert got is tie
 
     def test_round_solver_reuses_a_result_that_serves_every_task(self, monkeypatch):
-        """Once a result of the round serves every task, later calls count
-        but reach no backend, return that result and its allocation, and
-        add nothing to the warm starts.  A warm start serving every task
-        does not qualify, and a round that cannot serve every task
-        searches on every call."""
+        """Once a result of the round serves every task its backend can
+        place, later calls count but reach no backend, return that result
+        and its allocation, and add nothing to the warm starts.  A warm
+        start serving every task does not qualify, and a round that cannot
+        serve every task searches on every call.  A heuristic places no
+        rider's dropoff, so its round stops searching without one; an
+        exact-backed round, whose backend places it, searches on while a
+        result leaves it out."""
         backend = []
+        scripted = []
 
         def counted(req):
             backend.append(req)
-            return solve_weighted_vrp(req)
+            return scripted.pop(0) if scripted else solve_weighted_vrp(req)
 
         monkeypatch.setattr(vrp, "solve_weighted_vrp", counted)
         tasks = tuple(mk_task(f"t{i}", f"c{i % 2 + 1}", 50.0 * i, 0.0) for i in range(4))
@@ -724,12 +729,33 @@ class TestDispatchAndFacade:
             assert got.total_tasks() < len(tasks)
         assert (solver.calls, len(backend)) == (3, 5)
 
+        aboard = replace(inst, tasks=tasks + (mk_task("d", "c1", 0.0, 50.0, dropoff_of="p"),))
+        solver = RoundSolver(aboard, SolverConfig(backend="heuristic", time_limit_s=0.1))
+        assert solver.placeable == len(tasks)
+        _, partial = solver.solve(np.array([1.0, 0.0]))
+        assert partial.task_ids() == {t.task_id for t in tasks}
+        for w in ([0.0, 1.0], [0.3, 0.7], [-0.2, 1.0]):
+            assert solver.solve(np.array(w))[1] is partial
+        assert (solver.calls, len(backend)) == (4, 6)
+
+        solver = RoundSolver(aboard, SolverConfig(backend="exact"))
+        assert solver.placeable == len(aboard.tasks)
+        scripted.append(partial)
+        assert solver.solve(np.array([1.0, 0.0]))[1] is partial
+        _, full = solver.solve(np.array([0.0, 1.0]))
+        assert full.total_tasks() == len(aboard.tasks)
+        for w in ([0.3, 0.7], [1.0, 0.0]):
+            assert solver.solve(np.array(w))[1] is full
+        assert (solver.calls, len(backend)) == (4, 8)
+
 
 @st.composite
 def servable_rounds(draw):
     """A small round, near its vehicles, whose tasks hold pairs and, in
-    half the rounds, deadlines; some are committed to a vehicle.  Returns
-    the instance, the commitments and `ride_counts_as`."""
+    half the rounds, deadlines; some are committed to a vehicle.  A pair
+    may lack its pickup: the rider is on board, and the round holds only
+    the dropoff.  Returns the instance, the commitments and
+    `ride_counts_as`."""
     coord = st.floats(min_value=-300, max_value=300, allow_nan=False)
     deadline = st.one_of(st.none(), st.floats(min_value=60, max_value=600))
     if not draw(st.booleans()):
@@ -737,7 +763,9 @@ def servable_rounds(draw):
     tasks = []
     for k in range(draw(st.integers(min_value=0, max_value=2))):
         cust = f"c{k % 2 + 1}"
-        tasks.append(Task(f"p{k}", cust, (draw(coord), draw(coord)), 10.0, pickup_of=f"q{k}"))
+        pickup = Task(f"p{k}", cust, (draw(coord), draw(coord)), 10.0, pickup_of=f"q{k}")
+        if draw(st.integers(min_value=0, max_value=3)):
+            tasks.append(pickup)
         tasks.append(Task(f"q{k}", cust, (draw(coord), draw(coord)), 10.0,
                           deadline=draw(deadline), dropoff_of=f"p{k}"))
     for k in range(draw(st.integers(min_value=1, max_value=3))):
@@ -809,6 +837,39 @@ def test_a_schedule_serving_every_task_is_optimal_for_any_weights(case, first, l
     got = exact_vrp(req)
     assert got.total_tasks() == len(inst.tasks)
     assert schedule_value(req, got) == pytest.approx(schedule_value(req, full), rel=1e-12)
+
+
+@given(case=servable_rounds(), first=weight_pairs, later=weight_pairs)
+@settings(max_examples=150, deadline=None)
+def test_a_heuristic_result_serving_every_placeable_task_is_best(case, first, later):
+    """No `heuristic_vrp` schedule holds a rider's dropoff, and once one
+    serves every other task, a fresh heuristic solve at any nonnegative
+    weights scores no higher on (value, count): the premise on which a
+    heuristic-backed `RoundSolver` counts every task but riders' dropoffs
+    as placeable.  Under `exact`, which serves them, every task counts."""
+    inst, committed, rides = case
+    onboard = riders_on_board(inst.tasks)
+    drops = {t.task_id for t in inst.tasks if t.dropoff_of in onboard}
+    config = SolverConfig(backend="heuristic", time_limit_s=0.1)
+    table = RoundTable(inst, committed)
+
+    def request(weights):
+        return SolverRequest(table=table, customers=("c1", "c2"), weights=np.array(weights),
+                             config=config, ride_counts_as=rides)
+
+    exact = RoundSolver(inst, SolverConfig(backend="exact"), committed, rides)
+    assert exact.placeable == len(inst.tasks)
+    placeable = RoundSolver(inst, config, committed, rides).placeable
+    assert placeable == len(inst.tasks) - len(drops)
+    full = heuristic_vrp(request(first))
+    assert not full.task_ids() & drops
+    assume(full.total_tasks() == placeable)
+    req = request(later)
+    got = heuristic_vrp(req)
+    assert not got.task_ids() & drops
+    (value, count), (best, most) = schedule_value(req, got), schedule_value(req, full)
+    assert count <= most
+    assert value <= best + 1e-12 * abs(best)
 
 
 class TestScheduleValue:
